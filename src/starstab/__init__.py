@@ -2,8 +2,7 @@
 and their stabilization to exact ones with quantitative certificates."""
 
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, four_unitaries,
-                      haar_unitary, identity, matrix_unit, matrix_units,
-                      operator_norm, random_contraction, zeros)
+                      identity, matrix_unit, matrix_units, zeros)
 from .averaging import (AveragedGroupMap, GroupMap, IterationSchedule,
                         average_once, measure_group_map, restrict_to_unitaries,
                         schedule, stabilize)

@@ -33,18 +33,9 @@ def frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def eye_like(x: np.ndarray) -> np.ndarray:
-    return np.eye(x.shape[-1], dtype=complex)
-
-
 def is_hermitian(x: np.ndarray, tol: float = 1e-10) -> bool:
     scale = max(op_norm(x), 1.0)
     return op_norm(x - x.conj().T) <= tol * scale
-
-
-def is_normal(x: np.ndarray, tol: float = 1e-9) -> bool:
-    scale = max(op_norm(x), 1.0) ** 2
-    return op_norm(x @ x.conj().T - x.conj().T @ x) <= tol * scale
 
 
 def herm_fun(h: np.ndarray, fn, check_tol: float = 1e-9) -> np.ndarray:

@@ -239,15 +239,6 @@ class HaarSampler:
         x = AlgebraElement(self.shape, mats)
         return x / x.norm()
 
-    def hermitian_unit(self) -> AlgebraElement:
-        rng = self._rng()
-        mats = []
-        for n in self.shape.blocks:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            mats.append(0.5 * (g + g.conj().T))
-        x = AlgebraElement(self.shape, mats)
-        return x / x.norm()
-
     def disc_scalar(self) -> complex:
         """Uniform scalar on the closed unit disc."""
         rng = self._rng()
@@ -257,24 +248,6 @@ class HaarSampler:
 def coeff_vector(x: AlgebraElement) -> np.ndarray:
     """Entries of all blocks flattened in canonical (block, row, column) order."""
     return np.concatenate([a.ravel() for a in x.blocks])
-
-
-def operator_norm(a: AlgebraElement) -> float:
-    """Max over blocks of the largest singular value."""
-    return a.norm()
-
-
-def haar_unitary(sampler: HaarSampler) -> AlgebraElement:
-    return sampler.unitary()
-
-
-def random_contraction(sampler: HaarSampler) -> AlgebraElement:
-    return sampler.contraction()
-
-
-def exp_hermitian(a: AlgebraElement, t: complex = 1j) -> AlgebraElement:
-    """exp(t a) for self-adjoint a, blockwise via eigendecomposition."""
-    return AlgebraElement(a.shape, [la.herm_fun(m, lambda w: np.exp(t * w)) for m in a.blocks])
 
 
 def involution_exp(a: AlgebraElement, r: float) -> AlgebraElement:

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, AlgebraShape, HaarSampler, identity
+from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, coeff_vector,
+                      identity)
 from .errors import EvaluationError, PreconditionError
 from .probes import deterministic_pairs, sphere_probes
 
@@ -56,8 +57,7 @@ class ApproxMap:
         out = self._cache.get(key)
         if out is None:
             if self._flat_basis is not None:
-                coeffs = np.concatenate([a.ravel() for a in x.blocks])
-                out = (coeffs @ self._flat_basis).reshape(self.dim, self.dim)
+                out = (coeff_vector(x) @ self._flat_basis).reshape(self.dim, self.dim)
             else:
                 out = np.ascontiguousarray(self.fn(x), dtype=complex)
                 if out.shape != (self.dim, self.dim):
@@ -264,9 +264,6 @@ class IsometryReport:
     probes_checked: int
     witness_norm: float | None = None
     steps: tuple = ()       # (label, value) pairs replayed along the descent
-
-    def is_isometric(self) -> bool:
-        return self.verdict == "isometric"
 
 
 def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,

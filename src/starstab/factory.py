@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, AlgebraShape, identity
+from .algebra import AlgebraElement, AlgebraShape, coeff_vector, matrix_units
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError
 from .probes import ball_probes
@@ -78,9 +78,6 @@ class EmbeddingSpec:
             out = self.conjugator @ out @ self.conjugator.conj().T
         return out
 
-    def range_projection(self) -> np.ndarray:
-        return self.embed(identity(self.shape))
-
     def to_dict(self) -> dict:
         w = self.conjugator
         return {
@@ -118,7 +115,6 @@ def haar_conjugator(n: int, seed: int) -> np.ndarray:
 
 def exact_homomorphism(spec: EmbeddingSpec) -> ApproxMap:
     """The embedding as an evaluable map; all defects vanish by construction."""
-    from .algebra import matrix_units
     basis = np.stack([spec.embed(e) for _, _, _, e in matrix_units(spec.shape)])
     out = ApproxMap.linear(spec.shape, spec.dim, basis,
                            {"kind": "exact", "spec": spec.to_dict()})
@@ -135,7 +131,7 @@ def _hash_normals(seed: int, payload: bytes, count: int) -> np.ndarray:
 
 
 def _quantized_key(x: AlgebraElement, grid: float = 1e-9) -> bytes:
-    v = np.concatenate([a.ravel() for a in x.blocks]).view(np.float64)
+    v = coeff_vector(x).view(np.float64)
     return np.rint(v / grid).astype(np.int64).tobytes()
 
 

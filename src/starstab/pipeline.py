@@ -2,9 +2,13 @@
 
 The stage order mirrors the correction strategy: normalize, discretize,
 restrict to the unitary group, average until nearly multiplicative,
-unitarize, split into irreducible blocks, correct each block to an exact
-homomorphism (matrix-unit route by default, one-parameter-group route on
-request), and align the assembled map with the target subalgebra.
+unitarize, split into irreducible blocks, and correct each block to an
+exact homomorphism.  The approximate block map comes from compressing the
+input (matrix-unit route, the default) or from one-parameter-group lifts
+of the representation (Stone route); both end in the same matrix-unit
+correction.  When a target subalgebra is given, the assembled map is then
+aligned with it; without one that stage is recorded as skipped.  Exact
+maps are held as basis tensors, so the recovered map is one contraction.
 
 Stage movements measured over a common unit-ball probe set telescope, so
 the final distance obeys the triangle inequality against their sum; group
@@ -20,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (AlgebraElement, AlgebraShape, _derive_seed, identity,
-                      matrix_unit)
+from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit
 from .averaging import (measure_group_map, restrict_to_unitaries, stabilize)
 from .config import PipelineConfig
 from .defects import ApproxMap, estimate_defect, normalize
@@ -169,7 +172,7 @@ class _StageClock:
         t0 = time.perf_counter()
         try:
             out = fn()
-        except StabilityError as exc:
+        except (StabilityError, np.linalg.LinAlgError, FloatingPointError) as exc:
             raise StageAbort(name, exc, report=self.stages) from exc
         rec = StageRecord(name, time.perf_counter() - t0)
         self.stages.append(rec)
@@ -178,36 +181,24 @@ class _StageClock:
 
 def _stone_block_map(pi_block, domain: AlgebraShape, verify_tol: float,
                      snap_tol: float) -> ApproxMap:
-    """Assemble a block homomorphism from lifted projections and lifted
-    self-adjoint swap unitaries: psi(e_ij) = q_i rho(swap_ij) q_j."""
-    dim = pi_block.dim
+    """Assemble a block map from lifted projections and lifted self-adjoint
+    swap unitaries: psi(e_ij) = q_i rho(swap_ij) q_j, as a basis tensor."""
     one = identity(domain)
     kw = dict(verify_tol=verify_tol, snap_tol=snap_tol)
-    units: dict[tuple, np.ndarray] = {}
+    units = []
     for b, n in enumerate(domain.blocks):
         qs = [lift_projection(pi_block, matrix_unit(domain, b, i, i), **kw)
               for i in range(n)]
         for i in range(n):
-            units[(b, i, i)] = qs[i]
-        for i in range(n):
             for j in range(n):
                 if i == j:
+                    units.append(qs[i])
                     continue
                 swap = (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
                         + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j))
                 rho = stone_generator(pi_block, swap, **kw)
-                units[(b, i, j)] = qs[i] @ rho @ qs[j]
-
-    def fn(x: AlgebraElement) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for b, a in enumerate(x.blocks):
-            for i in range(a.shape[0]):
-                for j in range(a.shape[0]):
-                    if a[i, j] != 0.0:
-                        out = out + a[i, j] * units[(b, i, j)]
-        return out
-
-    return ApproxMap(domain, dim, fn, {"kind": "stone-lift"})
+                units.append(qs[i] @ rho @ qs[j])
+    return ApproxMap.linear(domain, pi_block.dim, np.stack(units), {"kind": "stone-lift"})
 
 
 def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
@@ -332,41 +323,33 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
         + 8.0 * blocks.residual + post.mc + 1e-9
 
     # 8. per-block correction --------------------------------------------------
+    # Both routes build an approximate block map and end in the same
+    # matrix-unit correction; only the source of the block map differs.
     def correct_blocks():
-        isoms = blocks.isometries()
-        maps = []
+        basis = np.zeros((shape.linear_dim, work_dim, work_dim), dtype=complex)
         residual = 0.0
         mult_total = [0] * len(shape.blocks)
-        for v_k in isoms:
-            phi_k = ApproxMap(shape, v_k.shape[1],
-                              lambda x, v=v_k: v.conj().T @ phi3(x) @ v)
+        for v_k in blocks.isometries():
             if config.path == "stone":
                 pi_k = compress(pi, v_k, snap_tol=max(1e-6, 4.0 * dec_tol))
                 verify = config.stone_verify_tol if config.stone_verify_tol > 0.0 \
                     else max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
-                psi_k = _stone_block_map(pi_k, shape, verify,
+                phi_k = _stone_block_map(pi_k, shape, verify,
                                          snap_tol=max(1e-3, verify))
-                info_k = {"path": "stone"}
-                mult_total = None
             else:
-                eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
-                adm = config.correction_admissible if config.correction_admissible > 0.0 \
-                    else max(1e-2, 2.0 * eps5_k)
-                _, psi_k, info_k = matrix_unit_correction(
-                    phi_k, tol=1e-9, eps=eps5_k, admissible=adm,
-                    assert_factor=config.correction_factor)
-                residual = max(residual, info_k["relation_residual"])
-                if mult_total is not None:
-                    mult_total = [a + b for a, b in
-                                  zip(mult_total, info_k["multiplicities"])]
-            maps.append((v_k, psi_k))
-
-        def fn(x: AlgebraElement) -> np.ndarray:
-            out = np.zeros((work_dim, work_dim), dtype=complex)
-            for v_k, psi_k in maps:
-                out = out + v_k @ psi_k(x) @ v_k.conj().T
-            return out
-        return ApproxMap(shape, work_dim, fn, {"kind": "blockwise"}), residual, mult_total
+                phi_k = ApproxMap(shape, v_k.shape[1],
+                                  lambda x, v=v_k: v.conj().T @ phi3(x) @ v)
+            eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
+            adm = config.correction_admissible if config.correction_admissible > 0.0 \
+                else max(1e-2, 2.0 * eps5_k)
+            _, psi_k, info_k = matrix_unit_correction(
+                phi_k, tol=1e-9, eps=eps5_k, admissible=adm,
+                assert_factor=config.correction_factor)
+            residual = max(residual, info_k["relation_residual"])
+            mult_total = [a + b for a, b in zip(mult_total, info_k["multiplicities"])]
+            basis += v_k @ psi_k.basis @ v_k.conj().T
+        return ApproxMap.linear(shape, work_dim, basis, {"kind": "blockwise"}), \
+            residual, mult_total
 
     ((psi_blocks, corr_residual, mults), rec) = clock.run("block-correction", correct_blocks)
     if corner:
@@ -378,43 +361,43 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     rec.info = {"path": config.path, "relation_residual": corr_residual,
                 "multiplicities": mults}
 
-    # 9. near-inclusion alignment ----------------------------------------------
+    # 9. near-inclusion alignment (only with a given target) ------------------
+    ni_assertions = []
     if target is None:
-        target_spec = EmbeddingSpec(AlgebraShape([work_dim]), (1,), 0)
+        psi_work = psi_blocks
+        stages.append(StageRecord("near-inclusion", 0.0, info={"skipped": True}))
     else:
         if target.dim != work_dim:
             raise StageAbort("near-inclusion",
                              PreconditionError("target dimension mismatch "
                                                f"({target.dim} vs {work_dim})"),
                              report=stages)
-        target_spec = target
-    kw = {}
-    if config.correction_admissible > 0.0:
-        kw["admissible"] = config.correction_admissible
-    else:
-        kw["admissible"] = max(1e-2, 4.0 * eps_in, 4.0 * corr_residual)
-    kw["assert_factor"] = config.correction_factor
-    (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
-        psi_blocks, target_spec, tol=1e-9, probes=probes[:48],
-        correction_kwargs=kw))
-    v_align, psi_work, ni_info = ni_out
-    if corner:
-        rec.movement = max(
-            la.op_norm(q_iso @ (psi_work(x) - psi_blocks(x)) @ q_iso.conj().T)
-            for x in probes)
-    else:
-        rec.movement = _sup_dist(psi_work, psi_blocks, probes)
-    rec.info = {k: ni_info[k] for k in
-                ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
-                 "movement_bound", "movement_ok")}
+        adm = config.correction_admissible if config.correction_admissible > 0.0 \
+            else max(1e-2, 4.0 * eps_in, 4.0 * corr_residual)
+        kw = {"admissible": adm, "assert_factor": config.correction_factor}
+        (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
+            psi_blocks, target, tol=1e-9, probes=probes[:48],
+            correction_kwargs=kw))
+        _, psi_work, ni_info = ni_out
+        if corner:
+            rec.movement = max(
+                la.op_norm(q_iso @ (psi_work(x) - psi_blocks(x)) @ q_iso.conj().T)
+                for x in probes)
+        else:
+            rec.movement = _sup_dist(psi_work, psi_blocks, probes)
+        rec.info = {k: ni_info[k] for k in
+                    ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
+                     "movement_bound", "movement_ok")}
+        ni_assertions = [
+            {"name": "near-inclusion-v", "value": ni_info["v_deviation"],
+             "bound": ni_info["v_bound"], "ok": ni_info["v_ok"]},
+            {"name": "near-inclusion-movement", "value": ni_info["movement"],
+             "bound": ni_info["movement_bound"], "ok": ni_info["movement_ok"]},
+        ]
 
     # 10. re-embed a corner restriction ----------------------------------------
-    if corner:
-        def fn(x: AlgebraElement, q=q_iso) -> np.ndarray:
-            return q @ psi_work(x) @ q.conj().T
-        psi = ApproxMap(shape, phi.dim, fn, {"kind": "recovered"})
-    else:
-        psi = ApproxMap(shape, phi.dim, psi_work.fn, {"kind": "recovered"})
+    basis = psi_work.basis if q_iso is None else q_iso @ psi_work.basis @ q_iso.conj().T
+    psi = ApproxMap.linear(shape, phi.dim, basis, {"kind": "recovered"})
 
     final_distance = _sup_dist(psi, phi, probes)
     out_defect = estimate_defect(psi, min(config.probes, 64), det_cap=config.det_cap)
@@ -444,10 +427,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
          "bound": comm_a_bound, "ok": comm_a <= comm_a_bound},
         {"name": "unitarizer-deviation", "value": unit_info["t_deviation"],
          "bound": unit_info["t_deviation_bound"], "ok": unit_info["t_deviation_ok"]},
-        {"name": "near-inclusion-v", "value": ni_info["v_deviation"],
-         "bound": ni_info["v_bound"], "ok": ni_info["v_ok"]},
-        {"name": "near-inclusion-movement", "value": ni_info["movement"],
-         "bound": ni_info["movement_bound"], "ok": ni_info["movement_ok"]},
+        *ni_assertions,
     ]
     report = PipelineReport(
         stages=stages,

@@ -328,11 +328,11 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
     small = ApproxMap(psi1.domain, small_dim, small_fn, {"kind": "expectation-compressed"})
     _, psi_small, corr_info = matrix_unit_correction(small, tol=tol, **kw)
 
-    def into_target(x: AlgebraElement) -> np.ndarray:
-        return target.embed(from_blockdiag(small_shape, psi_small(x)))
-
-    psi_b = ApproxMap(psi1.domain, psi1.dim, into_target,
-                      {"kind": "near-inclusion-corrected", "target": target.to_dict()})
+    embedded = np.stack([target.embed(from_blockdiag(small_shape, f))
+                         for f in psi_small.basis])
+    psi_b = ApproxMap.linear(psi1.domain, psi1.dim, embedded,
+                             {"kind": "near-inclusion-corrected",
+                              "target": target.to_dict()})
 
     # exactify psi1 if needed, then intertwine
     _, psi1_exact, corr1_info = matrix_unit_correction(psi1, tol=tol, **kw)

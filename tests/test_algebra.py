@@ -3,10 +3,8 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
-                              coeff_vector, four_unitaries, haar_unitary,
-                              identity, involution_exp, matrix_units,
-                              operator_norm, random_contraction, reconstruct,
-                              zeros)
+                              coeff_vector, four_unitaries, identity,
+                              involution_exp, matrix_units, reconstruct, zeros)
 from starstab.errors import PreconditionError
 
 SHAPES = [AlgebraShape([1]), AlgebraShape([2]), AlgebraShape([2, 3]), AlgebraShape([1, 2])]
@@ -37,14 +35,14 @@ def test_element_validation_and_ops():
 def test_operator_norm_examples():
     # identity has norm one on any shape
     for s in SHAPES:
-        assert operator_norm(identity(s)) == pytest.approx(1.0)
+        assert identity(s).norm() == pytest.approx(1.0)
     # diagonal singular values
     x = AlgebraElement(AlgebraShape([2]), [np.diag([3.0, 4.0])])
-    assert operator_norm(x) == pytest.approx(4.0)
+    assert x.norm() == pytest.approx(4.0)
     # max over blocks
     s = AlgebraShape([2, 3])
     y = AlgebraElement(s, [0.5 * np.eye(2), 0.9 * np.eye(3)])
-    assert operator_norm(y) == pytest.approx(0.9)
+    assert y.norm() == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -62,11 +60,11 @@ def test_cstar_identity_properties(shape):
 def test_haar_unitary_properties():
     shape = AlgebraShape([2, 3])
     s = HaarSampler(shape, 42)
-    u = haar_unitary(s)
+    u = s.unitary()
     assert u.is_unitary(1e-12)
     # determinism: same (seed, counter) -> identical matrices
     s2 = HaarSampler(shape, 42)
-    u2 = haar_unitary(s2)
+    u2 = s2.unitary()
     assert all(np.array_equal(a, b) for a, b in zip(u.blocks, u2.blocks))
     # U(1) block: a complex phase
     s1 = HaarSampler(AlgebraShape([1]), 7)
@@ -104,7 +102,7 @@ def test_random_contraction_contract_and_spread():
     s = HaarSampler(shape, 11)
     norms = []
     for _ in range(1000):
-        a = random_contraction(s)
+        a = s.contraction()
         norms.append(a.norm())
         assert a.norm() <= 1.0 + 1e-12
         # scaling the ball by 2 escapes it

@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
+from starstab.algebra import AlgebraShape
 from starstab.cli import main
+from starstab.config import parse_config
+from starstab.errors import StageAbort
 from starstab.experiments import SWEEP_COLUMNS
+from starstab.factory import EmbeddingSpec, exact_homomorphism, perturb_additive
+from starstab.pipeline import run_pipeline
 
 FAST_CFG = """\
 probes = 80
@@ -63,6 +69,23 @@ def test_recover_abort_exit_code(fast_cfg, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "abort in stage 'admissibility'" in err
+
+
+def test_numerical_failure_aborts_the_stage(fast_cfg, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("starstab.pipeline.decompose", broken)
+    spec = EmbeddingSpec(AlgebraShape([2]), (2,), 0)
+    phi = perturb_additive(exact_homomorphism(spec), 1e-3, seed=5)
+    with pytest.raises(StageAbort) as err:
+        run_pipeline(phi, parse_config(FAST_CFG))
+    assert err.value.stage == "decompose"
+    assert isinstance(err.value.cause, np.linalg.LinAlgError)
+    assert [s.name for s in err.value.report][-1] == "unitarize"
+    code = main(["recover", "--shape", "2", "--mult", "2", "--eta", "1e-3",
+                 "--config", fast_cfg])
+    assert code == 2
+    assert "abort in stage 'decompose'" in capsys.readouterr().err
 
 
 def test_sweep_command(fast_cfg, tmp_path, capsys):

@@ -32,6 +32,15 @@ def test_kk_small_eta():
     assert rep.ok()
 
 
+def test_kk_keeps_near_inclusion_checks():
+    rep = kk_experiment(M2_IN_M4, 1e-3, FAST)
+    near = [s for s in rep.pipeline.stages if s.name == "near-inclusion"][0]
+    assert "skipped" not in near.info
+    rows = [a for a in rep.pipeline.assertions if a["name"].startswith("near-inclusion")]
+    assert [a["name"] for a in rows] == ["near-inclusion-v", "near-inclusion-movement"]
+    assert all(a["ok"] for a in rows)
+
+
 def test_kk_rejects_large_eta():
     with pytest.raises(PreconditionError):
         kk_experiment(M2_IN_M4, 0.2, FAST)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starstab
 import starstab._linalg as la
 from starstab.algebra import AlgebraShape
 from starstab.config import PipelineConfig, parse_config
@@ -166,3 +171,50 @@ def test_budget_attached_only_in_regime():
     _, rep = run_pipeline(phi, FAST)
     assert rep.budget is None      # measured defect is far above 2^-12
     assert rep.ratio_linear > 0.0
+
+
+def test_targetless_runs_skip_near_inclusion():
+    phi = perturb_additive(embedding(AlgebraShape([2]), (2,), seed=24), 1e-3, seed=25)
+    for path in ("units", "stone"):
+        psi, rep = run_pipeline(phi, FAST.replace(path=path))
+        near = [s for s in rep.stages if s.name == "near-inclusion"][0]
+        assert near.info == {"skipped": True} and near.movement == 0.0
+        assert len(rep.assertions) == 6 and rep.ok()
+        assert not any(a["name"].startswith("near-inclusion") for a in rep.assertions)
+        exact = [a for a in rep.assertions if a["name"] == "output-is-exact"][0]
+        assert exact["value"] <= 1e-8
+        blocks = [s for s in rep.stages if s.name == "block-correction"][0]
+        assert blocks.info["multiplicities"] == [2]
+        assert blocks.info["relation_residual"] <= 1e-9
+        assert psi.basis is not None
+
+
+_THREADS_SCRIPT = """
+from starstab.algebra import AlgebraShape
+from starstab.config import PipelineConfig
+from starstab.factory import (EmbeddingSpec, exact_homomorphism, haar_conjugator,
+                              perturb_additive)
+from starstab.pipeline import run_pipeline
+
+cfg = PipelineConfig(probes=96, group_probes=6, mc_width=128,
+                     unitarize_width=48, max_levels=1, seed=1)
+spec = EmbeddingSpec(AlgebraShape([2]), (2,), 0, haar_conjugator(4, 26))
+phi = perturb_additive(exact_homomorphism(spec), 1e-3, seed=27)
+for path in ("units", "stone"):
+    print(run_pipeline(phi, cfg.replace(path=path))[1].canonical_json())
+"""
+
+
+def test_canonical_json_independent_of_blas_threads():
+    src = str(Path(starstab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        res = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert len(outs[0].splitlines()) == 2
+    assert outs[0] == outs[1]
