@@ -23,9 +23,9 @@ def op_norm(x: np.ndarray) -> float:
     """Largest singular value; 0 for empty matrices."""
     if x.size == 0:
         return 0.0
-    if x.ndim == 2:
-        return float(np.linalg.norm(x, 2))
     s = np.linalg.svd(x, compute_uv=False)
+    if x.ndim == 2:
+        return float(s[0])
     return float(s[..., 0].max())
 
 

@@ -250,6 +250,23 @@ def coeff_vector(x: AlgebraElement) -> np.ndarray:
     return np.concatenate([a.ravel() for a in x.blocks])
 
 
+def stack_elements(xs) -> tuple[np.ndarray, ...]:
+    """Per-block stacks, one (K, n_b, n_b) array per block, of K elements."""
+    return tuple(np.stack(mats) for mats in zip(*(x.blocks for x in xs)))
+
+
+def stack_coeffs(stack) -> np.ndarray:
+    """(K, linear_dim) coefficient rows of a per-block stack; row k equals
+    ``coeff_vector`` of element k."""
+    k = stack[0].shape[0]
+    return np.concatenate([s.reshape(k, -1) for s in stack], axis=1)
+
+
+def stack_row(shape: AlgebraShape, stack, k: int) -> AlgebraElement:
+    """Element k of a per-block stack."""
+    return AlgebraElement._raw(shape, tuple(s[k] for s in stack))
+
+
 def involution_exp(a: AlgebraElement, r: float) -> AlgebraElement:
     """exp(i r a) for a self-adjoint unitary a: cos(r) 1 + i sin(r) a (exact)."""
     return AlgebraElement(

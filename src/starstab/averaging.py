@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, AlgebraShape, HaarSampler, _derive_seed
-from .defects import ApproxMap
+from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, _derive_seed,
+                      stack_elements, stack_row)
+from .defects import ApproxMap, remember
 from .errors import ContractionError, PreconditionError
 from .probes import unitary_pairs
 
@@ -73,7 +74,8 @@ def schedule(eps1: float, n_max: int) -> IterationSchedule:
 @dataclass(eq=False)
 class GroupMap:
     """Deterministic map from the unitary group of an algebra into invertible
-    N x N matrices; values are memoized by the canonical bytes of the input."""
+    N x N matrices; values are memoized by the canonical bytes of the input,
+    in a memo that is cleared when it reaches ``_MEMO_CAP`` entries."""
 
     domain: AlgebraShape
     dim: int
@@ -82,6 +84,8 @@ class GroupMap:
     seed: int = 0
     meta: dict = field(default_factory=dict)
 
+    _MEMO_CAP = 8192
+
     def __post_init__(self):
         self._memo: dict[bytes, np.ndarray] = {}
 
@@ -89,36 +93,61 @@ class GroupMap:
         key = u.key()
         out = self._memo.get(key)
         if out is None:
-            out = np.ascontiguousarray(self.fn(u), dtype=complex)
-            out.setflags(write=False)
-            self._memo[key] = out
+            out = remember(self._memo, key,
+                           np.ascontiguousarray(self.fn(u), dtype=complex),
+                           self._MEMO_CAP)
         return out
+
+    def batch(self, stack) -> np.ndarray:
+        """Values at the K elements of a per-block stack, as (K, N, N).
+
+        An evaluator with a stack form (an ApproxMap) evaluates the whole
+        stack and skips the memo; otherwise each element is called."""
+        evaluate = getattr(self.fn, "batch", None)
+        if evaluate is not None:
+            return evaluate(stack)
+        return np.stack([self(stack_row(self.domain, stack, k))
+                         for k in range(stack[0].shape[0])])
 
     def terms(self, u: AlgebraElement) -> np.ndarray | None:
         """Per-sample averaging terms, (M, N, N); None below level 1."""
         return None
 
+    def value_and_terms(self, u: AlgebraElement):
+        """(value at u, its averaging terms or None)."""
+        return self(u), self.terms(u)
+
 
 class AveragedGroupMap(GroupMap):
-    """One averaging pass over a fixed sample set of the parent map."""
+    """One averaging pass over a fixed sample set of the parent map; the
+    samples are held as a per-block stack with their parent values'
+    inverses alongside."""
 
-    def __init__(self, parent: GroupMap, samples, inverses: np.ndarray, seed: int):
+    def __init__(self, parent: GroupMap, samples: tuple, inverses: np.ndarray, seed: int):
         self.parent = parent
-        self.samples = list(samples)
+        self.samples = samples
         self.inverses = inverses
         super().__init__(parent.domain, parent.dim, self._average,
                          level=parent.level + 1, seed=seed,
-                         meta={**parent.meta, "width": len(self.samples)})
-
-    def _stack(self, u: AlgebraElement) -> np.ndarray:
-        vals = np.stack([self.parent(x * u) for x in self.samples])
-        return self.inverses @ vals
+                         meta={**parent.meta, "width": len(inverses)})
 
     def _average(self, u: AlgebraElement) -> np.ndarray:
-        return self._stack(u).mean(axis=0)
+        return self.terms(u).mean(axis=0)
 
     def terms(self, u: AlgebraElement) -> np.ndarray:
-        return self._stack(u)
+        """rho(x_j)^{-1} rho(x_j u) for all samples x_j: one stacked product
+        per block and one batched evaluation of the parent."""
+        products = tuple(x @ b for x, b in zip(self.samples, u.blocks))
+        return self.inverses @ self.parent.batch(products)
+
+    def value_and_terms(self, u: AlgebraElement):
+        """Both from one stack; the value is memoized as ``self(u)`` would."""
+        t = self.terms(u)
+        key = u.key()
+        value = self._memo.get(key)
+        if value is None:
+            value = remember(self._memo, key, t.mean(axis=0), self._MEMO_CAP)
+        return value, t
 
 
 def restrict_to_unitaries(m: ApproxMap, seed: int = 0) -> GroupMap:
@@ -164,12 +193,12 @@ def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
     close = 0.0
     close_mc = 0.0
     for u, v in pairs:
-        fu, fv, fuv = rho(u), rho(v), rho(u * v)
+        uv = u * v
+        (fu, tu), (fv, tv), (fuv, tuv) = (rho.value_and_terms(w) for w in (u, v, uv))
         delta = max(delta, la.op_norm(fuv - fu @ fv))
         for val in (fu, fv):
             s = np.linalg.svd(val, compute_uv=False)
             kappa = max(kappa, 1.0 / max(float(s[-1]), 1e-300))
-        tu, tv, tuv = rho.terms(u), rho.terms(v), rho.terms(u * v)
         if tu is not None:
             bu, bv, buv = (_batch_means(t, batches) for t in (tu, tv, tuv))
             mc = max(mc, _spread(buv - bu @ bv))
@@ -177,7 +206,7 @@ def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
             close = max(close,
                         la.op_norm(fu - against(u)),
                         la.op_norm(fv - against(v)),
-                        la.op_norm(fuv - against(u * v)))
+                        la.op_norm(fuv - against(uv)))
             if tu is not None:
                 close_mc = max(close_mc,
                                _spread(bu - against(u)[None, :, :]),
@@ -233,9 +262,9 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
     xs = [sampler.unitary() for _ in range(width)]
     if translate_by is not None:
         xs = [translate_by * x for x in xs]
-    vals = np.stack([rho(x) for x in xs])
-    inverses = la.batched_inv_cond(vals)
-    new = AveragedGroupMap(rho, xs, inverses, seed=rho.seed)
+    samples = stack_elements(xs)
+    inverses = la.batched_inv_cond(rho.batch(samples))
+    new = AveragedGroupMap(rho, samples, inverses, seed=rho.seed)
     after = measure_group_map(new, probe_pairs, batches, against=rho)
     floor = NUMERIC_FLOOR * max(1.0, before.kappa)
     k, d = before.kappa, before.delta

@@ -17,9 +17,19 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, coeff_vector,
-                      identity)
+                      identity, stack_coeffs, stack_row)
 from .errors import EvaluationError, PreconditionError
 from .probes import deterministic_pairs, sphere_probes
+
+
+def remember(cache: dict, key: bytes, value: np.ndarray, cap: int) -> np.ndarray:
+    """Store a read-only value under ``key``, clearing the cache first when
+    it holds ``cap`` entries, so a miss always changes its length (cap >= 2)."""
+    value.setflags(write=False)
+    if len(cache) >= cap:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 @dataclass(eq=False)
@@ -29,7 +39,10 @@ class ApproxMap:
     The evaluator must be total on the ball of radius 2 and bit-reproducible;
     values are cached by the canonical bytes of the input.  Linear maps may
     carry a precomputed basis tensor (one N x N matrix per entry coordinate)
-    which makes evaluation a single tensor contraction.
+    which makes evaluation a single tensor contraction.  A map may instead
+    carry ``stack_fn``, which evaluates a per-block stack of inputs (one
+    (K, n_b, n_b) array per block) to a (K, N, N) array; its single-point
+    calls then go through the same function.
     """
 
     domain: AlgebraShape
@@ -37,12 +50,13 @@ class ApproxMap:
     fn: Callable[[AlgebraElement], np.ndarray] | None
     meta: dict = field(default_factory=dict)
     basis: np.ndarray | None = None
+    stack_fn: Callable[[tuple], np.ndarray] | None = None
 
     _CACHE_CAP = 8192
 
     def __post_init__(self):
         self._cache: dict[bytes, np.ndarray] = {}
-        if self.fn is None and self.basis is None:
+        if self.fn is None and self.basis is None and self.stack_fn is None:
             raise PreconditionError("map needs an evaluator or a linear basis")
         self._flat_basis = None
         if self.basis is not None:
@@ -58,16 +72,37 @@ class ApproxMap:
         if out is None:
             if self._flat_basis is not None:
                 out = (coeff_vector(x) @ self._flat_basis).reshape(self.dim, self.dim)
+            elif self.stack_fn is not None:
+                out = self.batch(tuple(a[None] for a in x.blocks))[0]
             else:
                 out = np.ascontiguousarray(self.fn(x), dtype=complex)
                 if out.shape != (self.dim, self.dim):
                     raise PreconditionError(
                         f"evaluator returned shape {out.shape}, "
                         f"expected ({self.dim}, {self.dim})")
-            out.setflags(write=False)
-            if len(self._cache) >= self._CACHE_CAP:
-                self._cache.clear()
-            self._cache[key] = out
+            out = remember(self._cache, key, out, self._CACHE_CAP)
+        return out
+
+    def batch(self, stack) -> np.ndarray:
+        """Values at the K elements of a per-block stack, as (K, N, N).
+
+        Linear maps contract all coefficient rows at once and maps with a
+        ``stack_fn`` call it; both skip the per-element cache.  Any other
+        evaluator is called element by element.  Values agree with
+        single-point calls to rounding.  Raises EvaluationError, carrying
+        the offending element, when an image is not finite.
+        """
+        if self._flat_basis is not None:
+            out = (stack_coeffs(stack) @ self._flat_basis).reshape(-1, self.dim, self.dim)
+        elif self.stack_fn is not None:
+            out = self.stack_fn(stack)
+        else:
+            out = np.stack([self(stack_row(self.domain, stack, k))
+                            for k in range(stack[0].shape[0])])
+        if not np.isfinite(out).all():
+            k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
+            raise EvaluationError(f"map value at stack row {k} is not finite",
+                                  offending=stack_row(self.domain, stack, k))
         return out
 
     @classmethod
@@ -184,16 +219,26 @@ def normalize(m: ApproxMap, samples: int = 64,
     probes = sphere_probes(m.domain, max(samples, 16), seed=7)
     scale = max(1.0, map_norm(m, probes))
     p, moved = la.spectral_round_projection(la.herm(m(one)), band=band)
-    one_key = one.key()
+    one_bits = [a.view(np.int64).ravel() for a in one.blocks]
 
-    def fn(x: AlgebraElement) -> np.ndarray:
-        if x.key() == one_key:
-            return p
-        return m(x) / scale
+    def stack_fn(stack) -> np.ndarray:
+        # the unit is matched by its canonical bytes, so -0.0 entries miss
+        is_one = np.ones(len(stack[0]), dtype=bool)
+        for s, bits in zip(stack, one_bits):
+            rows = np.ascontiguousarray(s).view(np.int64).reshape(len(s), -1)
+            is_one &= (rows == bits).all(axis=1)
+        if not is_one.any():
+            return m.batch(stack) / scale
+        out = np.empty((len(is_one), m.dim, m.dim), dtype=complex)
+        out[is_one] = p
+        rest = ~is_one
+        if rest.any():
+            out[rest] = m.batch(tuple(s[rest] for s in stack)) / scale
+        return out
 
-    out = ApproxMap(m.domain, m.dim, fn,
+    out = ApproxMap(m.domain, m.dim, None,
                     {**m.meta, "normalized": True, "scale": scale,
-                     "unit_rounding_moved": moved})
+                     "unit_rounding_moved": moved}, stack_fn=stack_fn)
     after = estimate_defect(out, samples, sampler)
     out.meta["defect_before"] = before.to_dict()
     out.meta["defect_after"] = after.to_dict()

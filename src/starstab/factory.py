@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, AlgebraShape, coeff_vector, matrix_units
+from .algebra import AlgebraElement, AlgebraShape, matrix_units, stack_coeffs
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError
 from .probes import ball_probes
@@ -121,18 +121,21 @@ def exact_homomorphism(spec: EmbeddingSpec) -> ApproxMap:
     return out
 
 
-def _hash_normals(seed: int, payload: bytes, count: int) -> np.ndarray:
-    """Deterministic standard normals from a hash stream (Box-Muller)."""
-    raw = hashlib.shake_256(seed.to_bytes(8, "little") + payload).digest(16 * count)
-    u = np.frombuffer(raw, dtype="<u8").astype(np.float64) * 2.0 ** -64
-    u1 = np.maximum(u[:count], 2.0 ** -64)
-    u2 = u[count:]
+def _hash_normals(seed: int, payloads, count: int) -> np.ndarray:
+    """Deterministic standard normals from one hash stream per payload
+    (Box-Muller), as a (len(payloads), count) array."""
+    prefix = seed.to_bytes(8, "little")
+    raw = b"".join(hashlib.shake_256(prefix + p).digest(16 * count) for p in payloads)
+    u = np.frombuffer(raw, dtype="<u8").reshape(-1, 2 * count).astype(np.float64) * 2.0 ** -64
+    u1 = np.maximum(u[:, :count], 2.0 ** -64)
+    u2 = u[:, count:]
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def _quantized_key(x: AlgebraElement, grid: float = 1e-9) -> bytes:
-    v = coeff_vector(x).view(np.float64)
-    return np.rint(v / grid).astype(np.int64).tobytes()
+def _quantized_keys(stack, grid: float = 1e-9) -> np.ndarray:
+    """(K, 2 linear_dim) int64 rows; the bytes of row k hash element k."""
+    v = stack_coeffs(stack).view(np.float64)
+    return np.rint(v / grid).astype(np.int64)
 
 
 def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
@@ -147,17 +150,18 @@ def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
         raise PreconditionError("eta must be in [0, 1)")
     n = psi.dim
 
-    def fn(x: AlgebraElement) -> np.ndarray:
-        base = psi(x)
+    def stack_fn(stack) -> np.ndarray:
+        base = psi.batch(stack)
         if eta == 0.0:
             return base
-        z = _hash_normals(seed, _quantized_key(x), 2 * n * n)
-        g = z[:n * n].reshape(n, n) + 1j * z[n * n:].reshape(n, n)
-        g /= np.linalg.norm(g)
-        return base + eta * g
+        z = _hash_normals(seed, [row.tobytes() for row in _quantized_keys(stack)], 2 * n * n)
+        z /= np.sqrt((z * z).sum(axis=1))[:, None]
+        g = z[:, :n * n] + 1j * z[:, n * n:]
+        return base + eta * g.reshape(-1, n, n)
 
-    return ApproxMap(psi.domain, n, fn,
-                     {**psi.meta, "kind": "additive", "eta": eta, "seed": seed})
+    return ApproxMap(psi.domain, n, None,
+                     {**psi.meta, "kind": "additive", "eta": eta, "seed": seed},
+                     stack_fn=stack_fn)
 
 
 def perturb_conjugate(psi: ApproxMap, s: np.ndarray) -> ApproxMap:
@@ -210,15 +214,18 @@ def near_identity_unitary(n: int, dist: float, seed: int = 0) -> np.ndarray:
     return (v * np.exp(1j * theta * w)) @ v.conj().T
 
 
-def lattice_quantize(x: AlgebraElement, h: float, clip: float = 2.0) -> AlgebraElement:
+def lattice_quantize(x, h: float, clip: float = 2.0):
     """Round entries to the lattice h(Z + iZ), clamped to the largest lattice
-    point below ``clip`` in each coordinate.  Idempotent by construction."""
+    point below ``clip`` in each coordinate.  Idempotent by construction.
+
+    Takes an element or a complex array of any leading shape (one block of
+    a per-block stack) and returns the same kind."""
+    if isinstance(x, AlgebraElement):
+        return AlgebraElement._raw(
+            x.shape, tuple(lattice_quantize(a, h, clip) for a in x.blocks))
     k = math.floor(clip / h) * h
-    mats = []
-    for a in x.blocks:
-        v = np.clip(np.rint(np.ascontiguousarray(a).view(np.float64) / h) * h, -k, k)
-        mats.append(v.view(complex))
-    return AlgebraElement._raw(x.shape, tuple(mats))
+    v = np.clip(np.rint(np.ascontiguousarray(x).view(np.float64) / h) * h, -k, k)
+    return v.view(complex)
 
 
 def mesh_constant(shape: AlgebraShape) -> float:
@@ -236,8 +243,10 @@ def discretize(phi: ApproxMap, grid: float, probe_seed: int = 3,
     """
     if grid <= 0.0:
         raise PreconditionError("grid step must be positive")
-    out = phi.compose_input(lambda x: lattice_quantize(x, grid),
-                            kind="discretized", grid=grid)
+    out = ApproxMap(phi.domain, phi.dim, None,
+                    {**phi.meta, "kind": "discretized", "grid": grid},
+                    stack_fn=lambda stack: phi.batch(
+                        tuple(lattice_quantize(s, grid) for s in stack)))
     lip = 0.0
     for x in ball_probes(phi.domain, probe_count, probe_seed):
         q = lattice_quantize(x, grid)

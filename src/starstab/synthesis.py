@@ -44,24 +44,7 @@ class MatrixUnitSystem:
 
     def relation_residual(self) -> float:
         """Max violation of the ring, adjoint and sub-unit relations."""
-        worst = 0.0
-        flat = [(b, i, j, self.unit(b, i, j))
-                for b, n in enumerate(self.shape.blocks)
-                for i in range(n) for j in range(n)]
-        for b, i, j, f in flat:
-            worst = max(worst, la.op_norm(f.conj().T - self.unit(b, j, i)))
-            for c, k, l, g in flat:
-                prod = f @ g
-                expect = self.unit(b, i, l) if (b == c and j == k) else None
-                if expect is None:
-                    worst = max(worst, la.op_norm(prod))
-                else:
-                    worst = max(worst, la.op_norm(prod - expect))
-        total = sum(self.unit(b, i, i)
-                    for b, n in enumerate(self.shape.blocks) for i in range(n))
-        w = np.linalg.eigvalsh(la.herm(total))
-        worst = max(worst, float(w[-1]) - 1.0, 0.0)
-        return worst
+        return relation_residual(self.shape, self.units)
 
     def as_map(self) -> ApproxMap:
         """Linear extension x -> sum x^b_{ij} f^b_{ij} (an exact homomorphism
@@ -94,6 +77,37 @@ class MatrixUnitSystem:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def relation_residual(shape: AlgebraShape, units) -> float:
+    """Max violation of the ring, adjoint and sub-unit relations by per-block
+    unit families ``units[b][i][j]``."""
+    worst = 0.0
+    flat = [(b, i, j, units[b][i][j])
+            for b, n in enumerate(shape.blocks)
+            for i in range(n) for j in range(n)]
+    for b, i, j, f in flat:
+        worst = max(worst, la.op_norm(f.conj().T - units[b][j][i]))
+        for c, k, l, g in flat:
+            prod = f @ g
+            if b == c and j == k:
+                worst = max(worst, la.op_norm(prod - units[b][i][l]))
+            else:
+                worst = max(worst, la.op_norm(prod))
+    total = sum(units[b][i][i]
+                for b, n in enumerate(shape.blocks) for i in range(n))
+    w = np.linalg.eigvalsh(la.herm(total))
+    worst = max(worst, float(w[-1]) - 1.0, 0.0)
+    return worst
+
+
+def _basis_units(shape: AlgebraShape, basis: np.ndarray):
+    """[block][i][j] view of a basis tensor stored in (block, i, j) order."""
+    units, k = [], 0
+    for n in shape.blocks:
+        units.append([[basis[k + i * n + j] for j in range(n)] for i in range(n)])
+        k += n * n
+    return units
 
 
 def _round_orthogonal(candidate: np.ndarray, accepted: np.ndarray | None,
@@ -334,8 +348,12 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
                              {"kind": "near-inclusion-corrected",
                               "target": target.to_dict()})
 
-    # exactify psi1 if needed, then intertwine
-    _, psi1_exact, corr1_info = matrix_unit_correction(psi1, tol=tol, **kw)
+    # exactify psi1 unless its basis already obeys the relations, then intertwine
+    if psi1.basis is not None and \
+            relation_residual(psi1.domain, _basis_units(psi1.domain, psi1.basis)) <= tol:
+        psi1_exact, corr1_info = psi1, None
+    else:
+        _, psi1_exact, corr1_info = matrix_unit_correction(psi1, tol=tol, **kw)
     v = intertwiner(psi1_exact, psi_b, tol=max(tol, 1e-10))
     v_dev = la.op_norm(v - np.eye(psi1.dim))
     movement = max(la.op_norm(v @ psi1(x) @ v.conj().T - psi1(x)) for x in probes)

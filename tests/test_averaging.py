@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, HaarSampler
+from starstab.algebra import AlgebraShape, HaarSampler, _derive_seed
 from starstab.averaging import (NUMERIC_FLOOR, GroupMap, average_once,
                                 measure_group_map, restrict_to_unitaries,
                                 schedule, stabilize)
-from starstab.errors import PreconditionError
+from starstab.defects import ApproxMap
+from starstab.errors import EvaluationError, PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_additive, perturb_conjugate)
 from starstab.probes import unitary_pairs
@@ -176,3 +177,74 @@ def test_trace_csv_shape():
     assert lines[0] == "level,kappa,delta,mc,movement"
     assert len(lines) == len(res.levels) + 2
     assert "\r" not in text
+
+
+def test_averaged_value_is_the_mean_of_its_terms():
+    phi = perturb_additive(embedding8(), 2e-4, seed=30)
+    rho = restrict_to_unitaries(phi, seed=31)
+    new, _ = average_once(rho, 32, probe_pairs=unitary_pairs(SHAPE2, 2, 32))
+    u = HaarSampler(SHAPE2, 33).unitary()
+    assert np.array_equal(new(u), new.terms(u).mean(axis=0))
+
+
+def test_measurement_builds_one_stack_per_point(monkeypatch):
+    phi = perturb_additive(embedding8(), 2e-4, seed=34)
+    rho = restrict_to_unitaries(phi, seed=35)
+    pairs = unitary_pairs(SHAPE2, 5, 36)
+    new, _ = average_once(rho, 16, probe_pairs=pairs[:1])
+    calls = []
+    batch = rho.batch
+
+    def counted(stack):
+        calls.append(stack[0].shape[0])
+        return batch(stack)
+
+    monkeypatch.setattr(rho, "batch", counted)
+    measure_group_map(new, pairs, against=rho)
+    assert calls == [16] * (3 * len(pairs))
+
+
+def test_group_memo_is_bounded(monkeypatch):
+    psi = perturb_conjugate(embedding8(), near_identity(8, 1e-3, seed=37))
+    evals = []
+
+    def fn(u):
+        evals.append(1)
+        return psi(u)
+
+    def tower(levels=3):
+        maps = [GroupMap(SHAPE2, 8, fn, seed=38)]
+        pairs = unitary_pairs(SHAPE2, 1, 39)
+        for _ in range(levels):
+            maps.append(average_once(maps[-1], 8, probe_pairs=pairs)[0])
+        return maps
+
+    us = [HaarSampler(SHAPE2, 40).unitary() for _ in range(2)]
+    free = [tower()[-1](u) for u in us]
+    monkeypatch.setattr(GroupMap, "_MEMO_CAP", 16)
+    evals.clear()
+    maps = tower()
+    capped = [maps[-1](u) for u in us]
+    assert len(evals) > 512         # a new level-3 point costs 8^3 level-0 calls
+    assert all(len(m._memo) <= 16 for m in maps)
+    for a, b in zip(free, capped):
+        assert np.array_equal(a, b)
+
+
+def test_non_finite_parent_value_aborts_averaging():
+    psi = embedding8()
+    pairs = unitary_pairs(SHAPE2, 2, 41)
+    rho_seed = 42
+    sampler = HaarSampler(SHAPE2, _derive_seed(rho_seed, "level", 1))
+    samples = [sampler.unitary() for _ in range(16)]
+    target = samples[3].blocks[0] @ pairs[0][0].blocks[0]
+
+    def fn(x):
+        if np.allclose(x.blocks[0], target, rtol=0.0, atol=1e-12):
+            return np.full((8, 8), np.nan, dtype=complex)
+        return psi(x)
+
+    rho = restrict_to_unitaries(ApproxMap(SHAPE2, 8, fn), seed=rho_seed)
+    with pytest.raises(EvaluationError) as err:
+        average_once(rho, 16, probe_pairs=pairs)
+    assert la.op_norm(err.value.offending.blocks[0] - target) <= 1e-12

@@ -95,3 +95,12 @@ def test_isometry_factor_and_range():
     p = v @ v.conj().T
     q = la.orthonormal_range(p, 2)
     assert la.op_norm(q @ q.conj().T - p) < 1e-10
+
+
+def test_op_norm_equals_spectral_norm():
+    for n in range(1, 9):
+        for seed in range(5):
+            a = rng(10 * n + seed).standard_normal((n, n)) \
+                + 1j * rng(100 + 10 * n + seed).standard_normal((n, n))
+            assert la.op_norm(a) == np.linalg.norm(a, 2)
+    assert la.op_norm(np.zeros((0, 3))) == 0.0

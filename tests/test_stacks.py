@@ -1,0 +1,100 @@
+"""Stack evaluation: per-block input stacks of shape (K, n_b, n_b) give the
+same values as single-point calls, to rounding."""
+import numpy as np
+import pytest
+
+import starstab._linalg as la
+from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
+                              coeff_vector, identity, stack_elements)
+from starstab.defects import ApproxMap, normalize
+from starstab.errors import EvaluationError
+from starstab.factory import (EmbeddingSpec, _quantized_keys, discretize,
+                              exact_homomorphism, haar_conjugator,
+                              lattice_quantize, perturb_additive)
+
+SHAPE = AlgebraShape([1, 2])
+
+
+def embedding():
+    return exact_homomorphism(EmbeddingSpec(SHAPE, (2, 1), 0, haar_conjugator(4, 5)))
+
+
+def inputs(count=12, seed=3):
+    s = HaarSampler(SHAPE, seed)
+    return [s.contraction() for _ in range(count // 2)] + \
+        [s.unitary() for _ in range(count - count // 2)]
+
+
+def assert_rows_agree(m, xs):
+    out = m.batch(stack_elements(xs))
+    assert out.shape == (len(xs), m.dim, m.dim)
+    for k, x in enumerate(xs):
+        single = m(x)
+        assert la.op_norm(out[k] - single) <= 1e-13 * max(1.0, la.op_norm(single))
+
+
+def test_linear_stack():
+    assert_rows_agree(embedding(), inputs())
+
+
+def test_perturbed_stack():
+    assert_rows_agree(perturb_additive(embedding(), 1e-3, seed=7), inputs())
+
+
+def test_discretized_stack():
+    phi = perturb_additive(embedding(), 1e-3, seed=8)
+    assert_rows_agree(discretize(phi, 2.0 ** -12), inputs())
+
+
+def test_normalized_stack_matches_unit_by_bytes():
+    m = perturb_additive(embedding(), 1e-3, seed=9)
+    phi = normalize(m, samples=16)
+    one = identity(SHAPE)
+    # equal to the unit as a number, but with a -0.0 entry: not the unit's bytes
+    signed = AlgebraElement(SHAPE, [one.blocks[0], np.array([[1.0, -0.0], [0.0, 1.0]])])
+    xs = inputs(6) + [one, signed]
+    assert_rows_agree(phi, xs)
+    out = phi.batch(stack_elements(xs))
+    assert np.array_equal(out[-2], phi(one))
+    assert np.array_equal(out[-1], m(signed) / phi.meta["scale"])
+    assert not np.array_equal(out[-1], out[-2])
+
+
+def test_opaque_evaluator_falls_back_to_calls():
+    psi = embedding()
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return psi(x) @ psi(x)
+
+    m = ApproxMap(SHAPE, psi.dim, fn)
+    xs = inputs()
+    assert_rows_agree(m, xs)
+    assert len(calls) == len(xs)        # the loop fills the per-element cache
+
+
+def test_stack_quantization_and_hash_keys_match_single_elements():
+    xs = inputs()
+    stack = stack_elements(xs)
+    keys = _quantized_keys(stack)
+    quantized = tuple(lattice_quantize(s, 2.0 ** -10) for s in stack)
+    for k, x in enumerate(xs):
+        expect = np.rint(coeff_vector(x).view(np.float64) / 1e-9).astype(np.int64)
+        assert keys[k].tobytes() == expect.tobytes()
+        q = lattice_quantize(x, 2.0 ** -10)
+        for a, s in zip(q.blocks, quantized):
+            assert np.array_equal(a, s[k])
+
+
+def test_non_finite_image_names_the_element():
+    psi = embedding()
+    xs = inputs()
+    bad = xs[4]
+
+    def fn(x):
+        return np.full((4, 4), np.nan) if x.key() == bad.key() else psi(x)
+
+    with pytest.raises(EvaluationError) as err:
+        ApproxMap(SHAPE, 4, fn).batch(stack_elements(xs))
+    assert err.value.offending.key() == bad.key()

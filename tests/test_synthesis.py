@@ -196,3 +196,19 @@ def test_correction_constant_stability():
         _, _, info = matrix_unit_correction(phi, eps=eps)
         worst = max(worst, info["distance"] / max(eps, 1e-12))
     assert worst <= 50.0
+
+
+def test_near_inclusion_skips_correcting_an_exact_input():
+    w = haar_conjugator(4, 31)
+    spec = EmbeddingSpec(SHAPE12, (2, 1), 0, w)
+    target = EmbeddingSpec(SHAPE12, (2, 1), 0, near_identity_unitary(4, 1e-3, seed=32) @ w)
+    psi = exact_homomorphism(spec)
+    v, out, info = near_inclusion_fix(psi, target)
+    assert info["input_correction"] is None
+    # the same map without a basis tensor is corrected first, as before
+    opaque = ApproxMap(SHAPE12, psi.dim, lambda x: psi(x))
+    v2, out2, info2 = near_inclusion_fix(opaque, target)
+    assert info2["input_correction"]["relation_residual"] <= 1e-9
+    assert la.op_norm(v - v2) <= 1e-12
+    probes = ball_probes(SHAPE12, 24, 33)
+    assert sup_dist(out, out2, probes) <= 1e-12
