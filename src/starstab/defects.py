@@ -80,6 +80,8 @@ class ApproxMap:
                     raise PreconditionError(
                         f"evaluator returned shape {out.shape}, "
                         f"expected ({self.dim}, {self.dim})")
+                if not np.isfinite(out).all():
+                    raise EvaluationError("map value is not finite", offending=x)
             out = remember(self._cache, key, out, self._CACHE_CAP)
         return out
 
@@ -111,10 +113,13 @@ class ApproxMap:
         return cls(domain, dim, None, meta or {},
                    np.ascontiguousarray(basis, dtype=complex))
 
-    def compose_input(self, pre: Callable[[AlgebraElement], AlgebraElement],
+    def compose_input(self, pre: Callable[[tuple], tuple],
                       domain: AlgebraShape | None = None, **meta) -> "ApproxMap":
-        return ApproxMap(domain or self.domain, self.dim,
-                         lambda x: self(pre(x)), {**self.meta, **meta})
+        """x -> self(pre(x)) on ``domain`` (default: this map's), where ``pre``
+        maps a per-block stack on ``domain`` row by row to one on this map's
+        domain; single points are evaluated as one-row stacks."""
+        return ApproxMap(domain or self.domain, self.dim, None, {**self.meta, **meta},
+                         stack_fn=lambda stack: self.batch(pre(stack)))
 
 
 @dataclass(frozen=True)
@@ -181,14 +186,12 @@ def _defects_on_pairs(m: ApproxMap, triples) -> DefectReport:
 
 
 def estimate_defect(m: ApproxMap, samples: int,
-                    sampler: HaarSampler | None = None,
                     det_cap: int = 12, det_pair_cap: int = 256) -> DefectReport:
     """Evaluate the five defects on random unit-ball pairs plus the
     deterministic probe grid; per-probe seeds derive from the probe index."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    if sampler is None:
-        sampler = HaarSampler(m.domain, seed=0)
+    sampler = HaarSampler(m.domain, seed=0)
     triples = []
     for i in range(samples):
         s = sampler.fork(("defect", i))
@@ -202,19 +205,17 @@ def map_norm(m: ApproxMap, probes) -> float:
     return max(la.op_norm(m(x)) for x in probes)
 
 
-def normalize(m: ApproxMap, samples: int = 64,
-              sampler: HaarSampler | None = None,
+def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
               band: tuple[float, float] = (0.25, 0.75)) -> ApproxMap:
     """Rescale a map to be contractive and snap its value at 1 to a projection.
 
-    Refuses when the value at 1 has an eigenvalue inside ``band`` (no
-    spectral gap) or when the estimated defect is not < 0.1.  The returned
-    map carries both before and after defect reports in its metadata.
+    ``defect`` is the caller's measured report of ``m``, kept in the metadata
+    as ``defect_before``.  Refuses when that defect is not < 0.1 or when the
+    value at 1 has an eigenvalue inside ``band`` (no spectral gap).
     """
-    before = estimate_defect(m, samples, sampler)
-    if not before.epsilon < 0.1:
+    if not defect.epsilon < 0.1:
         raise PreconditionError(
-            f"normalize needs estimated defect < 0.1, measured {before.epsilon:.3g}")
+            f"normalize needs estimated defect < 0.1, measured {defect.epsilon:.3g}")
     one = identity(m.domain)
     probes = sphere_probes(m.domain, max(samples, 16), seed=7)
     scale = max(1.0, map_norm(m, probes))
@@ -227,8 +228,6 @@ def normalize(m: ApproxMap, samples: int = 64,
         for s, bits in zip(stack, one_bits):
             rows = np.ascontiguousarray(s).view(np.int64).reshape(len(s), -1)
             is_one &= (rows == bits).all(axis=1)
-        if not is_one.any():
-            return m.batch(stack) / scale
         out = np.empty((len(is_one), m.dim, m.dim), dtype=complex)
         out[is_one] = p
         rest = ~is_one
@@ -236,13 +235,10 @@ def normalize(m: ApproxMap, samples: int = 64,
             out[rest] = m.batch(tuple(s[rest] for s in stack)) / scale
         return out
 
-    out = ApproxMap(m.domain, m.dim, None,
-                    {**m.meta, "normalized": True, "scale": scale,
-                     "unit_rounding_moved": moved}, stack_fn=stack_fn)
-    after = estimate_defect(out, samples, sampler)
-    out.meta["defect_before"] = before.to_dict()
-    out.meta["defect_after"] = after.to_dict()
-    return out
+    return ApproxMap(m.domain, m.dim, None,
+                     {**m.meta, "normalized": True, "scale": scale,
+                      "unit_rounding_moved": moved,
+                      "defect_before": defect.to_dict()}, stack_fn=stack_fn)
 
 
 def is_eps_nonzero(m: ApproxMap, eps: float, probes):

@@ -212,10 +212,10 @@ def tower_experiment(inclusions: list[InclusionSpec], eta: float,
 
     stages = []
     for s, shape in enumerate(shapes):
-        def include(x: AlgebraElement, start=s) -> AlgebraElement:
+        def include(stack, start=s):
             for inc in inclusions[start:]:
-                x = inc.include(x)
-            return x
+                stack = inc.include(stack)
+            return stack
         phi_s = phi.compose_input(include, domain=shape, floor=s)
         psi_s, rep = run_pipeline(phi_s, config)
         ratio = rep.final_distance / eta if eta > 0.0 else None

@@ -243,10 +243,8 @@ def discretize(phi: ApproxMap, grid: float, probe_seed: int = 3,
     """
     if grid <= 0.0:
         raise PreconditionError("grid step must be positive")
-    out = ApproxMap(phi.domain, phi.dim, None,
-                    {**phi.meta, "kind": "discretized", "grid": grid},
-                    stack_fn=lambda stack: phi.batch(
-                        tuple(lattice_quantize(s, grid) for s in stack)))
+    out = phi.compose_input(lambda stack: tuple(lattice_quantize(s, grid) for s in stack),
+                            kind="discretized", grid=grid)
     lip = 0.0
     for x in ball_probes(phi.domain, probe_count, probe_seed):
         q = lattice_quantize(x, grid)
@@ -282,18 +280,23 @@ class InclusionSpec:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "counts", counts)
 
-    def include(self, x: AlgebraElement) -> AlgebraElement:
+    def include(self, x):
+        """Image of a source element, or of a per-block stack (one
+        (K, n_b, n_b) array per block) as a per-block stack on the target."""
+        blocks = x.blocks if isinstance(x, AlgebraElement) else x
+        lead = blocks[0].shape[:-2]
         mats = []
         for row, nc in zip(self.counts, self.target.blocks):
-            pieces = [np.kron(a, np.eye(m))
-                      for m, a in zip(row, x.blocks) if m > 0]
-            block = np.zeros((nc, nc), dtype=complex)
+            block = np.zeros(lead + (nc, nc), dtype=complex)
             off = 0
-            for p in pieces:
-                block[off:off + p.shape[0], off:off + p.shape[0]] = p
-                off += p.shape[0]
+            for m, a in zip(row, blocks):
+                # a (x) 1_m, multiplied out as np.kron does, signed zeros included
+                n = a.shape[-1] * m
+                block[..., off:off + n, off:off + n] = (
+                    a[..., :, None, :, None] * np.eye(m)[:, None, :]).reshape(lead + (n, n))
+                off += n
             mats.append(block)
-        return AlgebraElement(self.target, mats)
+        return AlgebraElement(self.target, mats) if isinstance(x, AlgebraElement) else tuple(mats)
 
     @classmethod
     def single(cls, source: AlgebraShape, multiplicity: int) -> "InclusionSpec":

@@ -230,7 +230,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     budget = compute_budget(eps_in, config.K) if eps_in < BUDGET_EPS_MAX else None
 
     # 1. normalize -----------------------------------------------------------
-    (phi1, rec) = clock.run("normalize", lambda: normalize(phi, samples=min(64, config.probes)))
+    (phi1, rec) = clock.run("normalize", lambda: normalize(phi, report_in, min(64, config.probes)))
     rec.movement = _sup_dist(phi1, phi, probes)
     rec.info = {"scale": phi1.meta.get("scale", 1.0),
                 "unit_rounding_moved": phi1.meta.get("unit_rounding_moved", 0.0)}

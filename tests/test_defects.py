@@ -97,7 +97,7 @@ def test_convex_blend_defect():
 
 def test_normalize_fixed_point():
     psi = embedding()
-    out = normalize(psi)
+    out = normalize(psi, estimate_defect(psi, 64))
     probes = sphere_probes(SHAPE2, 16, 3)
     assert max(la.op_norm(out(x) - psi(x)) for x in probes) < 1e-12
 
@@ -105,11 +105,12 @@ def test_normalize_fixed_point():
 def test_normalize_scaling_case():
     psi = embedding()
     phi = ApproxMap.linear(SHAPE2, psi.dim, 1.05 * psi.basis)
-    out = normalize(phi)
+    before = estimate_defect(phi, 64)
+    out = normalize(phi, before)
     probes = sphere_probes(SHAPE2, 32, 3)
     assert max(la.op_norm(out(x) - phi(x)) for x in probes) <= 0.05 + 1e-9
     assert map_norm(out, probes) <= 1.0 + 1e-9
-    assert out.meta["defect_after"]["epsilon"] <= 6 * out.meta["defect_before"]["epsilon"] + 1e-9
+    assert estimate_defect(out, 64).epsilon <= 6 * before.epsilon + 1e-9
 
 
 def _corner_map_with_unit(diag):
@@ -126,7 +127,8 @@ def _corner_map_with_unit(diag):
 
 
 def test_normalize_rounds_unit_value():
-    out = normalize(_corner_map_with_unit([0.98, 0.02]))
+    m = _corner_map_with_unit([0.98, 0.02])
+    out = normalize(m, estimate_defect(m, 64))
     val = out(identity(AlgebraShape([1])))
     assert la.op_norm(val @ val - val) < 1e-12
     assert abs(np.trace(val).real - 1.0) < 1e-9
@@ -136,15 +138,16 @@ def test_normalize_rounds_unit_value():
 def test_normalize_refuses_gapless_unit():
     # a mid-spectrum eigenvalue of phi(1) also forces a visible defect at the
     # (1, 1) probe pair, so refusal may fire at either check
+    m = _corner_map_with_unit([0.73, 0.27])
     with pytest.raises((GapError, PreconditionError)):
-        normalize(_corner_map_with_unit([0.73, 0.27]))
+        normalize(m, estimate_defect(m, 64))
 
 
 def test_normalize_needs_small_defect():
     psi = embedding()
     phi = ApproxMap.linear(SHAPE2, psi.dim, 1.5 * psi.basis)
     with pytest.raises(PreconditionError):
-        normalize(phi)
+        normalize(phi, estimate_defect(phi, 64))
 
 
 def test_is_eps_nonzero():

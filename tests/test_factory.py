@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraElement, AlgebraShape, HaarSampler, identity
+from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
+                              stack_elements)
 from starstab.defects import estimate_defect
 from starstab.errors import PreconditionError
 from starstab.factory import (EmbeddingSpec, InclusionSpec, discretize,
@@ -183,3 +184,11 @@ def test_inclusion_spec():
     inc2 = InclusionSpec(src, AlgebraShape([4]), [[2, 1]])
     z = inc2.include(identity(src))
     assert (z - identity(AlgebraShape([4]))).norm() < 1e-15
+    # a per-block stack maps row by row, bit for bit
+    for spec, shape in ((inc, SHAPE2), (inc2, src)):
+        s = HaarSampler(shape, 12)
+        xs = [s.contraction() for _ in range(3)] + [s.unitary() for _ in range(2)]
+        images = spec.include(stack_elements(xs))
+        for k, x in enumerate(xs):
+            for a, stacked in zip(spec.include(x).blocks, images):
+                assert a.tobytes() == stacked[k].tobytes()

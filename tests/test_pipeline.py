@@ -106,6 +106,24 @@ def test_additive_recovery_and_triangle():
     assert d_truth <= rep.final_distance + eta + 1e-9
 
 
+def test_input_defect_is_measured_once(monkeypatch):
+    import starstab.defects
+    import starstab.pipeline
+    measured = []
+    estimate = starstab.defects.estimate_defect
+
+    def counting(m, *args, **kwargs):
+        measured.append(m)
+        return estimate(m, *args, **kwargs)
+
+    monkeypatch.setattr(starstab.defects, "estimate_defect", counting)
+    monkeypatch.setattr(starstab.pipeline, "estimate_defect", counting)
+    phi = perturb_additive(embedding(AlgebraShape([2]), (3,), seed=4), 1e-3, seed=5)
+    run_pipeline(phi, FAST)
+    assert sum(m is phi for m in measured) == 1
+    assert not any(m.meta.get("normalized") for m in measured)
+
+
 def test_conjugate_recovery():
     psi0 = embedding(AlgebraShape([2]), (2,), seed=7)
     phi = perturb_conjugate(psi0, near_identity(4, 5e-3, seed=8))

@@ -6,10 +6,10 @@ import pytest
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               coeff_vector, identity, stack_elements)
-from starstab.defects import ApproxMap, normalize
+from starstab.defects import ApproxMap, estimate_defect, normalize
 from starstab.errors import EvaluationError
-from starstab.factory import (EmbeddingSpec, _quantized_keys, discretize,
-                              exact_homomorphism, haar_conjugator,
+from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
+                              discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, perturb_additive)
 
 SHAPE = AlgebraShape([1, 2])
@@ -46,9 +46,17 @@ def test_discretized_stack():
     assert_rows_agree(discretize(phi, 2.0 ** -12), inputs())
 
 
+def test_composed_stack():
+    # C + M_2 -> M_4 mixes the source blocks into one target block
+    inc = InclusionSpec(SHAPE, AlgebraShape([4]), [[2, 1]])
+    top = exact_homomorphism(EmbeddingSpec(inc.target, (1,), 0, haar_conjugator(4, 6)))
+    phi = perturb_additive(top, 1e-3, seed=10).compose_input(inc.include, domain=SHAPE)
+    assert_rows_agree(phi, inputs())
+
+
 def test_normalized_stack_matches_unit_by_bytes():
     m = perturb_additive(embedding(), 1e-3, seed=9)
-    phi = normalize(m, samples=16)
+    phi = normalize(m, estimate_defect(m, 16), samples=16)
     one = identity(SHAPE)
     # equal to the unit as a number, but with a -0.0 entry: not the unit's bytes
     signed = AlgebraElement(SHAPE, [one.blocks[0], np.array([[1.0, -0.0], [0.0, 1.0]])])
@@ -97,4 +105,7 @@ def test_non_finite_image_names_the_element():
 
     with pytest.raises(EvaluationError) as err:
         ApproxMap(SHAPE, 4, fn).batch(stack_elements(xs))
+    assert err.value.offending.key() == bad.key()
+    with pytest.raises(EvaluationError) as err:
+        ApproxMap(SHAPE, 4, fn)(bad)
     assert err.value.offending.key() == bad.key()
