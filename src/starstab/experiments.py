@@ -20,7 +20,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import AlgebraElement, AlgebraShape, _derive_seed
 from .config import PipelineConfig
-from .defects import ApproxMap, estimate_defect
+from .defects import ApproxMap
 from .errors import PreconditionError
 from .factory import (EmbeddingSpec, InclusionSpec, exact_homomorphism,
                       haar_conjugator, near_identity_unitary, perturb_additive)
@@ -127,13 +127,13 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
         return min(cands, key=lambda c: la.op_norm(y - c))
 
     phi = ApproxMap(shape, n, proxy, {"kind": "kk-nearest-point", "eta": eta})
-    phi_defect = estimate_defect(phi, min(config.probes, 96), det_cap=config.det_cap)
     ball = ball_probes(shape, min(config.probes, 96), _derive_seed(config.seed, "kk-ball"))
     # distances to the identity are homogeneous, so the sphere probes used
     # for the bracket are the right comparison set
     phi_dist = max(la.op_norm(phi(x) - psi1(x)) for x in sphere)
 
     psi, rep = run_pipeline(phi, config, target=spec2)
+    phi_defect = rep.input_defect
     recovered = max(la.op_norm(psi(x) - psi1(x)) for x in ball)
 
     delta_claim = delta if delta is not None else 8.0 * eta
@@ -144,12 +144,12 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
          "bound": estimate.upper, "ok": estimate.lower <= estimate.upper + 1e-12},
         {"name": "phi-close-to-identity", "value": phi_dist,
          "bound": estimate.upper + 1e-9, "ok": phi_dist <= estimate.upper + 1e-9},
-        {"name": "phi-defect-within-delta", "value": phi_defect.epsilon,
-         "bound": delta_claim + 1e-9, "ok": phi_defect.epsilon <= delta_claim + 1e-9},
+        {"name": "phi-defect-within-delta", "value": phi_defect["epsilon"],
+         "bound": delta_claim + 1e-9, "ok": phi_defect["epsilon"] <= delta_claim + 1e-9},
         {"name": "recovered-close-to-identity", "value": recovered,
          "bound": config.kk_tol, "ok": recovered <= config.kk_tol},
     ]
-    return KKReport(estimate, eta, phi_defect.to_dict(), phi_dist,
+    return KKReport(estimate, eta, phi_defect, phi_dist,
                     recovered, rep, assertions)
 
 

@@ -268,13 +268,12 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
         if kappa0 > 2.0 + 1e-6:
             raise PreconditionError(
                 f"inverse bound {kappa0:.3g} exceeds 2 on unitary probes")
-        return rho, kappa0
-    ((rho0, kappa0), rec) = clock.run("unitary-restriction", make_group)
+        return rho, kappa0, measure_group_map(rho, pairs, config.mc_batches)
+    ((rho0, kappa0, m0), rec) = clock.run("unitary-restriction", make_group)
     rec.in_triangle = False
     rec.info = {"kappa0": kappa0}
 
     # 5. averaging -----------------------------------------------------------
-    m0 = measure_group_map(rho0, pairs, config.mc_batches)
     eps1 = max(4.0 * eps_in, m0.delta + m0.mc, 1e-13)
     (stab, rec) = clock.run("stabilize", lambda: stabilize(
         rho0, eps1, config.tol, config.mc_width,

@@ -25,48 +25,54 @@ from .algebra import (AlgebraElement, AlgebraShape, from_blockdiag, identity,
 from .defects import ApproxMap, estimate_defect
 from .errors import (GapError, MultiplicityMismatch, PreconditionError,
                      SingularMapError)
-from .factory import EmbeddingSpec
+from .factory import EmbeddingSpec, exact_homomorphism
 from .probes import ball_probes
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixUnitSystem:
     """Per-block families f^b_{ij} of N x N matrices obeying the matrix-unit
-    relations, with the achieved residuals attached."""
+    relations, held as one read-only (linear_dim, N, N) basis tensor in
+    (block, i, j) order."""
 
     shape: AlgebraShape
-    dim: int
-    units: tuple[tuple[tuple[np.ndarray, ...], ...], ...]   # [block][i][j]
+    basis: np.ndarray
     multiplicities: tuple[int, ...]
 
+    def __post_init__(self):
+        basis = np.array(self.basis, dtype=complex)
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
     def unit(self, b: int, i: int, j: int) -> np.ndarray:
-        return self.units[b][i][j]
+        n = self.shape.blocks[b]
+        return self.basis[sum(m * m for m in self.shape.blocks[:b]) + i * n + j]
 
     def relation_residual(self) -> float:
         """Max violation of the ring, adjoint and sub-unit relations."""
-        return relation_residual(self.shape, self.units)
+        return relation_residual(self.shape, self.basis)
 
     def as_map(self) -> ApproxMap:
         """Linear extension x -> sum x^b_{ij} f^b_{ij} (an exact homomorphism
         once the relations hold)."""
-        basis = np.stack([self.unit(b, i, j)
-                          for b, n in enumerate(self.shape.blocks)
-                          for i in range(n) for j in range(n)])
-        return ApproxMap.linear(self.shape, self.dim, basis,
+        return ApproxMap.linear(self.shape, self.dim, self.basis,
                                 {"kind": "matrix-unit-system",
                                  "multiplicities": self.multiplicities})
 
     def to_dict(self) -> dict:
-        per_unit = {}
-        for b, n in enumerate(self.shape.blocks):
-            for i in range(n):
-                for j in range(n):
-                    f = self.unit(b, i, j)
-                    per_unit[f"{b},{i},{j}"] = {
-                        "matrix": [[float(z.real), float(z.imag)] for z in f.ravel()],
-                        "adjoint_residual": float(
-                            la.op_norm(f.conj().T - self.unit(b, j, i))),
-                    }
+        adjoint, _, _ = _unit_tables(self.shape)
+        labels = [f"{b},{i},{j}" for b, n in enumerate(self.shape.blocks)
+                  for i in range(n) for j in range(n)]
+        per_unit = {
+            label: {
+                "matrix": [[float(z.real), float(z.imag)] for z in f.ravel()],
+                "adjoint_residual": float(la.op_norm(f.conj().T - self.basis[a])),
+            }
+            for label, f, a in zip(labels, self.basis, adjoint)}
         return {
             "shape": list(self.shape.blocks),
             "dim": self.dim,
@@ -79,35 +85,33 @@ class MatrixUnitSystem:
         return json.dumps(self.to_dict())
 
 
-def relation_residual(shape: AlgebraShape, units) -> float:
-    """Max violation of the ring, adjoint and sub-unit relations by per-block
-    unit families ``units[b][i][j]``."""
-    worst = 0.0
-    flat = [(b, i, j, units[b][i][j])
-            for b, n in enumerate(shape.blocks)
-            for i in range(n) for j in range(n)]
-    for b, i, j, f in flat:
-        worst = max(worst, la.op_norm(f.conj().T - units[b][j][i]))
-        for c, k, l, g in flat:
-            prod = f @ g
-            if b == c and j == k:
-                worst = max(worst, la.op_norm(prod - units[b][i][l]))
-            else:
-                worst = max(worst, la.op_norm(prod))
-    total = sum(units[b][i][i]
-                for b, n in enumerate(shape.blocks) for i in range(n))
+def _unit_tables(shape: AlgebraShape):
+    """Row tables over a (block, i, j) basis tensor: the row of each unit's
+    adjoint; for each pair of units, the row f_il that f_ij f_kl must equal,
+    or linear_dim (a zero row) where the product must vanish; the diagonal
+    rows f_ii."""
+    sizes = np.array(shape.blocks)
+    blk = np.repeat(np.arange(len(sizes)), sizes * sizes)
+    n = sizes[blk]
+    start = (np.cumsum(sizes * sizes) - sizes * sizes)[blk]
+    i, j = np.divmod(np.arange(shape.linear_dim) - start, n)
+    adjoint = start + j * n + i
+    match = (blk[:, None] == blk[None, :]) & (j[:, None] == i[None, :])
+    products = np.where(match, (start + i * n)[:, None] + j[None, :], shape.linear_dim)
+    return adjoint, products, np.flatnonzero(i == j)
+
+
+def relation_residual(shape: AlgebraShape, basis: np.ndarray) -> float:
+    """Max violation of the ring, adjoint and sub-unit relations by the
+    per-block units f^b_{ij} of a basis tensor in (block, i, j) order."""
+    adjoint, products, diagonal = _unit_tables(shape)
+    worst = la.op_norm(basis.conj().transpose(0, 2, 1) - basis[adjoint])
+    padded = np.concatenate([basis, np.zeros_like(basis[:1])])
+    for f, expected in zip(basis, products):
+        worst = max(worst, la.op_norm(f @ basis - padded[expected]))
+    total = sum(basis[k] for k in diagonal)
     w = np.linalg.eigvalsh(la.herm(total))
-    worst = max(worst, float(w[-1]) - 1.0, 0.0)
-    return worst
-
-
-def _basis_units(shape: AlgebraShape, basis: np.ndarray):
-    """[block][i][j] view of a basis tensor stored in (block, i, j) order."""
-    units, k = [], 0
-    for n in shape.blocks:
-        units.append([[basis[k + i * n + j] for j in range(n)] for i in range(n)])
-        k += n * n
-    return units
+    return max(worst, float(w[-1]) - 1.0, 0.0)
 
 
 def _round_orthogonal(candidate: np.ndarray, accepted: np.ndarray | None,
@@ -176,19 +180,10 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
             cols.append(w)
         isoms[b] = cols
 
-    units = []
-    for b, n in enumerate(shape.blocks):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                f = isoms[b][i] @ isoms[b][j].conj().T
-                f = np.ascontiguousarray(f)
-                f.setflags(write=False)
-                row.append(f)
-            rows.append(tuple(row))
-        units.append(tuple(rows))
-    system = MatrixUnitSystem(shape, n_amb, tuple(units), tuple(mults))
+    basis = np.stack([isoms[b][i] @ isoms[b][j].conj().T
+                      for b, n in enumerate(shape.blocks)
+                      for i in range(n) for j in range(n)])
+    system = MatrixUnitSystem(shape, basis, tuple(mults))
     resid = system.relation_residual()
     if resid > tol:
         raise SingularMapError(
@@ -261,30 +256,29 @@ def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarr
 
 class TraceExpectation:
     """Trace-orthogonal conditional expectation onto the image of an
-    embedding: unital, positive, contractive, idempotent."""
+    embedding: unital, positive, contractive, idempotent.
+
+    Held as the embedding's basis tensor g^b_{ij} and one weight per unit,
+    1/m_b (0 for a block of multiplicity 0, whose units are zero): E(y) has
+    the coefficients (1/m_b) tr(g^b_{ij}* y) in that basis.
+    """
 
     def __init__(self, spec: EmbeddingSpec):
         self.spec = spec
         self.dim = spec.dim
-        basis = []
-        weights = []
-        shape = spec.shape
-        for b, nb in enumerate(shape.blocks):
-            m = spec.multiplicities[b]
-            if m == 0:
-                continue
-            for i in range(nb):
-                for j in range(nb):
-                    basis.append(spec.embed(matrix_unit(shape, b, i, j)))
-                    weights.append(1.0 / m)
-        self._basis = basis
-        self._weights = weights
+        self.basis = exact_homomorphism(spec).basis
+        self._flat = self.basis.reshape(len(self.basis), -1)
+        self._flat_conj = self._flat.conj()
+        sizes = [nb * nb for nb in spec.shape.blocks]
+        self._weights = np.repeat([1.0 / m if m else 0.0 for m in spec.multiplicities],
+                                  sizes)
+        self._splits = np.cumsum(sizes)[:-1]
+
+    def _coefficients(self, y: np.ndarray) -> np.ndarray:
+        return (self._flat_conj @ y.ravel()) * self._weights
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, w in zip(self._basis, self._weights):
-            out = out + w * np.vdot(g.ravel(), y.ravel()) * g
-        return out
+        return (self._coefficients(y) @ self._flat).reshape(self.dim, self.dim)
 
     def distance(self, y: np.ndarray, radius: float | None = None) -> float:
         """Operator-norm distance from y to the (radius-clipped) image."""
@@ -299,20 +293,10 @@ class TraceExpectation:
 
     def pull_back(self, y: np.ndarray) -> AlgebraElement:
         """Coordinates of E(y) in the abstract copy of the subalgebra."""
-        w = self.spec.conjugator
-        z = y if w is None else w.conj().T @ y @ w
-        mats = []
-        off = 0
-        for nb, m in zip(self.spec.shape.blocks, self.spec.multiplicities):
-            a = np.zeros((nb, nb), dtype=complex)
-            if m > 0:
-                sub = z[off:off + nb * m, off:off + nb * m]
-                for s in range(m):
-                    a += sub[s::m, s::m]
-                a /= m
-                off += nb * m
-            mats.append(a)
-        return AlgebraElement(self.spec.shape, mats)
+        blocks = self.spec.shape.blocks
+        coeffs = np.split(self._coefficients(y), self._splits)
+        return AlgebraElement(self.spec.shape,
+                              [c.reshape(nb, nb) for c, nb in zip(coeffs, blocks)])
 
 
 def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9,
@@ -350,7 +334,7 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
 
     # exactify psi1 unless its basis already obeys the relations, then intertwine
     if psi1.basis is not None and \
-            relation_residual(psi1.domain, _basis_units(psi1.domain, psi1.basis)) <= tol:
+            relation_residual(psi1.domain, psi1.basis) <= tol:
         psi1_exact, corr1_info = psi1, None
     else:
         _, psi1_exact, corr1_info = matrix_unit_correction(psi1, tol=tol, **kw)

@@ -90,3 +90,21 @@ def test_sweep_rows_and_csv():
         assert rep.ok()
         assert row.ratio_linear == pytest.approx(row.final_distance / row.eta)
         assert row.ratio_sqrt == pytest.approx(row.final_distance / np.sqrt(row.eta))
+
+
+def test_kk_measures_phi_once(monkeypatch):
+    import starstab.defects
+    import starstab.experiments
+    import starstab.pipeline
+    measured = []
+    estimate = starstab.defects.estimate_defect
+
+    def counting(m, *args, **kwargs):
+        measured.append(m.meta.get("kind"))
+        return estimate(m, *args, **kwargs)
+
+    monkeypatch.setattr(starstab.experiments, "estimate_defect", counting, raising=False)
+    monkeypatch.setattr(starstab.pipeline, "estimate_defect", counting)
+    rep = kk_experiment(M2_IN_M4, 1e-3, FAST)
+    assert measured.count("kk-nearest-point") == 1
+    assert rep.phi_defect == rep.pipeline.input_defect

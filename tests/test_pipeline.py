@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starstab
@@ -236,3 +237,17 @@ def test_canonical_json_independent_of_blas_threads():
         outs.append(res.stdout)
     assert len(outs[0].splitlines()) == 2
     assert outs[0] == outs[1]
+
+
+def test_level_zero_measurement_runs_inside_its_stage(monkeypatch):
+    import starstab.pipeline
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(starstab.pipeline, "measure_group_map", broken)
+    phi = perturb_additive(embedding(AlgebraShape([2]), (2,), seed=17), 1e-3, seed=18)
+    with pytest.raises(StageAbort) as err:
+        run_pipeline(phi, FAST)
+    assert err.value.stage == "unitary-restriction"
+    assert isinstance(err.value.cause, np.linalg.LinAlgError)

@@ -13,7 +13,8 @@ from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               perturb_conjugate)
 from starstab.probes import ball_probes
 from starstab.synthesis import (TraceExpectation, intertwiner,
-                                matrix_unit_correction, near_inclusion_fix)
+                                matrix_unit_correction, near_inclusion_fix,
+                                relation_residual)
 
 SHAPE12 = AlgebraShape([1, 2])
 
@@ -212,3 +213,68 @@ def test_near_inclusion_skips_correcting_an_exact_input():
     assert la.op_norm(v - v2) <= 1e-12
     probes = ball_probes(SHAPE12, 24, 33)
     assert sup_dist(out, out2, probes) <= 1e-12
+
+
+# -- unit systems and the trace expectation as basis tensors --------------------
+
+def pairwise_relation_residual(shape, basis):
+    """Reference: the unit-by-unit loop over all pairs, one norm per pair."""
+    units, k = [], 0
+    for n in shape.blocks:
+        units.append([[basis[k + i * n + j] for j in range(n)] for i in range(n)])
+        k += n * n
+    flat = [(b, i, j, units[b][i][j])
+            for b, n in enumerate(shape.blocks) for i in range(n) for j in range(n)]
+    worst = 0.0
+    for b, i, j, f in flat:
+        worst = max(worst, la.op_norm(f.conj().T - units[b][j][i]))
+        for c, k, l, g in flat:
+            if b == c and j == k:
+                worst = max(worst, la.op_norm(f @ g - units[b][i][l]))
+            else:
+                worst = max(worst, la.op_norm(f @ g))
+    total = sum(units[b][i][i] for b, n in enumerate(shape.blocks) for i in range(n))
+    w = np.linalg.eigvalsh(la.herm(total))
+    return max(worst, float(w[-1]) - 1.0, 0.0)
+
+
+@pytest.mark.parametrize("blocks,mults,seed", [((1, 2), (2, 1), 40), ((3,), (2,), 41),
+                                               ((8,), (1,), 42)])
+def test_relation_residual_matches_pairwise_loop(blocks, mults, seed):
+    shape = AlgebraShape(blocks)
+    phi = perturb_additive(embedding(shape=shape, mults=mults, seed=seed), 1e-4,
+                           seed=seed + 100)
+    system, _, _ = matrix_unit_correction(phi)
+    assert relation_residual(shape, system.basis) == \
+        pairwise_relation_residual(shape, system.basis)
+    assert system.relation_residual() == relation_residual(shape, system.basis)
+
+
+def test_relation_residual_sees_a_missing_unit():
+    system, _, _ = matrix_unit_correction(embedding(seed=43))
+    broken = system.basis.copy()
+    broken[2] = 0.0              # f^1_{01} of C + M_2
+    assert relation_residual(SHAPE12, broken) >= 1.0 - 1e-12
+    assert relation_residual(SHAPE12, system.basis) < 1e-12
+
+
+def test_unit_system_is_one_read_only_tensor():
+    system, psi, _ = matrix_unit_correction(embedding(seed=44))
+    rows = [(b, i, j) for b, n in enumerate(SHAPE12.blocks)
+            for i in range(n) for j in range(n)]
+    for k, (b, i, j) in enumerate(rows):
+        assert np.array_equal(system.unit(b, i, j), system.basis[k])
+    assert system.dim == 4 and system.basis.shape == (5, 4, 4)
+    assert not system.basis.flags.writeable
+    assert np.shares_memory(psi.basis, system.basis)      # as_map() wraps the tensor
+
+
+def test_trace_expectation_pull_back_embeds_to_projection():
+    spec = EmbeddingSpec(SHAPE12, (0, 2), 1, haar_conjugator(5, 45))
+    exp = TraceExpectation(spec)
+    rng = np.random.default_rng(46)
+    for _ in range(10):
+        y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        a = exp.pull_back(y)
+        assert la.op_norm(spec.embed(a) - exp.project(y)) <= 1e-13
+        assert not a.blocks[0].any()
