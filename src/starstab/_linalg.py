@@ -19,8 +19,19 @@ def herm(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
+def adj(x: np.ndarray) -> np.ndarray:
+    """Adjoint of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def compress(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v* x v, for a matrix or each matrix of a stack."""
+    return adj(v) @ x @ v
+
+
 def op_norm(x: np.ndarray) -> float:
-    """Largest singular value; 0 for empty matrices."""
+    """Largest singular value; on a stack, the largest over its matrices
+    (the same float as the max of the per-matrix norms); 0 when empty."""
     if x.size == 0:
         return 0.0
     s = np.linalg.svd(x, compute_uv=False)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, _derive_seed, identity, involution_exp
+from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
+                      stack_elements)
 from .averaging import GroupMap, HaarSampler, _batch_means, _spread
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
@@ -134,7 +135,8 @@ class BlockDecomposition:
 
 def _commutant_basis(mats, hint: float):
     """Null space of X -> [X, m_i] over all generators, via the stacked
-    commutation operator on vec(X) (row-major).
+    commutation operator on vec(X) (row-major); one orthonormal vec(X) per
+    row.
 
     ``hint`` is the expected commutation-residual scale; eigenvalues of the
     squared operator below (3 hint)^2 per generator count as null.  A clean
@@ -158,18 +160,16 @@ def _commutant_basis(mats, hint: float):
     if first_out < 20.0 * max(w[dim - 1], cut / 400.0):
         raise SingularMapError(
             f"commutant rank is ambiguous near the cut ({w[max(dim-2,0):dim+2]})")
-    return [v[:, i].reshape(n, n) for i in range(dim)]
+    return v[:, :dim].T
 
 
-def _generic_commutant_element(basis, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 0x9E]))
-    x = sum(complex(c) * z for c, z in
-            zip(rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis)), basis))
-    x = la.herm(x)
-    nrm = la.op_norm(x)
-    if nrm < 1e-14:
-        raise SingularMapError("degenerate commutant draw")
-    return x / nrm
+def _fixed_hermitians(n: int):
+    """Two fixed Hermitian n x n matrices with distinct diagonal entries and
+    off-diagonal coupling (real, then imaginary), the split's probes."""
+    i, j = np.indices((n, n))
+    diag = np.diag(np.arange(1.0, n + 1.0))
+    return (diag + 1.0 / (1.0 + np.abs(i - j) + i + j) * (i != j),
+            diag + 1j * np.sign(j - i) / (2.0 + np.abs(i - j)))
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float):
@@ -181,15 +181,27 @@ def _cluster_eigenvalues(w: np.ndarray, gap: float):
     return groups
 
 
-def _split_once(mats, hint: float, seed: int):
-    """One commutant-driven split of the current space; returns isometries."""
+def _split_once(mats, hint: float, hs):
+    """One commutant-driven split of the current space; returns isometries.
+
+    The split element is the orthogonal projection herm(B B* H) of a fixed
+    Hermitian H onto the commutant (B an orthonormal basis of it), which
+    does not depend on how the solver rotates B, with its trace part
+    removed and scaled to norm one; the second H is the fallback when the
+    first gives one eigenvalue cluster.
+    """
     basis = _commutant_basis(mats, hint)
     if len(basis) == 1:
         return None     # irreducible here
     resid_scale = None
-    for attempt in range(2):
-        x = _generic_commutant_element(basis, _derive_seed(seed, "draw", attempt))
-        resid = max(la.op_norm(x @ m - m @ x) for m in mats)
+    for h in hs:
+        x = la.herm(((basis.conj() @ h.ravel()) @ basis).reshape(h.shape))
+        x = x - np.trace(x).real / len(x) * np.eye(len(x))
+        nrm = la.op_norm(x)
+        if nrm < 1e-8:
+            continue        # the probe is scalar on the commutant
+        x = x / nrm
+        resid = la.op_norm(x @ mats - mats @ x)
         gap = max(1e-6, min(0.05, 30.0 * max(resid, hint)))
         w, v = np.linalg.eigh(x)
         groups = _cluster_eigenvalues(w, gap)
@@ -197,21 +209,22 @@ def _split_once(mats, hint: float, seed: int):
             return [np.ascontiguousarray(v[:, g]) for g in groups]
         resid_scale = resid
     raise SingularMapError(
-        f"eigenvalue clustering degenerate twice (residual {resid_scale:.3g})")
+        f"eigenvalue clustering degenerate twice (residual {resid_scale})")
 
 
-def _decompose_mats(mats, hint: float, seed: int, depth: int, ambient: int):
-    n = mats[0].shape[0]
+def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
+    """Isometries onto irreducible subspaces; ``hs`` are the fixed split
+    probes compressed to the current space, so the split is covariant."""
+    n = mats.shape[-1]
     if depth > ambient:
         raise SingularMapError("irreducibility recursion exceeded the ambient dimension")
-    split = _split_once(mats, hint, seed)
+    split = _split_once(mats, hint, hs)
     if split is None:
         return [np.eye(n, dtype=complex)]
     out = []
-    for i, v in enumerate(split):
-        sub = [v.conj().T @ m @ v for m in mats]
-        for w in _decompose_mats(sub, hint, _derive_seed(seed, "rec", i, depth),
-                                 depth + 1, ambient):
+    for v in split:
+        sub = [la.compress(v, h) for h in hs]
+        for w in _decompose_mats(la.compress(v, mats), hint, sub, depth + 1, ambient):
             out.append(np.ascontiguousarray(v @ w))
     return out
 
@@ -229,20 +242,19 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
     if generator_count < 2:
         raise PreconditionError("need at least two generators")
     seed = _derive_seed(pi.seed, "decompose") if seed is None else seed
-    gens = random_unitaries(pi.domain, generator_count, _derive_seed(seed, "gens"))
-    mats = [pi(u) for u in gens]
-    unit_dev = max(la.op_norm(m.conj().T @ m - np.eye(pi.dim)) for m in mats)
+    gens = stack_elements(random_unitaries(pi.domain, generator_count,
+                                           _derive_seed(seed, "gens")))
+    mats = pi.batch(gens)
+    unit_dev = la.op_norm(la.adj(mats) @ mats - np.eye(pi.dim))
     if unit_dev > 1e-8:
         raise PreconditionError(f"map is {unit_dev:.3g} from unitary on probes")
     hint = defect_hint
     if hint <= 0.0:
-        hint = max(la.op_norm(pi(u * v) - pi(u) @ pi(v))
-                   for u, v in zip(gens[:-1], gens[1:]))
-        hint = max(hint, 1e-11)
-    isoms = _decompose_mats(mats, hint, seed, 0, pi.dim)
+        products = tuple(g[:-1] @ g[1:] for g in gens)
+        hint = max(la.op_norm(pi.batch(products) - mats[:-1] @ mats[1:]), 1e-11)
+    isoms = _decompose_mats(mats, hint, _fixed_hermitians(pi.dim), 0, pi.dim)
     for v in isoms:   # certify irreducibility of every leaf
-        sub = [v.conj().T @ m @ v for m in mats]
-        if len(_commutant_basis(sub, hint)) != 1:
+        if len(_commutant_basis(la.compress(v, mats), hint)) != 1:
             raise SingularMapError("a block failed its irreducibility certificate")
     tiebreak = np.diag(np.arange(pi.dim, dtype=float))
     keyed = []
@@ -253,7 +265,8 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
     keyed.sort(key=lambda t: t[0])
     projections = tuple(p for _, p, _ in keyed)
     dims = tuple(d for _, _, d in keyed)
-    resid = max(la.op_norm(p @ m - m @ p) for p in projections for m in mats)
+    p = np.stack(projections)[:, None]
+    resid = la.op_norm(p @ mats - mats @ p)
     if resid > tol:
         raise SingularMapError(f"block commutation residual {resid:.3g} exceeds {tol:.3g}")
     return BlockDecomposition(pi.dim, projections, dims, resid)

@@ -12,7 +12,9 @@ import starstab
 import starstab._linalg as la
 from starstab.algebra import AlgebraShape
 from starstab.config import PipelineConfig, parse_config
+from starstab.defects import ApproxMap
 from starstab.errors import ConfigError, PreconditionError, StageAbort
+from starstab.experiments import sweep_instances
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               haar_conjugator, near_identity, perturb_additive,
                               perturb_conjugate)
@@ -123,6 +125,22 @@ def test_input_defect_is_measured_once(monkeypatch):
     run_pipeline(phi, FAST)
     assert sum(m is phi for m in measured) == 1
     assert not any(m.meta.get("normalized") for m in measured)
+
+
+@pytest.mark.parametrize("path", ["units", "stone"])
+def test_final_distance_is_stable_under_rounding(path):
+    # a 1e-16 change of the input values must not rotate the irreducible
+    # split; at eta = 1e-2 rounding alone moves the ~8e-3 distances by
+    # about 1e-15, so 1e-12 relative leaves room only for rounding
+    cfg = FAST.replace(path=path)
+    for exp_id, phi, _, _ in sweep_instances([1e-2], 1, cfg):
+        e = np.random.default_rng(0).standard_normal((phi.dim, phi.dim))
+        e *= 1e-16 / la.op_norm(e)
+        noisy = ApproxMap(phi.domain, phi.dim, None,
+                          stack_fn=lambda stack, phi=phi, e=e: phi.batch(stack) + e)
+        d = run_pipeline(phi, cfg)[1].final_distance
+        moved = abs(run_pipeline(noisy, cfg)[1].final_distance - d)
+        assert moved < 1e-12 * d, exp_id
 
 
 def test_conjugate_recovery():
