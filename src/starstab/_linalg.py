@@ -40,8 +40,9 @@ def op_norm(x: np.ndarray) -> float:
     return float(s[..., 0].max())
 
 
-def frob(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+def op_norms(x: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack."""
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def is_hermitian(x: np.ndarray, tol: float = 1e-10) -> bool:

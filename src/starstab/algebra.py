@@ -166,7 +166,6 @@ def identity(shape: AlgebraShape) -> AlgebraElement:
 def matrix_unit(shape: AlgebraShape, block: int, i: int, j: int) -> AlgebraElement:
     """The standard matrix unit e_{ij} of one block, zero elsewhere."""
     mats = [np.zeros((n, n)) for n in shape.blocks]
-    mats[block] = np.zeros((shape.blocks[block],) * 2)
     mats[block][i, j] = 1.0
     return AlgebraElement(shape, mats)
 
@@ -260,6 +259,11 @@ def stack_coeffs(stack) -> np.ndarray:
     ``coeff_vector`` of element k."""
     k = stack[0].shape[0]
     return np.concatenate([s.reshape(k, -1) for s in stack], axis=1)
+
+
+def stack_norms(stack) -> np.ndarray:
+    """(K,) norms of the K elements of a per-block stack."""
+    return np.max([la.op_norms(s) for s in stack], axis=0)
 
 
 def stack_row(shape: AlgebraShape, stack, k: int) -> AlgebraElement:

@@ -176,41 +176,35 @@ def _batch_means(stack: np.ndarray, batches: int) -> np.ndarray:
 
 
 def _spread(mats: np.ndarray) -> float:
-    """3 x standard error (Frobenius spread) of a batch of matrices."""
-    b = mats.shape[0]
+    """3 x standard error (Frobenius spread) of a batch of matrices along
+    axis -3; the largest over any leading axes."""
+    b = mats.shape[-3]
     if b < 2:
         return 0.0
-    dev = mats - mats.mean(axis=0)
-    return 3.0 * float(np.sqrt((np.abs(dev) ** 2).sum(axis=(-2, -1)).mean() / b))
+    dev = mats - mats.mean(axis=-3, keepdims=True)
+    return 3.0 * float(np.sqrt((np.abs(dev) ** 2).sum(axis=(-2, -1)).mean(axis=-1) / b).max())
 
 
 def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
                       against: GroupMap | None = None) -> GroupMeasurement:
-    """Measure kappa, the defect and their Monte-Carlo error over probe pairs."""
-    kappa = 0.0
-    delta = 0.0
-    mc = 0.0
-    close = 0.0
-    close_mc = 0.0
-    for u, v in pairs:
-        uv = u * v
-        (fu, tu), (fv, tv), (fuv, tuv) = (rho.value_and_terms(w) for w in (u, v, uv))
-        delta = max(delta, la.op_norm(fuv - fu @ fv))
-        for val in (fu, fv):
-            s = np.linalg.svd(val, compute_uv=False)
-            kappa = max(kappa, 1.0 / max(float(s[-1]), 1e-300))
-        if tu is not None:
-            bu, bv, buv = (_batch_means(t, batches) for t in (tu, tv, tuv))
-            mc = max(mc, _spread(buv - bu @ bv))
-        if against is not None:
-            close = max(close,
-                        la.op_norm(fu - against(u)),
-                        la.op_norm(fv - against(v)),
-                        la.op_norm(fuv - against(uv)))
-            if tu is not None:
-                close_mc = max(close_mc,
-                               _spread(bu - against(u)[None, :, :]),
-                               _spread(bv - against(v)[None, :, :]))
+    """Measure kappa, the defect and their Monte-Carlo error over probe pairs,
+    each supremum as one batched norm over the points u, v and uv."""
+    points = [w for u, v in pairs for w in (u, v, u * v)]
+    measured = [rho.value_and_terms(w) for w in points]
+    f = np.stack([val for val, _ in measured]).reshape(len(pairs), 3, rho.dim, rho.dim)
+    s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
+    kappa = float(np.max(1.0 / np.maximum(s, 1e-300)))
+    delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])
+    mc = close = close_mc = 0.0
+    if measured[0][1] is not None:
+        b = np.stack([_batch_means(t, batches) for _, t in measured])
+        b = b.reshape(len(pairs), 3, *b.shape[1:])
+        mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
+    if against is not None:
+        g = np.stack([against(w) for w in points]).reshape(f.shape)
+        close = la.op_norm(f - g)
+        if measured[0][1] is not None:
+            close_mc = _spread(b[:, :2] - g[:, :2, None])
     return GroupMeasurement(kappa, delta, mc, close, close_mc, len(pairs))
 
 

@@ -3,6 +3,7 @@
 The five defect functionals (additivity, scalar homogeneity,
 multiplicativity, adjoints, norm excess) are estimated as suprema over a
 probe set, so every reported figure is a lower bound for the true defect.
+Each supremum is one batched norm over the stacked probes and their images.
 Deterministic probes are always included so that exact homomorphisms test
 exactly, independent of sampling.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, coeff_vector,
-                      identity, stack_coeffs, stack_row)
+                      identity, stack_coeffs, stack_elements, stack_row)
 from .errors import EvaluationError, PreconditionError
 from .probes import deterministic_pairs, sphere_probes
 
@@ -92,20 +93,28 @@ class ApproxMap:
         ``stack_fn`` call it; both skip the per-element cache.  Any other
         evaluator is called element by element.  Values agree with
         single-point calls to rounding.  Raises EvaluationError, carrying
-        the offending element, when an image is not finite.
+        the offending element, when an image is not finite or when an
+        element-by-element evaluator raises (the first failing row).
         """
         if self._flat_basis is not None:
             out = (stack_coeffs(stack) @ self._flat_basis).reshape(-1, self.dim, self.dim)
         elif self.stack_fn is not None:
             out = self.stack_fn(stack)
         else:
-            out = np.stack([self(stack_row(self.domain, stack, k))
-                            for k in range(stack[0].shape[0])])
+            out = np.stack([self._call_row(stack, k) for k in range(stack[0].shape[0])])
         if not np.isfinite(out).all():
             k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
             raise EvaluationError(f"map value at stack row {k} is not finite",
                                   offending=stack_row(self.domain, stack, k))
         return out
+
+    def _call_row(self, stack, k: int) -> np.ndarray:
+        x = stack_row(self.domain, stack, k)
+        try:
+            return self(x)
+        except Exception as exc:
+            raise EvaluationError(f"evaluator failed on stack row {k}: {exc}",
+                                  offending=x) from exc
 
     @classmethod
     def linear(cls, domain: AlgebraShape, dim: int, basis: np.ndarray,
@@ -120,6 +129,17 @@ class ApproxMap:
         domain; single points are evaluated as one-row stacks."""
         return ApproxMap(domain or self.domain, self.dim, None, {**self.meta, **meta},
                          stack_fn=lambda stack: self.batch(pre(stack)))
+
+    def compose_output(self, post: Callable[[np.ndarray], np.ndarray], dim: int,
+                       **meta) -> "ApproxMap":
+        """x -> post(self(x)) into dim x dim matrices, where ``post`` maps a
+        (K, N, N) stack of values row by row to a (K, dim, dim) stack.  A map
+        with a basis gives the basis tensor post(basis), so ``post`` must
+        then be linear.  The new map carries only ``meta``."""
+        if self.basis is not None:
+            return ApproxMap.linear(self.domain, dim, post(self.basis), meta)
+        return ApproxMap(self.domain, dim, None, meta,
+                         stack_fn=lambda stack: post(self.batch(stack)))
 
 
 @dataclass(frozen=True)
@@ -170,18 +190,15 @@ class DefectReport:
 
 
 def _defects_on_pairs(m: ApproxMap, triples) -> DefectReport:
-    add = scal = mult = adj = excess = 0.0
-    for x, y, lam in triples:
-        try:
-            fx, fy = m(x), m(y)
-            add = max(add, la.op_norm(m(x + y) - fx - fy))
-            scal = max(scal, la.op_norm(m(lam * x) - lam * fx))
-            mult = max(mult, la.op_norm(m(x * y) - fx @ fy))
-            adj = max(adj, la.op_norm(m(x.adjoint()) - fx.conj().T))
-            excess = max(excess, la.op_norm(fx) - 1.0, la.op_norm(fy) - 1.0)
-        except Exception as exc:
-            raise EvaluationError(f"evaluator failed on a probe pair: {exc}",
-                                  offending=(x, y, lam)) from exc
+    xs, ys, lams = zip(*triples)
+    x, y = stack_elements(xs), stack_elements(ys)
+    lam = np.array(lams, dtype=complex)[:, None, None]
+    fx, fy = m.batch(x), m.batch(y)
+    add = la.op_norm(m.batch(tuple(a + b for a, b in zip(x, y))) - fx - fy)
+    scal = la.op_norm(m.batch(tuple(lam * a for a in x)) - lam * fx)
+    mult = la.op_norm(m.batch(tuple(a @ b for a, b in zip(x, y))) - fx @ fy)
+    adj = la.op_norm(m.batch(tuple(la.adj(a) for a in x)) - la.adj(fx))
+    excess = max(la.op_norm(fx), la.op_norm(fy)) - 1.0
     return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(triples))
 
 
@@ -202,7 +219,7 @@ def estimate_defect(m: ApproxMap, samples: int,
 
 def map_norm(m: ApproxMap, probes) -> float:
     """sup of ||phi(x)|| over the given unit-ball probes."""
-    return max(la.op_norm(m(x)) for x in probes)
+    return la.op_norm(m.batch(stack_elements(probes)))
 
 
 def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
@@ -242,13 +259,12 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
 
 
 def is_eps_nonzero(m: ApproxMap, eps: float, probes):
-    """True iff some norm-one probe keeps ||phi(a)|| >= 1 - eps; returns the witness."""
-    for a in probes:
-        if abs(a.norm() - 1.0) > 1e-9:
-            continue
-        if la.op_norm(m(a)) >= 1.0 - eps:
-            return True, a
-    return False, None
+    """True iff some norm-one probe keeps ||phi(a)|| >= 1 - eps; returns the
+    first such witness."""
+    unit = [a for a in probes if abs(a.norm() - 1.0) <= 1e-9]
+    hits = np.flatnonzero(la.op_norms(m.batch(stack_elements(unit))) >= 1.0 - eps) \
+        if unit else ()
+    return (True, unit[hits[0]]) if len(hits) else (False, None)
 
 
 def s_iterate(x: AlgebraElement, n: int) -> AlgebraElement:
@@ -331,16 +347,11 @@ def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
         return IsometryReport("not-nonzero", thr, len(probes))
 
     ell = m.domain.blocks[0]
-    checked = 0
-    bad = None
-    for i in range(trials):
-        x = sampler.fork(("iso", i)).sphere()
-        checked += 1
-        if la.op_norm(m(x)) < 1.0 - thr:
-            bad = x
-            break
-    if bad is None:
-        return IsometryReport("isometric", thr, checked)
+    xs = [sampler.fork(("iso", i)).sphere() for i in range(trials)]
+    low = np.flatnonzero(la.op_norms(m.batch(stack_elements(xs))) < 1.0 - thr)
+    if not low.size:
+        return IsometryReport("isometric", thr, trials)
+    bad, checked = xs[low[0]], int(low[0]) + 1
 
     steps = [("violating probe image norm", la.op_norm(m(bad)))]
     y = bad
@@ -360,12 +371,9 @@ def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
     p1 = AlgebraElement(m.domain, [np.outer(vecs[:, 0], vecs[:, 0].conj())])
     steps.append(("rank-1 projection image norm", la.op_norm(m(p1))))
     # ladder of nested projections, replaying the rank-additivity argument
-    norms = []
-    for j in range(1, ell + 1):
-        cols = vecs[:, :j]
-        pj = AlgebraElement(m.domain, [cols @ cols.conj().T])
-        norms.append(la.op_norm(m(pj)))
-        steps.append((f"rank-{j} projection image norm", norms[-1]))
+    ladder = np.stack([vecs[:, :j] @ vecs[:, :j].conj().T for j in range(1, ell + 1)])
+    norms = [float(t) for t in la.op_norms(m.batch((ladder,)))]
+    steps += [(f"rank-{j} projection image norm", t) for j, t in enumerate(norms, start=1)]
     j_big = next((j for j, t in enumerate(norms, start=1) if t >= 0.5), None)
     if j_big is not None and j_big > 1:
         q1 = AlgebraElement(m.domain, [vecs[:, :j_big - 1] @ vecs[:, :j_big - 1].conj().T])

@@ -14,11 +14,12 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, AlgebraShape, _derive_seed
+from .algebra import AlgebraShape, _derive_seed, stack_elements, stack_norms
 from .config import PipelineConfig
 from .defects import ApproxMap
 from .errors import PreconditionError
@@ -71,18 +72,26 @@ class KKReport:
         })
 
 
-def _nearest_candidates(y: np.ndarray, radius: float, conj: np.ndarray,
-                        exp: TraceExpectation):
-    """Norm-preserving candidates in the other copy: the conjugation witness
-    and the rescaled trace-expectation image."""
-    cands = [conj @ y @ conj.conj().T]
+def _nearest(y: np.ndarray, radius: np.ndarray, conj: np.ndarray,
+             exp: TraceExpectation):
+    """For each matrix of a (K, N, N) stack and its radius, the nearer of two
+    norm-preserving candidates in the other copy (the conjugation witness,
+    then the trace-expectation image rescaled to the radius, if nonzero),
+    and its distance."""
     p = exp.project(y)
-    nrm = la.op_norm(p)
-    if nrm > 1e-14 and radius > 0.0:
-        cands.append(p * (radius / nrm))
-    elif radius == 0.0:
-        cands.append(np.zeros_like(p))
-    return cands
+    nrm = la.op_norms(p)
+    scale = np.where(radius == 0.0, 0.0, radius / np.where(nrm > 1e-14, nrm, 1.0))
+    cands = np.stack([conj @ y @ conj.conj().T, p * scale[:, None, None]])
+    dist = la.op_norms(y - cands)
+    dist[1, (nrm <= 1e-14) & (radius > 0.0)] = np.inf
+    pick, rows = np.argmin(dist, axis=0), np.arange(len(y))
+    return cands[pick, rows], dist[pick, rows]
+
+
+def _nearest_point(psi: ApproxMap, conj: np.ndarray, exp: TraceExpectation,
+                   stack) -> np.ndarray:
+    """The nearest-point map x -> nearest candidate for psi(x), on a stack."""
+    return _nearest(psi.batch(stack), stack_norms(stack), conj, exp)[0]
 
 
 def kk_experiment(spec: EmbeddingSpec, eta: float,
@@ -106,35 +115,27 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
     exp2 = TraceExpectation(spec2)
 
     count = max(16, config.probes // 8)
-    sphere = sphere_probes(shape, count, _derive_seed(config.seed, "kk-sphere"))
-    lower = upper = 0.0
-    u_star = u.conj().T
-    for a in sphere:
-        r = a.norm()
-        x1 = psi1(a)
-        d1 = min(la.op_norm(x1 - c) for c in _nearest_candidates(x1, r, u, exp2))
-        lower1 = la.frob(x1 - exp2.project(x1)) / math.sqrt(n)
-        x2 = psi2(a)
-        d2 = min(la.op_norm(x2 - c) for c in _nearest_candidates(x2, r, u_star, exp1))
-        lower2 = la.frob(x2 - exp1.project(x2)) / math.sqrt(n)
-        upper = max(upper, d1, d2)
-        lower = max(lower, lower1, lower2)
-    estimate = KKEstimate(lower, upper, 2 * len(sphere))
+    sphere = stack_elements(sphere_probes(shape, count,
+                                          _derive_seed(config.seed, "kk-sphere")))
+    radius = stack_norms(sphere)
+    x1, x2 = psi1.batch(sphere), psi2.batch(sphere)
+    upper = max(_nearest(x1, radius, u, exp2)[1].max(),
+                _nearest(x2, radius, u.conj().T, exp1)[1].max())
+    lower = max(np.linalg.norm(x1 - exp2.project(x1), axis=(1, 2)).max(),
+                np.linalg.norm(x2 - exp1.project(x2), axis=(1, 2)).max()) / math.sqrt(n)
+    estimate = KKEstimate(float(lower), float(upper), 2 * len(radius))
 
-    def proxy(a: AlgebraElement) -> np.ndarray:
-        y = psi1(a)
-        cands = _nearest_candidates(y, a.norm(), u, exp2)
-        return min(cands, key=lambda c: la.op_norm(y - c))
-
-    phi = ApproxMap(shape, n, proxy, {"kind": "kk-nearest-point", "eta": eta})
-    ball = ball_probes(shape, min(config.probes, 96), _derive_seed(config.seed, "kk-ball"))
+    phi = ApproxMap(shape, n, None, {"kind": "kk-nearest-point", "eta": eta},
+                    stack_fn=partial(_nearest_point, psi1, u, exp2))
+    ball = stack_elements(ball_probes(shape, min(config.probes, 96),
+                                      _derive_seed(config.seed, "kk-ball")))
     # distances to the identity are homogeneous, so the sphere probes used
     # for the bracket are the right comparison set
-    phi_dist = max(la.op_norm(phi(x) - psi1(x)) for x in sphere)
+    phi_dist = la.op_norm(phi.batch(sphere) - x1)
 
     psi, rep = run_pipeline(phi, config, target=spec2)
     phi_defect = rep.input_defect
-    recovered = max(la.op_norm(psi(x) - psi1(x)) for x in ball)
+    recovered = la.op_norm(psi.batch(ball) - psi1.batch(ball))
 
     delta_claim = delta if delta is not None else 8.0 * eta
     assertions = [

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, AlgebraShape, matrix_units, stack_coeffs
+from .algebra import (AlgebraElement, AlgebraShape, matrix_units, stack_coeffs,
+                      stack_elements, stack_norms)
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError
 from .probes import ball_probes
@@ -177,14 +178,8 @@ def perturb_conjugate(psi: ApproxMap, s: np.ndarray) -> ApproxMap:
     except SingularMapError as exc:
         raise SingularMapError("conjugating matrix is singular") from exc
 
-    meta = {**psi.meta, "kind": "conjugate", "s_distance": dev}
-    if psi.basis is not None:
-        return ApproxMap.linear(psi.domain, psi.dim, s @ psi.basis @ s_inv, meta)
-
-    def fn(x: AlgebraElement) -> np.ndarray:
-        return s @ psi(x) @ s_inv
-
-    return ApproxMap(psi.domain, psi.dim, fn, meta)
+    return psi.compose_output(lambda f: s @ f @ s_inv, psi.dim,
+                              **{**psi.meta, "kind": "conjugate", "s_distance": dev})
 
 
 def near_identity(n: int, dist: float, seed: int = 0, hermitian: bool = True) -> np.ndarray:
@@ -245,12 +240,12 @@ def discretize(phi: ApproxMap, grid: float, probe_seed: int = 3,
         raise PreconditionError("grid step must be positive")
     out = phi.compose_input(lambda stack: tuple(lattice_quantize(s, grid) for s in stack),
                             kind="discretized", grid=grid)
-    lip = 0.0
-    for x in ball_probes(phi.domain, probe_count, probe_seed):
-        q = lattice_quantize(x, grid)
-        d = (x - q).norm()
-        if d > 1e-15:
-            lip = max(lip, la.op_norm(phi(x) - phi(q)) / d)
+    x = stack_elements(ball_probes(phi.domain, probe_count, probe_seed))
+    q = tuple(lattice_quantize(s, grid) for s in x)
+    d = stack_norms(tuple(a - b for a, b in zip(x, q)))
+    moved = d > 1e-15
+    lip = float(np.max(la.op_norms(phi.batch(x) - phi.batch(q))[moved] / d[moved],
+                       initial=0.0))
     bound = lip * mesh_constant(phi.domain) * grid
     out.meta["lipschitz"] = lip
     out.meta["distance_bound"] = bound

@@ -20,11 +20,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit
+from .algebra import (AlgebraShape, _derive_seed, identity, matrix_unit,
+                      stack_elements)
 from .averaging import (measure_group_map, restrict_to_unitaries, stabilize)
 from .config import PipelineConfig
 from .defects import ApproxMap, estimate_defect, normalize
@@ -160,8 +162,11 @@ def _auto_grid(eps: float, shape: AlgebraShape) -> float:
     return 2.0 ** -min(48, max(10, k))
 
 
-def _sup_dist(f, g, probes) -> float:
-    return max(la.op_norm(f(x) - g(x)) for x in probes)
+def _sup_dist(f: ApproxMap, g: ApproxMap, stack, q=None) -> float:
+    """sup ||f(x) - g(x)|| over a probe stack; with an isometry q, of the
+    differences re-embedded as q (f(x) - g(x)) q*."""
+    diff = f.batch(stack) - g.batch(stack)
+    return la.op_norm(diff if q is None else q @ diff @ q.conj().T)
 
 
 class _StageClock:
@@ -215,8 +220,10 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     stages: list[StageRecord] = []
     clock = _StageClock(stages)
     probes = ball_probes(shape, config.probes, _derive_seed(seed, "ball"))
+    ball = stack_elements(probes)
     pairs = unitary_pairs(shape, config.group_probes, _derive_seed(seed, "pairs"))
     probe_us = [u for u, _ in pairs] + [v for _, v in pairs]
+    us = stack_elements(probe_us)
 
     report_in = estimate_defect(phi, config.probes,
                                 det_cap=config.det_cap)
@@ -231,30 +238,25 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
 
     # 1. normalize -----------------------------------------------------------
     (phi1, rec) = clock.run("normalize", lambda: normalize(phi, report_in, min(64, config.probes)))
-    rec.movement = _sup_dist(phi1, phi, probes)
+    rec.movement = _sup_dist(phi1, phi, ball)
     rec.info = {"scale": phi1.meta.get("scale", 1.0),
                 "unit_rounding_moved": phi1.meta.get("unit_rounding_moved", 0.0)}
 
     # 2. discretize ----------------------------------------------------------
     h = config.grid_h if config.grid_h > 0.0 else _auto_grid(eps_in, shape)
     (phi2, rec) = clock.run("discretize", lambda: discretize(phi1, h))
-    rec.movement = _sup_dist(phi2, phi1, probes)
+    rec.movement = _sup_dist(phi2, phi1, ball)
     rec.info = {"grid": h, "distance_bound": phi2.meta["distance_bound"]}
 
     # 3. corner restriction (non-unital inputs) ------------------------------
     p_one = phi2(identity(shape))
     rank = int(round(float(np.real(np.trace(p_one)))))
-    corner = la.op_norm(p_one - np.eye(phi.dim)) > 1e-9
-    if corner:
-        def make_corner():
-            q = la.orthonormal_range(p_one, rank)
-            inner = ApproxMap(shape, rank, lambda x: q.conj().T @ phi2(x) @ q,
-                              {**phi2.meta, "corner_rank": rank})
-            return q, inner
-        ((q_iso, phi3), rec) = clock.run("corner", make_corner)
-        rec.movement = max(
-            la.op_norm(q_iso @ (q_iso.conj().T @ phi2(x) @ q_iso) @ q_iso.conj().T - phi2(x))
-            for x in probes)
+    if la.op_norm(p_one - np.eye(phi.dim)) > 1e-9:
+        q_iso, rec = clock.run("corner", lambda: la.orthonormal_range(p_one, rank))
+        phi3 = phi2.compose_output(partial(la.compress, q_iso), rank, corner_rank=rank)
+        values = phi2.batch(ball)
+        rec.movement = la.op_norm(q_iso @ la.compress(q_iso, values) @ q_iso.conj().T
+                                  - values)
         rec.info = {"rank": rank}
     else:
         q_iso, phi3 = None, phi2
@@ -264,7 +266,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # 4. restrict to the unitary group ---------------------------------------
     def make_group():
         rho = restrict_to_unitaries(phi3, seed=_derive_seed(seed, "group"))
-        kappa0 = max(la.op_norm(la.inv_cond(rho(u))) for u in probe_us)
+        kappa0 = la.op_norm(la.batched_inv_cond(rho.batch(us)))
         if kappa0 > 2.0 + 1e-6:
             raise PreconditionError(
                 f"inverse bound {kappa0:.3g} exceeds 2 on unitary probes")
@@ -312,12 +314,11 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     rec.info = {"block_dims": list(blocks.block_dims), "residual": blocks.residual}
 
     # commutator transport diagnostics
-    comm_u = max(la.op_norm(phi3(u) @ p - p @ phi3(u))
-                 for u in probe_us for p in blocks.projections)
+    p = np.stack(blocks.projections)[:, None]
+    comm_u, comm_a = (la.op_norm(f @ p - p @ f) for f in
+                      (phi3.batch(us), phi3.batch(tuple(s[:24] for s in ball))))
     comm_bound = 2.0 * (eps4_meas + eps2_meas) + 2.0 * blocks.residual \
         + post.mc + 1e-9
-    comm_a = max(la.op_norm(phi3(x) @ p - p @ phi3(x))
-                 for x in probes[:24] for p in blocks.projections)
     comm_a_bound = 8.0 * (eps4_meas + eps2_meas) + 8.0 * eps1 \
         + 8.0 * blocks.residual + post.mc + 1e-9
 
@@ -336,8 +337,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                 phi_k = _stone_block_map(pi_k, shape, verify,
                                          snap_tol=max(1e-3, verify))
             else:
-                phi_k = ApproxMap(shape, v_k.shape[1],
-                                  lambda x, v=v_k: v.conj().T @ phi3(x) @ v)
+                phi_k = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
             eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
             adm = config.correction_admissible if config.correction_admissible > 0.0 \
                 else max(1e-2, 2.0 * eps5_k)
@@ -351,12 +351,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             residual, mult_total
 
     ((psi_blocks, corr_residual, mults), rec) = clock.run("block-correction", correct_blocks)
-    if corner:
-        rec.movement = max(
-            la.op_norm(q_iso @ (psi_blocks(x) - phi3(x)) @ q_iso.conj().T)
-            for x in probes)
-    else:
-        rec.movement = _sup_dist(psi_blocks, phi3, probes)
+    rec.movement = _sup_dist(psi_blocks, phi3, ball, q_iso)
     rec.info = {"path": config.path, "relation_residual": corr_residual,
                 "multiplicities": mults}
 
@@ -378,12 +373,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             psi_blocks, target, tol=1e-9, probes=probes[:48],
             correction_kwargs=kw))
         _, psi_work, ni_info = ni_out
-        if corner:
-            rec.movement = max(
-                la.op_norm(q_iso @ (psi_work(x) - psi_blocks(x)) @ q_iso.conj().T)
-                for x in probes)
-        else:
-            rec.movement = _sup_dist(psi_work, psi_blocks, probes)
+        rec.movement = _sup_dist(psi_work, psi_blocks, ball, q_iso)
         rec.info = {k: ni_info[k] for k in
                     ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
                      "movement_bound", "movement_ok")}
@@ -398,7 +388,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     basis = psi_work.basis if q_iso is None else q_iso @ psi_work.basis @ q_iso.conj().T
     psi = ApproxMap.linear(shape, phi.dim, basis, {"kind": "recovered"})
 
-    final_distance = _sup_dist(psi, phi, probes)
+    final_distance = _sup_dist(psi, phi, ball)
     out_defect = estimate_defect(psi, min(config.probes, 64), det_cap=config.det_cap)
 
     if config.L > 0.0:

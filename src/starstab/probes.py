@@ -53,16 +53,6 @@ def deterministic_pairs(shape: AlgebraShape, cap_elems: int = 12, cap_pairs: int
     return pairs
 
 
-def random_contractions(shape: AlgebraShape, count: int, seed: int):
-    s = HaarSampler(shape, seed)
-    return [s.contraction() for _ in range(count)]
-
-
-def random_sphere(shape: AlgebraShape, count: int, seed: int):
-    s = HaarSampler(shape, seed)
-    return [s.sphere() for _ in range(count)]
-
-
 def random_unitaries(shape: AlgebraShape, count: int, seed: int):
     s = HaarSampler(shape, seed)
     return [s.unitary() for _ in range(count)]
@@ -77,7 +67,8 @@ def ball_probes(shape: AlgebraShape, count: int, seed: int, det_cap: int = 24):
     """Deterministic unit-ball probes padded with random contractions."""
     det = deterministic_elements(shape, cap=det_cap)
     extra = max(0, count - len(det))
-    return det + random_contractions(shape, extra, seed)
+    s = HaarSampler(shape, seed)
+    return det + [s.contraction() for _ in range(extra)]
 
 
 def sphere_probes(shape: AlgebraShape, count: int, seed: int):
@@ -88,5 +79,6 @@ def sphere_probes(shape: AlgebraShape, count: int, seed: int):
             for j in range(n):
                 out.append(matrix_unit(shape, b, i, j))
     out = out[:count] if len(out) > count else out
-    out += random_sphere(shape, max(0, count - len(out)), seed)
+    s = HaarSampler(shape, seed)
+    out += [s.sphere() for _ in range(max(0, count - len(out)))]
     return out

@@ -48,7 +48,9 @@ def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
     """
     if probe_us is None:
         probe_us = random_unitaries(tau.domain, 8, _derive_seed(tau.seed, "unit-probes"))
-    eps3 = max(la.op_norm(tau(u).conj().T @ tau(u) - np.eye(tau.dim)) for u in probe_us)
+    us = stack_elements(probe_us)
+    tau_us = tau.batch(us)
+    eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
     if not eps3 < 0.5:
         raise PreconditionError(
             f"Gram deviation {eps3:.3g} >= 1/2: too far from unitary to unitarize")
@@ -71,9 +73,10 @@ def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
     pi = GroupMap(tau.domain, tau.dim, fn, level=tau.level, seed=tau.seed,
                   meta={**tau.meta, "unitarized": True})
     if eps2 is None:
-        eps2 = max(max(la.op_norm(tau(u)) for u in probe_us) - 1.0, 0.0)
-    move = max(la.op_norm(pi(u) - tau(u)) for u in probe_us)
-    max_snap = max(la.op_norm(t @ tau(u) @ t_inv - pi(u)) for u in probe_us)
+        eps2 = max(la.op_norm(tau_us) - 1.0, 0.0)
+    pi_us = pi.batch(us)
+    move = la.op_norm(pi_us - tau_us)
+    max_snap = la.op_norm(t @ tau_us @ t_inv - pi_us)
     dev_bound = eps3 + mc + 1e-12
     move_bound = 2.0 * (1.0 + eps2) * eps3 / (1.0 - eps3) + mc + snap_tol + 1e-12
     info = {
@@ -163,13 +166,13 @@ def _commutant_basis(mats, hint: float):
     return v[:, :dim].T
 
 
-def _fixed_hermitians(n: int):
-    """Two fixed Hermitian n x n matrices with distinct diagonal entries and
-    off-diagonal coupling (real, then imaginary), the split's probes."""
+def _fixed_hermitians(n: int) -> np.ndarray:
+    """The split's two fixed Hermitian n x n probes: distinct diagonal
+    entries and off-diagonal coupling (real, then imaginary)."""
     i, j = np.indices((n, n))
     diag = np.diag(np.arange(1.0, n + 1.0))
-    return (diag + 1.0 / (1.0 + np.abs(i - j) + i + j) * (i != j),
-            diag + 1j * np.sign(j - i) / (2.0 + np.abs(i - j)))
+    return np.stack([diag + 1.0 / (1.0 + np.abs(i - j) + i + j) * (i != j),
+                     diag + 1j * np.sign(j - i) / (2.0 + np.abs(i - j))])
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float):
@@ -221,12 +224,8 @@ def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
     split = _split_once(mats, hint, hs)
     if split is None:
         return [np.eye(n, dtype=complex)]
-    out = []
-    for v in split:
-        sub = [la.compress(v, h) for h in hs]
-        for w in _decompose_mats(la.compress(v, mats), hint, sub, depth + 1, ambient):
-            out.append(np.ascontiguousarray(v @ w))
-    return out
+    return [v @ w for v in split for w in _decompose_mats(
+        la.compress(v, mats), hint, la.compress(v, hs), depth + 1, ambient)]
 
 
 def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
@@ -257,14 +256,10 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
         if len(_commutant_basis(la.compress(v, mats), hint)) != 1:
             raise SingularMapError("a block failed its irreducibility certificate")
     tiebreak = np.diag(np.arange(pi.dim, dtype=float))
-    keyed = []
-    for v in isoms:
-        p = la.herm(v @ v.conj().T)
-        d = v.shape[1]
-        keyed.append(((d, round(float(np.real(np.trace(p @ tiebreak))), 6)), p, d))
-    keyed.sort(key=lambda t: t[0])
-    projections = tuple(p for _, p, _ in keyed)
-    dims = tuple(d for _, _, d in keyed)
+    keyed = sorted((((v.shape[1], round(float(np.real(np.trace(p @ tiebreak))), 6)), p)
+                    for v in isoms for p in [la.herm(v @ v.conj().T)]), key=lambda t: t[0])
+    projections = tuple(p for _, p in keyed)
+    dims = tuple(d for (d, _), _ in keyed)
     p = np.stack(projections)[:, None]
     resid = la.op_norm(p @ mats - mats @ p)
     if resid > tol:

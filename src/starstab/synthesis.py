@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, from_blockdiag, identity,
-                      matrix_unit)
+                      matrix_unit, matrix_units, stack_elements, stack_norms)
 from .defects import ApproxMap, estimate_defect
 from .errors import (GapError, MultiplicityMismatch, PreconditionError,
                      SingularMapError)
@@ -189,9 +189,8 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
         raise SingularMapError(
             f"matrix-unit relations only hold to {resid:.3g} (tolerance {tol:.3g})")
     psi = system.as_map()
-    if probes is None:
-        probes = ball_probes(shape, 48, seed=23)
-    dist = max(la.op_norm(psi(x) - phi(x)) for x in probes)
+    probes = stack_elements(ball_probes(shape, 48, seed=23) if probes is None else probes)
+    dist = la.op_norm(psi.batch(probes) - phi.batch(probes))
     bound = assert_factor * eps + 1e-9
     info = {"distance": dist, "distance_bound": bound, "distance_ok": dist <= bound,
             "relation_residual": resid, "epsilon": eps,
@@ -227,10 +226,9 @@ def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarr
     m2, d2 = _multiplicity_profile(psi2)
     if m1 != m2 or d1 != d2:
         raise MultiplicityMismatch((m1, d1), (m2, d2))
-    x = np.zeros((n, n), dtype=complex)
-    for b, nb in enumerate(shape.blocks):
-        for i in range(nb):
-            x = x + psi2(matrix_unit(shape, b, i, 0)) @ psi(matrix_unit(shape, b, 0, i))
+    column = stack_elements(matrix_unit(shape, b, i, 0)
+                            for b, nb in enumerate(shape.blocks) for i in range(nb))
+    x = (psi2.batch(column) @ psi.batch(tuple(la.adj(c) for c in column))).sum(axis=0)
     if d1 > 0:
         p1 = psi(identity(shape))
         p2 = psi2(identity(shape))
@@ -243,12 +241,8 @@ def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarr
     if s[-1] < 1e-8:
         raise SingularMapError("unit-matching sum is singular (maps too far apart)")
     v = la.polar_unitary(x)
-    worst = 0.0
-    for b, nb in enumerate(shape.blocks):
-        for i in range(nb):
-            for j in range(nb):
-                e = matrix_unit(shape, b, i, j)
-                worst = max(worst, la.op_norm(v @ psi(e) @ v.conj().T - psi2(e)))
+    units = stack_elements(e for *_, e in matrix_units(shape))
+    worst = la.op_norm(v @ psi.batch(units) @ v.conj().T - psi2.batch(units))
     if worst > tol:
         raise SingularMapError(f"intertwiner residual {worst:.3g} exceeds {tol:.3g}")
     return v
@@ -260,7 +254,8 @@ class TraceExpectation:
 
     Held as the embedding's basis tensor g^b_{ij} and one weight per unit,
     1/m_b (0 for a block of multiplicity 0, whose units are zero): E(y) has
-    the coefficients (1/m_b) tr(g^b_{ij}* y) in that basis.
+    the coefficients (1/m_b) tr(g^b_{ij}* y) in that basis.  Every method
+    takes a matrix or a (K, N, N) stack.
     """
 
     def __init__(self, spec: EmbeddingSpec):
@@ -268,35 +263,39 @@ class TraceExpectation:
         self.dim = spec.dim
         self.basis = exact_homomorphism(spec).basis
         self._flat = self.basis.reshape(len(self.basis), -1)
-        self._flat_conj = self._flat.conj()
+        self._flat_conj_t = self._flat.conj().T
         sizes = [nb * nb for nb in spec.shape.blocks]
         self._weights = np.repeat([1.0 / m if m else 0.0 for m in spec.multiplicities],
                                   sizes)
-        self._splits = np.cumsum(sizes)[:-1]
+        self._blockdiag = np.stack([e.as_blockdiag().ravel()
+                                    for *_, e in matrix_units(spec.shape)])
 
     def _coefficients(self, y: np.ndarray) -> np.ndarray:
-        return (self._flat_conj @ y.ravel()) * self._weights
+        return (y.reshape(*y.shape[:-2], -1) @ self._flat_conj_t) * self._weights
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        return (self._coefficients(y) @ self._flat).reshape(self.dim, self.dim)
+        return (self._coefficients(y) @ self._flat).reshape(y.shape)
 
-    def distance(self, y: np.ndarray, radius: float | None = None) -> float:
-        """Operator-norm distance from y to the (radius-clipped) image."""
+    def distance(self, y: np.ndarray, radius=None) -> float:
+        """Operator-norm distance from y to the image, each projection
+        clipped to its radius (one per matrix of a stack); on a stack, the
+        largest of the distances."""
         p = self.project(y)
         if radius is not None:
-            nrm = la.op_norm(p)
-            if nrm > radius > 0.0:
-                p = p * (radius / nrm)
-            elif radius == 0.0:
-                p = np.zeros_like(p)
+            nrm = la.op_norms(p)
+            scale = np.where(nrm > radius, radius / np.where(nrm > 0.0, nrm, 1.0), 1.0)
+            p = p * np.where(np.equal(radius, 0.0), 0.0, scale)[..., None, None]
         return la.op_norm(y - p)
 
     def pull_back(self, y: np.ndarray) -> AlgebraElement:
         """Coordinates of E(y) in the abstract copy of the subalgebra."""
-        blocks = self.spec.shape.blocks
-        coeffs = np.split(self._coefficients(y), self._splits)
-        return AlgebraElement(self.spec.shape,
-                              [c.reshape(nb, nb) for c, nb in zip(coeffs, blocks)])
+        return from_blockdiag(self.spec.shape, self.blockdiag(y))
+
+    def blockdiag(self, y: np.ndarray) -> np.ndarray:
+        """E(y) in the block-diagonal coordinates of the subalgebra, as
+        ``pull_back(y).as_blockdiag()``."""
+        n = self.spec.shape.blockdiag_dim
+        return (self._coefficients(y) @ self._blockdiag).reshape(*y.shape[:-2], n, n)
 
 
 def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9,
@@ -311,19 +310,16 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
     if target.dim != psi1.dim:
         raise PreconditionError("target subalgebra lives in a different matrix size")
     exp = TraceExpectation(target)
-    if probes is None:
-        probes = ball_probes(psi1.domain, 48, seed=29)
-    eps6 = max(exp.distance(psi1(x), radius=x.norm()) for x in probes)
+    probes = stack_elements(ball_probes(psi1.domain, 48, seed=29) if probes is None
+                            else probes)
+    values = psi1.batch(probes)
+    eps6 = exp.distance(values, stack_norms(probes))
     kw = dict(correction_kwargs or {})
 
     # correct inside the subalgebra: work in block-diagonal coordinates
     small_shape = target.shape
-    small_dim = small_shape.blockdiag_dim
-
-    def small_fn(x: AlgebraElement) -> np.ndarray:
-        return exp.pull_back(psi1(x)).as_blockdiag()
-
-    small = ApproxMap(psi1.domain, small_dim, small_fn, {"kind": "expectation-compressed"})
+    small = psi1.compose_output(exp.blockdiag, small_shape.blockdiag_dim,
+                                kind="expectation-compressed")
     _, psi_small, corr_info = matrix_unit_correction(small, tol=tol, **kw)
 
     embedded = np.stack([target.embed(from_blockdiag(small_shape, f))
@@ -340,7 +336,7 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
         _, psi1_exact, corr1_info = matrix_unit_correction(psi1, tol=tol, **kw)
     v = intertwiner(psi1_exact, psi_b, tol=max(tol, 1e-10))
     v_dev = la.op_norm(v - np.eye(psi1.dim))
-    movement = max(la.op_norm(v @ psi1(x) @ v.conj().T - psi1(x)) for x in probes)
+    movement = la.op_norm(v @ values @ v.conj().T - values)
     root = np.sqrt(max(eps6, 1e-12))
     info = {
         "eps6": eps6,

@@ -6,11 +6,13 @@ import pytest
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               coeff_vector, identity, stack_elements)
-from starstab.defects import ApproxMap, estimate_defect, normalize
+from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
+                              estimate_defect, normalize)
 from starstab.errors import EvaluationError
 from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, perturb_additive)
+from starstab.probes import deterministic_pairs
 
 SHAPE = AlgebraShape([1, 2])
 
@@ -109,3 +111,59 @@ def test_non_finite_image_names_the_element():
     with pytest.raises(EvaluationError) as err:
         ApproxMap(SHAPE, 4, fn)(bad)
     assert err.value.offending.key() == bad.key()
+
+
+def test_opaque_evaluator_error_names_the_first_failing_row():
+    psi = embedding()
+    xs = inputs()
+    bad = {xs[5].key(), xs[8].key()}
+
+    def fn(x):
+        if x.key() in bad:
+            raise ValueError("boom")
+        return psi(x)
+
+    with pytest.raises(EvaluationError) as err:
+        ApproxMap(SHAPE, 4, fn).batch(stack_elements(xs))
+    assert err.value.offending.key() == xs[5].key()
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def reference_defects(m, triples):
+    """The per-pair loop that took the five suprema before they were taken
+    on stacks, kept as the reference."""
+    add = scal = mult = adj = excess = 0.0
+    for x, y, lam in triples:
+        fx, fy = m(x), m(y)
+        add = max(add, la.op_norm(m(x + y) - fx - fy))
+        scal = max(scal, la.op_norm(m(lam * x) - lam * fx))
+        mult = max(mult, la.op_norm(m(x * y) - fx @ fy))
+        adj = max(adj, la.op_norm(m(x.adjoint()) - fx.conj().T))
+        excess = max(excess, la.op_norm(fx) - 1.0, la.op_norm(fy) - 1.0)
+    return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(triples))
+
+
+def defect_triples(shape, samples, det_cap):
+    sampler = HaarSampler(shape, seed=0)
+    triples = []
+    for i in range(samples):
+        s = sampler.fork(("defect", i))
+        triples.append((s.contraction(), s.contraction(), s.disc_scalar()))
+    return triples + deterministic_pairs(shape, cap_elems=det_cap)
+
+
+@pytest.mark.parametrize("shape, mults", [(SHAPE, (2, 1)), (AlgebraShape([2]), (2,))])
+def test_stacked_defects_match_the_per_pair_loop(shape, mults):
+    psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0, haar_conjugator(4, 5)))
+    triples = defect_triples(shape, 24, 8)
+
+    def opaque():   # a fresh per-element map, nonlinear and not *-preserving
+        return ApproxMap(shape, psi.dim, lambda x: psi(x) + 1e-3 * psi(x) @ psi(x) @ psi(x))
+
+    assert _defects_on_pairs(opaque(), triples) == reference_defects(opaque(), triples)
+    assert estimate_defect(opaque(), 24, det_cap=8) == reference_defects(opaque(), triples)
+    for m in (psi, perturb_additive(psi, 1e-3, seed=3)):
+        got, ref = _defects_on_pairs(m, triples), reference_defects(m, triples)
+        assert got.sample_count == ref.sample_count
+        for f in ("add_defect", "scalar_defect", "mult_defect", "adj_defect", "norm_excess"):
+            assert abs(getattr(got, f) - getattr(ref, f)) <= 1e-12, f
