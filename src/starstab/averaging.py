@@ -197,8 +197,8 @@ def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
     delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])
     mc = close = close_mc = 0.0
     if measured[0][1] is not None:
-        b = np.stack([_batch_means(t, batches) for _, t in measured])
-        b = b.reshape(len(pairs), 3, *b.shape[1:])
+        b = np.stack([_batch_means(t, batches) for _, t in measured]).reshape(
+            len(pairs), 3, -1, rho.dim, rho.dim)
         mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
     if against is not None:
         g = np.stack([against(w) for w in points]).reshape(f.shape)

@@ -66,9 +66,8 @@ def unitary_pairs(shape: AlgebraShape, count: int, seed: int):
 def ball_probes(shape: AlgebraShape, count: int, seed: int, det_cap: int = 24):
     """Deterministic unit-ball probes padded with random contractions."""
     det = deterministic_elements(shape, cap=det_cap)
-    extra = max(0, count - len(det))
     s = HaarSampler(shape, seed)
-    return det + [s.contraction() for _ in range(extra)]
+    return det + [s.contraction() for _ in range(count - len(det))]
 
 
 def sphere_probes(shape: AlgebraShape, count: int, seed: int):
@@ -80,5 +79,5 @@ def sphere_probes(shape: AlgebraShape, count: int, seed: int):
                 out.append(matrix_unit(shape, b, i, j))
     out = out[:count] if len(out) > count else out
     s = HaarSampler(shape, seed)
-    out += [s.sphere() for _ in range(max(0, count - len(out)))]
+    out += [s.sphere() for _ in range(count - len(out))]
     return out

@@ -4,8 +4,8 @@ representations, and from those to per-block *-homomorphism data.
 Unitarization conjugates by the square root of an averaged Gram matrix and
 polar-snaps the result, so downstream spectral calculus always sees exactly
 unitary input.  Irreducible blocks are found through the commutant: the
-eigenprojections of a generic Hermitian element of the (numerical)
-commutant of sampled generators are minimal invariant projections, and a
+eigenprojections of a fixed Hermitian matrix projected onto the (numerical)
+commutant of sampled generators split off invariant subspaces, and a
 block is certified irreducible when its restricted commutant is
 one-dimensional.
 """
@@ -256,10 +256,14 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
         if len(_commutant_basis(la.compress(v, mats), hint)) != 1:
             raise SingularMapError("a block failed its irreducibility certificate")
     tiebreak = np.diag(np.arange(pi.dim, dtype=float))
-    keyed = sorted((((v.shape[1], round(float(np.real(np.trace(p @ tiebreak))), 6)), p)
-                    for v in isoms for p in [la.herm(v @ v.conj().T)]), key=lambda t: t[0])
-    projections = tuple(p for _, p in keyed)
-    dims = tuple(d for (d, _), _ in keyed)
+    keyed = []
+    for v in isoms:
+        p = la.herm(v @ v.conj().T)
+        d = v.shape[1]
+        keyed.append(((d, round(float(np.real(np.trace(p @ tiebreak))), 6)), p, d))
+    keyed.sort(key=lambda t: t[0])
+    projections = tuple(p for _, p, _ in keyed)
+    dims = tuple(d for _, _, d in keyed)
     p = np.stack(projections)[:, None]
     resid = la.op_norm(p @ mats - mats @ p)
     if resid > tol:

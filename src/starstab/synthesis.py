@@ -204,15 +204,13 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
 def _multiplicity_profile(psi: ApproxMap, tol: float = 1e-6):
     """(multiplicity per block, padding rank) of an exact embedding."""
     shape = psi.domain
-    mults = []
-    for b in range(len(shape.blocks)):
-        p = psi(matrix_unit(shape, b, 0, 0))
-        if la.op_norm(p @ p - p) > tol:
-            raise PreconditionError("map is not an exact homomorphism "
-                                    "(corner image is not a projection)")
-        mults.append(int(round(float(np.real(np.trace(p))))))
-    rank = int(round(float(np.real(np.trace(psi(identity(shape)))))))
-    return tuple(mults), psi.dim - rank
+    corners = [matrix_unit(shape, b, 0, 0) for b in range(len(shape.blocks))]
+    p = psi.batch(stack_elements(corners + [identity(shape)]))
+    if la.op_norm(p @ p - p) > tol:
+        raise PreconditionError("map is not an exact homomorphism "
+                                "(corner or unit image is not a projection)")
+    ranks = [int(round(float(t))) for t in np.trace(p, axis1=1, axis2=2).real]
+    return tuple(ranks[:-1]), psi.dim - ranks[-1]
 
 
 def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarray:
@@ -264,9 +262,8 @@ class TraceExpectation:
         self.basis = exact_homomorphism(spec).basis
         self._flat = self.basis.reshape(len(self.basis), -1)
         self._flat_conj_t = self._flat.conj().T
-        sizes = [nb * nb for nb in spec.shape.blocks]
         self._weights = np.repeat([1.0 / m if m else 0.0 for m in spec.multiplicities],
-                                  sizes)
+                                  [nb * nb for nb in spec.shape.blocks])
         self._blockdiag = np.stack([e.as_blockdiag().ravel()
                                     for *_, e in matrix_units(spec.shape)])
 

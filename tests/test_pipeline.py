@@ -130,8 +130,8 @@ def test_input_defect_is_measured_once(monkeypatch):
 @pytest.mark.parametrize("path", ["units", "stone"])
 def test_final_distance_is_stable_under_rounding(path):
     # a 1e-16 change of the input values must not rotate the irreducible
-    # split; at eta = 1e-2 rounding alone moves the ~8e-3 distances by
-    # about 1e-15, so 1e-12 relative leaves room only for rounding
+    # split; at eta = 1e-2 rounding alone moves the ~8e-3 distances by a
+    # few 1e-15, so 1e-12 relative leaves room only for rounding
     cfg = FAST.replace(path=path)
     for exp_id, phi, _, _ in sweep_instances([1e-2], 1, cfg):
         e = np.random.default_rng(0).standard_normal((phi.dim, phi.dim))

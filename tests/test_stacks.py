@@ -157,7 +157,7 @@ def test_stacked_defects_match_the_per_pair_loop(shape, mults):
     psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0, haar_conjugator(4, 5)))
     triples = defect_triples(shape, 24, 8)
 
-    def opaque():   # a fresh per-element map, nonlinear and not *-preserving
+    def opaque():   # a fresh per-element map, nonlinear and not multiplicative
         return ApproxMap(shape, psi.dim, lambda x: psi(x) + 1e-3 * psi(x) @ psi(x) @ psi(x))
 
     assert _defects_on_pairs(opaque(), triples) == reference_defects(opaque(), triples)
