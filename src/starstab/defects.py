@@ -262,9 +262,10 @@ def is_eps_nonzero(m: ApproxMap, eps: float, probes):
     """True iff some norm-one probe keeps ||phi(a)|| >= 1 - eps; returns the
     first such witness."""
     unit = [a for a in probes if abs(a.norm() - 1.0) <= 1e-9]
-    hits = np.flatnonzero(la.op_norms(m.batch(stack_elements(unit))) >= 1.0 - eps) \
-        if unit else ()
-    return (True, unit[hits[0]]) if len(hits) else (False, None)
+    if not unit:
+        return False, None
+    hits = np.flatnonzero(la.op_norms(m.batch(stack_elements(unit))) >= 1.0 - eps)
+    return (True, unit[hits[0]]) if hits.size else (False, None)
 
 
 def s_iterate(x: AlgebraElement, n: int) -> AlgebraElement:

@@ -187,16 +187,16 @@ def _cluster_eigenvalues(w: np.ndarray, gap: float):
 def _split_once(mats, hint: float, hs):
     """One commutant-driven split of the current space; returns isometries.
 
-    The split element is the orthogonal projection herm(B B* H) of a fixed
-    Hermitian H onto the commutant (B an orthonormal basis of it), which
-    does not depend on how the solver rotates B, with its trace part
-    removed and scaled to norm one; the second H is the fallback when the
-    first gives one eigenvalue cluster.
+    The split element is the orthogonal projection B B* H of a fixed
+    Hermitian H onto the commutant (B an orthonormal basis of it), less its
+    trace part and scaled to norm one.  B B* does not depend on how the
+    solver rotates B.  The second H is the fallback when the first gives
+    one eigenvalue cluster.
     """
     basis = _commutant_basis(mats, hint)
     if len(basis) == 1:
         return None     # irreducible here
-    resid_scale = None
+    resid = None
     for h in hs:
         x = la.herm(((basis.conj() @ h.ravel()) @ basis).reshape(h.shape))
         x = x - np.trace(x).real / len(x) * np.eye(len(x))
@@ -210,9 +210,8 @@ def _split_once(mats, hint: float, hs):
         groups = _cluster_eigenvalues(w, gap)
         if len(groups) > 1:
             return [np.ascontiguousarray(v[:, g]) for g in groups]
-        resid_scale = resid
     raise SingularMapError(
-        f"eigenvalue clustering degenerate twice (residual {resid_scale})")
+        f"eigenvalue clustering degenerate twice (residual {resid})")
 
 
 def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
