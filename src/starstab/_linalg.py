@@ -70,13 +70,16 @@ def normal_fun(x: np.ndarray, fn, normal_tol: float = 1e-8) -> np.ndarray:
 
 
 def polar_unitary(x: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition (via SVD)."""
+    """Unitary factor of the polar decomposition (via SVD), of a matrix or
+    of each matrix of a stack."""
     u, _, vh = np.linalg.svd(x)
     return u @ vh
 
 
 def snap_unitary(x: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Replace a near-unitary matrix by its polar factor; error if too far."""
+    """Replace a near-unitary matrix, or each matrix of a stack, by its polar
+    factor; returns the factors and the largest distance moved, and raises
+    SnapError carrying that distance when it exceeds ``tol``."""
     w = polar_unitary(x)
     dist = op_norm(x - w)
     if dist > tol:

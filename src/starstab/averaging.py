@@ -74,85 +74,85 @@ def schedule(eps1: float, n_max: int) -> IterationSchedule:
 @dataclass(eq=False)
 class GroupMap:
     """Deterministic map from the unitary group of an algebra into invertible
-    N x N matrices; values are memoized by the canonical bytes of the input,
-    in a memo that is cleared when it reaches ``_MEMO_CAP`` entries."""
+    N x N matrices, evaluated as an ``ApproxMap`` is: by an opaque per-element
+    ``fn`` or a ``stack_fn`` of a per-block stack.  ``batch`` is the one
+    evaluation path; a single point is a one-row stack."""
 
     domain: AlgebraShape
     dim: int
-    fn: Callable[[AlgebraElement], np.ndarray]
+    fn: Callable[[AlgebraElement], np.ndarray] | None = None
     level: int = 0
     seed: int = 0
     meta: dict = field(default_factory=dict)
-
-    _MEMO_CAP = 8192
-
-    def __post_init__(self):
-        self._memo: dict[bytes, np.ndarray] = {}
+    stack_fn: Callable[[tuple], np.ndarray] | None = None
 
     def __call__(self, u: AlgebraElement) -> np.ndarray:
-        key = u.key()
-        out = self._memo.get(key)
-        if out is None:
-            out = remember(self._memo, key,
-                           np.ascontiguousarray(self.fn(u), dtype=complex),
-                           self._MEMO_CAP)
-        return out
+        return self.batch(tuple(a[None] for a in u.blocks))[0]
 
     def batch(self, stack) -> np.ndarray:
-        """Values at the K elements of a per-block stack, as (K, N, N).
+        """Values at the K points of a per-block stack, as (K, N, N)."""
+        if self.stack_fn is not None:
+            return self.stack_fn(stack)
+        return np.stack([self.fn(stack_row(self.domain, stack, k))
+                         for k in range(stack[0].shape[0])]).astype(complex, copy=False)
 
-        An evaluator with a stack form (an ApproxMap) evaluates the whole
-        stack and skips the memo; otherwise each element is called."""
-        evaluate = getattr(self.fn, "batch", None)
-        if evaluate is not None:
-            return evaluate(stack)
-        return np.stack([self(stack_row(self.domain, stack, k))
-                         for k in range(stack[0].shape[0])])
-
-    def terms(self, u: AlgebraElement) -> np.ndarray | None:
-        """Per-sample averaging terms, (M, N, N); None below level 1."""
-        return None
-
-    def value_and_terms(self, u: AlgebraElement):
-        """(value at u, its averaging terms or None)."""
-        return self(u), self.terms(u)
+    def compose_output(self, post: Callable[[np.ndarray], np.ndarray], dim: int,
+                       seed: int | None = None, **meta) -> "GroupMap":
+        """u -> post(self(u)), where ``post`` maps a (K, N, N) stack of values
+        row by row to a (K, dim, dim) stack; keeps the level and (unless
+        given) the seed, and adds ``meta``."""
+        return GroupMap(self.domain, dim, level=self.level,
+                        seed=self.seed if seed is None else seed,
+                        meta={**self.meta, **meta},
+                        stack_fn=lambda stack: post(self.batch(stack)))
 
 
 class AveragedGroupMap(GroupMap):
     """One averaging pass over a fixed sample set of the parent map; the
     samples are held as a per-block stack with their parent values'
-    inverses alongside."""
+    inverses alongside.  A value costs a whole pass, so it is the one group
+    map with a memo: values keyed by the point's canonical bytes, cleared
+    when it reaches ``_MEMO_CAP`` entries."""
+
+    _MEMO_CAP = 8192
 
     def __init__(self, parent: GroupMap, samples: tuple, inverses: np.ndarray, seed: int):
         self.parent = parent
         self.samples = samples
         self.inverses = inverses
-        super().__init__(parent.domain, parent.dim, self._average,
-                         level=parent.level + 1, seed=seed,
-                         meta={**parent.meta, "width": len(inverses)})
+        self._memo: dict[bytes, np.ndarray] = {}
+        super().__init__(parent.domain, parent.dim, level=parent.level + 1, seed=seed,
+                         meta={**parent.meta, "width": len(inverses)},
+                         stack_fn=self._values)
 
-    def _average(self, u: AlgebraElement) -> np.ndarray:
-        return self.terms(u).mean(axis=0)
+    def terms(self, stack) -> np.ndarray:
+        """rho(x_j)^{-1} rho(x_j u) for all samples x_j at each point u of a
+        per-block stack, as (K, M, N, N): per point one stacked product per
+        block and one parent batch of M rows.  Memoizes each point's value,
+        the mean of its terms."""
+        out = []
+        for k in range(stack[0].shape[0]):
+            u = stack_row(self.domain, stack, k)
+            t = self.inverses @ self.parent.batch(
+                tuple(x @ b for x, b in zip(self.samples, u.blocks)))
+            remember(self._memo, u.key(), t.mean(axis=0), self._MEMO_CAP)
+            out.append(t)
+        return np.stack(out)
 
-    def terms(self, u: AlgebraElement) -> np.ndarray:
-        """rho(x_j)^{-1} rho(x_j u) for all samples x_j: one stacked product
-        per block and one batched evaluation of the parent."""
-        products = tuple(x @ b for x, b in zip(self.samples, u.blocks))
-        return self.inverses @ self.parent.batch(products)
-
-    def value_and_terms(self, u: AlgebraElement):
-        """Both from one stack; the value is memoized as ``self(u)`` would."""
-        t = self.terms(u)
-        key = u.key()
-        value = self._memo.get(key)
-        if value is None:
-            value = remember(self._memo, key, t.mean(axis=0), self._MEMO_CAP)
-        return value, t
+    def _values(self, stack) -> np.ndarray:
+        values = []
+        for k in range(stack[0].shape[0]):
+            key = stack_row(self.domain, stack, k).key()
+            if key not in self._memo:       # a one-row pass stores its key last
+                self.terms(tuple(s[k:k + 1] for s in stack))
+            values.append(self._memo[key])
+        return np.stack(values)
 
 
 def restrict_to_unitaries(m: ApproxMap, seed: int = 0) -> GroupMap:
     """Level-0 group map: the approximate homomorphism on the unitary group."""
-    return GroupMap(m.domain, m.dim, m, level=0, seed=seed, meta=dict(m.meta))
+    return GroupMap(m.domain, m.dim, level=0, seed=seed, meta=dict(m.meta),
+                    stack_fn=m.batch)
 
 
 @dataclass(frozen=True)
@@ -187,23 +187,24 @@ def _spread(mats: np.ndarray) -> float:
 
 def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
                       against: GroupMap | None = None) -> GroupMeasurement:
-    """Measure kappa, the defect and their Monte-Carlo error over probe pairs,
-    each supremum as one batched norm over the points u, v and uv."""
-    points = [w for u, v in pairs for w in (u, v, u * v)]
-    measured = [rho.value_and_terms(w) for w in points]
-    f = np.stack([val for val, _ in measured]).reshape(len(pairs), 3, rho.dim, rho.dim)
+    """Measure kappa, the defect and their Monte-Carlo error over probe pairs:
+    ``rho`` (and ``against``) evaluate the points u, v and uv of all pairs as
+    one stack, and each supremum is one batched norm."""
+    points = stack_elements([w for u, v in pairs for w in (u, v, u * v)])
+    terms = rho.terms(points) if isinstance(rho, AveragedGroupMap) else None
+    f = rho.batch(points).reshape(len(pairs), 3, rho.dim, rho.dim)
     s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
     kappa = float(np.max(1.0 / np.maximum(s, 1e-300)))
     delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])
     mc = close = close_mc = 0.0
-    if measured[0][1] is not None:
-        b = np.stack([_batch_means(t, batches) for _, t in measured]).reshape(
+    if terms is not None:
+        b = np.stack([_batch_means(t, batches) for t in terms]).reshape(
             len(pairs), 3, -1, rho.dim, rho.dim)
         mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
     if against is not None:
-        g = np.stack([against(w) for w in points]).reshape(f.shape)
+        g = against.batch(points).reshape(f.shape)
         close = la.op_norm(f - g)
-        if measured[0][1] is not None:
+        if terms is not None:
             close_mc = _spread(b[:, :2] - g[:, :2, None])
     return GroupMeasurement(kappa, delta, mc, close, close_mc, len(pairs))
 
@@ -235,19 +236,23 @@ class AveragingPass:
 
 def average_once(rho: GroupMap, width: int, probe_pairs=None,
                  batches: int = 8, probe_seed: int = 17,
-                 translate_by: AlgebraElement | None = None) -> tuple[GroupMap, AveragingPass]:
+                 translate_by: AlgebraElement | None = None,
+                 before: GroupMeasurement | None = None) -> tuple[GroupMap, AveragingPass]:
     """One averaging pass with ``width`` common Haar samples.
 
-    Requires the measured hypothesis delta < kappa^{-2}.  The returned pass
-    records the quadratic bound 2 kappa^2 delta^2 + mc, the closeness bound
-    kappa delta + mc and the inverse bound kappa/(1 - kappa^2 delta) + mc,
-    each padded by the machine floor.
+    ``before``, when given, is the caller's measurement of ``rho`` on the
+    same pairs and batches.  Requires the measured hypothesis
+    delta < kappa^{-2}.  The returned pass records the quadratic bound
+    2 kappa^2 delta^2 + mc, the closeness bound kappa delta + mc and the
+    inverse bound kappa/(1 - kappa^2 delta) + mc, each padded by the
+    machine floor.
     """
     if width < 2:
         raise PreconditionError("averaging width must be >= 2")
     if probe_pairs is None:
         probe_pairs = unitary_pairs(rho.domain, 8, _derive_seed(rho.seed, "probes", probe_seed))
-    before = measure_group_map(rho, probe_pairs, batches)
+    if before is None:
+        before = measure_group_map(rho, probe_pairs, batches)
     if not before.delta < 1.0 / before.kappa ** 2:
         raise PreconditionError(
             f"averaging hypothesis violated: defect {before.delta:.3g} "
@@ -301,9 +306,13 @@ class StabilizeResult:
 
 def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
               max_levels: int = 4, probe_pairs=None, batches: int = 8,
-              strict: bool | None = None) -> StabilizeResult:
+              strict: bool | None = None,
+              initial: GroupMeasurement | None = None) -> StabilizeResult:
     """Iterate averaging passes until the measured defect (or the analytic
     schedule) falls below ``tol``.
+
+    ``initial``, when given, is the caller's measurement of ``rho0`` on the
+    same pairs and batches; each pass's closing measurement opens the next.
 
     In the strict regime (eps1 <= 2^-10) the schedule claims are enforced
     and the cumulative movement is checked against 8 eps1 (plus reported
@@ -316,7 +325,8 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
     sched = schedule(eps1, max_levels + 1) if strict else None
     if probe_pairs is None:
         probe_pairs = unitary_pairs(rho0.domain, 8, _derive_seed(rho0.seed, "stab"))
-    initial = measure_group_map(rho0, probe_pairs, batches)
+    if initial is None:
+        initial = measure_group_map(rho0, probe_pairs, batches)
     if sched is not None:
         forecast = list(sched.deltas)
     else:
@@ -339,11 +349,11 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
     rho = rho0
     passes: list[AveragingPass] = []
     movement = 0.0
-    delta = initial.delta
+    measured = initial
     stopped = "tolerance"
     level = 0
     while True:
-        if delta < tol:
+        if measured.delta < tol:
             stopped = "tolerance" if passes else "already-below-tolerance"
             break
         if forecast[min(level, len(forecast) - 1)] < tol:
@@ -352,7 +362,7 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
         if level >= max_levels:
             stopped = "level-cap"
             break
-        rho, rec = average_once(rho, width, probe_pairs, batches)
+        rho, rec = average_once(rho, width, probe_pairs, batches, before=measured)
         passes.append(rec)
         if not rec.contraction_ok:
             raise ContractionError(
@@ -361,7 +371,7 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
                 "(Monte-Carlo width too small?)",
                 trace=passes)
         movement += rec.after.closeness
-        delta = rec.after.delta
+        measured = rec.after
         level += 1
 
     bound = None

@@ -3,7 +3,8 @@
 Subcommands: budget, recover, sweep, kk, tower.  Every subcommand accepts
 --config (key = value file), --seed, --out (CSV path) and --json
 (machine-readable report on stdout).  Exit codes: 0 all assertions passed,
-1 an assertion failed, 2 a pipeline stage aborted.
+1 an assertion failed, 2 a pipeline stage aborted or the input was
+malformed (a bad flag value or an unreadable config file).
 """
 from __future__ import annotations
 
@@ -27,6 +28,21 @@ from .pipeline import compute_budget, run_pipeline
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_ABORT = 2
+
+
+def _converter(parse, what: str):
+    """An argparse ``type=`` that reports a malformed value in one line."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from exc
+    return convert
+
+
+_shape = _converter(AlgebraShape.parse, "a block shape such as 2 or 1+2")
+_ints = _converter(lambda text: tuple(int(t) for t in text.split(",") if t), "a list of integers")
+_floats = _converter(lambda text: tuple(float(t) for t in text.split(",")), "a list of numbers")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -57,15 +73,9 @@ def _write_rows(path: str, rows):
     Path(path).write_text(sweep_csv(rows), encoding="utf-8")
 
 
-def _parse_mults(text: str, shape: AlgebraShape):
-    if not text:
-        return tuple(1 for _ in shape.blocks)
-    return tuple(int(t) for t in text.split(","))
-
-
 def _build_instance(args, cfg: PipelineConfig):
-    shape = AlgebraShape.parse(args.shape)
-    mults = _parse_mults(args.mult, shape)
+    shape = args.shape
+    mults = args.mult or tuple(1 for _ in shape.blocks)
     n = args.pad + sum(m * nb for m, nb in zip(mults, shape.blocks))
     w = haar_conjugator(n, cfg.seed) if args.rotate else None
     spec = EmbeddingSpec(shape, mults, args.pad, w)
@@ -95,13 +105,14 @@ def cmd_recover(args) -> int:
     psi, rep = run_pipeline(phi, cfg)
     dt = time.perf_counter() - t0
     eps = rep.input_defect["epsilon"]
-    row = SweepRow(f"recover-{args.shape}-eta{args.eta:g}", args.shape, phi.dim,
+    label = args.shape.label()
+    row = SweepRow(f"recover-{label}-eta{args.eta:g}", label, phi.dim,
                    args.eta, eps, rep.final_distance, rep.ratio_sqrt,
                    rep.ratio_linear, dt)
     if args.out:
         _write_rows(args.out, [row])
     _emit(args, rep.to_dict(), [
-        f"shape {args.shape} N={phi.dim} eta={args.eta:g} ({args.kind})",
+        f"shape {label} N={phi.dim} eta={args.eta:g} ({args.kind})",
         f"measured defect: {eps:.3e}",
         f"final distance:  {rep.final_distance:.3e} "
         f"(ratio/sqrt(eps) = {rep.ratio_sqrt:.3f})",
@@ -113,8 +124,7 @@ def cmd_recover(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    etas = [float(t) for t in args.etas.split(",")]
-    rows, details = run_sweep(etas, args.repeats, cfg)
+    rows, details = run_sweep(list(args.etas), args.repeats, cfg)
     if args.out:
         _write_rows(args.out, rows)
     ok = all(d["report"].ok() for d in details.values())
@@ -127,14 +137,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_kk(args) -> int:
     cfg = _load(args)
-    shape = AlgebraShape.parse(args.shape)
-    mults = _parse_mults(args.mult, shape)
+    shape = args.shape
+    mults = args.mult or tuple(1 for _ in shape.blocks)
     n = sum(m * nb for m, nb in zip(mults, shape.blocks))
     w = haar_conjugator(n, cfg.seed) if args.rotate else None
     spec = EmbeddingSpec(shape, mults, 0, w)
     rep = kk_experiment(spec, args.eta, cfg, delta=args.delta)
     if args.out:
-        row = SweepRow(f"kk-{args.shape}-eta{args.eta:g}", args.shape, n,
+        row = SweepRow(f"kk-{shape.label()}-eta{args.eta:g}", shape.label(), n,
                        args.eta, rep.phi_defect["epsilon"],
                        rep.recovered_distance,
                        rep.recovered_distance / math.sqrt(max(args.eta, 1e-15)),
@@ -152,10 +162,9 @@ def cmd_kk(args) -> int:
 
 def cmd_tower(args) -> int:
     cfg = _load(args)
-    start = AlgebraShape.parse(args.start)
     incs = []
-    shape = start
-    for step in (int(t) for t in args.steps.split(",") if t):
+    shape = args.start
+    for step in args.steps:
         inc = InclusionSpec.single(shape, step)
         incs.append(inc)
         shape = inc.target
@@ -191,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_budget)
 
     p = sub.add_parser("recover", help="run the pipeline on one perturbed instance")
-    p.add_argument("--shape", type=str, default="2")
-    p.add_argument("--mult", type=str, default="")
+    p.add_argument("--shape", type=_shape, default="2")
+    p.add_argument("--mult", type=_ints, default="")
     p.add_argument("--pad", type=int, default=0)
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--kind", choices=("additive", "conjugate"), default="additive")
@@ -202,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("sweep", help="recovery sweep over shapes and etas")
-    p.add_argument("--etas", type=str, default="1e-3,1e-2")
+    p.add_argument("--etas", type=_floats, default="1e-3,1e-2")
     p.add_argument("--repeats", type=int, default=5)
     _add_common(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("kk", help="close-subalgebra comparison experiment")
-    p.add_argument("--shape", type=str, default="2")
-    p.add_argument("--mult", type=str, default="2")
+    p.add_argument("--shape", type=_shape, default="2")
+    p.add_argument("--mult", type=_ints, default="2")
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--rotate", action="store_true")
@@ -217,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kk)
 
     p = sub.add_parser("tower", help="finite tower uniformity experiment")
-    p.add_argument("--start", type=str, default="2")
-    p.add_argument("--steps", type=str, default="2,2")
+    p.add_argument("--start", type=_shape, default="2")
+    p.add_argument("--steps", type=_ints, default="2,2")
     p.add_argument("--eta", type=float, default=1e-3)
     _add_common(p)
     p.set_defaults(fn=cmd_tower)

@@ -21,16 +21,10 @@ class PipelineConfig:
     mc_batches: int = 8            # batches behind the 3-sigma error estimate
     max_levels: int = 3            # averaging level cap
     tol: float = 1e-8              # averaging stop tolerance
-    grid_h: float = 0.0            # entry-lattice step; 0 = derived from the defect
     admissible_eps: float = 0.05   # largest defect the pipeline accepts
-    correction_admissible: float = 0.0   # 0 = derived (>= 1e-2)
     correction_factor: float = 50.0      # asserted ||psi - phi|| / eps bound
-    snap_tol: float = 0.0          # unitarity snap tolerance; 0 = derived
-    stone_verify_tol: float = 0.0  # one-parameter-group check; 0 = derived
     generator_count: int = 4       # generators for the commutant solve
-    decompose_tol: float = 0.0     # block residual tolerance; 0 = derived
     K: float = 50.0                # correction-step constant in the budget
-    L: float = 0.0                 # final distance constant; 0 = derived
     path: str = "units"            # per-block route: "units" or "stone"
     seed: int = 0
     tower_slack: float = 3.0       # allowed growth of per-stage recovery ratios
@@ -78,4 +72,8 @@ def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfi
 
 
 def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+    return parse_config(text, base)

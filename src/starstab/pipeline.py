@@ -194,15 +194,14 @@ def _stone_block_map(pi_block, domain: AlgebraShape, verify_tol: float,
     for b, n in enumerate(domain.blocks):
         qs = [lift_projection(pi_block, matrix_unit(domain, b, i, i), **kw)
               for i in range(n)]
+        swaps = {}      # swap_ij = swap_ji, so each unordered pair is lifted once
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    units.append(qs[i])
-                    continue
+            for j in range(i + 1, n):
                 swap = (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
                         + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j))
-                rho = stone_generator(pi_block, swap, **kw)
-                units.append(qs[i] @ rho @ qs[j])
+                swaps[i, j] = swaps[j, i] = stone_generator(pi_block, swap, **kw)
+        units += [qs[i] if i == j else qs[i] @ swaps[i, j] @ qs[j]
+                  for i in range(n) for j in range(n)]
     return ApproxMap.linear(domain, pi_block.dim, np.stack(units), {"kind": "stone-lift"})
 
 
@@ -243,7 +242,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                 "unit_rounding_moved": phi1.meta.get("unit_rounding_moved", 0.0)}
 
     # 2. discretize ----------------------------------------------------------
-    h = config.grid_h if config.grid_h > 0.0 else _auto_grid(eps_in, shape)
+    h = _auto_grid(eps_in, shape)
     (phi2, rec) = clock.run("discretize", lambda: discretize(phi1, h))
     rec.movement = _sup_dist(phi2, phi1, ball)
     rec.info = {"grid": h, "distance_bound": phi2.meta["distance_bound"]}
@@ -280,7 +279,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     (stab, rec) = clock.run("stabilize", lambda: stabilize(
         rho0, eps1, config.tol, config.mc_width,
         max_levels=config.max_levels, probe_pairs=pairs,
-        batches=config.mc_batches))
+        batches=config.mc_batches, initial=m0))
     rec.movement = stab.movement
     rec.in_triangle = False
     eps2_meas = stab.movement + sum(p.after.closeness_mc for p in stab.levels)
@@ -291,8 +290,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                 "trace": stab.trace_rows()}
 
     # 6. unitarize ------------------------------------------------------------
-    snap_tol = config.snap_tol if config.snap_tol > 0.0 else \
-        min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
+    snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
     (unit_out, rec) = clock.run("unitarize", lambda: unitarize(
         stab.final, config.unitarize_width, probe_us=probe_us,
         batches=config.mc_batches, eps2=eps2_meas, snap_tol=snap_tol,
@@ -305,8 +303,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
 
     # 7. irreducible decomposition --------------------------------------------
     defect_hint = max(post.delta + post.mc, 1e-12)
-    dec_tol = config.decompose_tol if config.decompose_tol > 0.0 else \
-        max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit_info["mc"])
+    dec_tol = max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit_info["mc"])
     (blocks, rec) = clock.run("decompose", lambda: decompose(
         pi, config.generator_count, tol=dec_tol,
         seed=_derive_seed(seed, "decompose"), defect_hint=defect_hint))
@@ -332,17 +329,14 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
         for v_k in blocks.isometries():
             if config.path == "stone":
                 pi_k = compress(pi, v_k, snap_tol=max(1e-6, 4.0 * dec_tol))
-                verify = config.stone_verify_tol if config.stone_verify_tol > 0.0 \
-                    else max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
+                verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
                 phi_k = _stone_block_map(pi_k, shape, verify,
                                          snap_tol=max(1e-3, verify))
             else:
                 phi_k = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
             eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
-            adm = config.correction_admissible if config.correction_admissible > 0.0 \
-                else max(1e-2, 2.0 * eps5_k)
             _, psi_k, info_k = matrix_unit_correction(
-                phi_k, tol=1e-9, eps=eps5_k, admissible=adm,
+                phi_k, tol=1e-9, eps=eps5_k, admissible=max(1e-2, 2.0 * eps5_k),
                 assert_factor=config.correction_factor)
             residual = max(residual, info_k["relation_residual"])
             mult_total = [a + b for a, b in zip(mult_total, info_k["multiplicities"])]
@@ -366,9 +360,8 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                              PreconditionError("target dimension mismatch "
                                                f"({target.dim} vs {work_dim})"),
                              report=stages)
-        adm = config.correction_admissible if config.correction_admissible > 0.0 \
-            else max(1e-2, 4.0 * eps_in, 4.0 * corr_residual)
-        kw = {"admissible": adm, "assert_factor": config.correction_factor}
+        kw = {"admissible": max(1e-2, 4.0 * eps_in, 4.0 * corr_residual),
+              "assert_factor": config.correction_factor}
         (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
             psi_blocks, target, tol=1e-9, probes=probes[:48],
             correction_kwargs=kw))
@@ -391,12 +384,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     final_distance = _sup_dist(psi, phi, ball)
     out_defect = estimate_defect(psi, min(config.probes, 64), det_cap=config.det_cap)
 
-    if config.L > 0.0:
-        l_used = config.L
-    elif budget is not None:
-        l_used = budget.final_bound / math.sqrt(eps_in)
-    else:
-        l_used = 25.0
+    l_used = 25.0 if budget is None else budget.final_bound / math.sqrt(eps_in)
     ratio_sqrt = final_distance / math.sqrt(eps_in)
     ratio_linear = final_distance / eps_in
     movement_sum = sum(s.movement for s in stages if s.in_triangle)

@@ -56,7 +56,8 @@ def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
             f"Gram deviation {eps3:.3g} >= 1/2: too far from unitary to unitarize")
     sampler = HaarSampler(tau.domain, _derive_seed(tau.seed, "unitarize",
                                                    seed if seed is not None else 0))
-    grams = np.stack([(v := tau(sampler.unitary())).conj().T @ v for _ in range(width)])
+    draws = tau.batch(stack_elements([sampler.unitary() for _ in range(width)]))
+    grams = la.adj(draws) @ draws
     mean = la.herm(grams.mean(axis=0))
     mc = _spread(_batch_means(grams, batches))
     w = np.linalg.eigvalsh(mean)
@@ -65,18 +66,12 @@ def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
     t = la.herm_fun(mean, np.sqrt)
     t_inv = la.herm_fun(mean, lambda x: 1.0 / np.sqrt(x))
     deviation = la.op_norm(t - np.eye(tau.dim))
-
-    def fn(u: AlgebraElement) -> np.ndarray:
-        snapped, _ = la.snap_unitary(t @ tau(u) @ t_inv, snap_tol)
-        return snapped
-
-    pi = GroupMap(tau.domain, tau.dim, fn, level=tau.level, seed=tau.seed,
-                  meta={**tau.meta, "unitarized": True})
+    pi = tau.compose_output(lambda vals: la.snap_unitary(t @ vals @ t_inv, snap_tol)[0],
+                            tau.dim, unitarized=True)
     if eps2 is None:
         eps2 = max(la.op_norm(tau_us) - 1.0, 0.0)
-    pi_us = pi.batch(us)
+    pi_us, max_snap = la.snap_unitary(t @ tau_us @ t_inv, snap_tol)
     move = la.op_norm(pi_us - tau_us)
-    max_snap = la.op_norm(t @ tau_us @ t_inv - pi_us)
     dev_bound = eps3 + mc + 1e-12
     move_bound = 2.0 * (1.0 + eps2) * eps3 / (1.0 - eps3) + mc + snap_tol + 1e-12
     info = {
@@ -274,13 +269,8 @@ def compress(pi: GroupMap, isometry: np.ndarray, snap_tol: float = 1e-6) -> Grou
     """Restrict a unitary representation to an invariant subspace, re-snapping
     so the block values are exactly unitary."""
     v = np.ascontiguousarray(isometry)
-
-    def fn(u: AlgebraElement) -> np.ndarray:
-        snapped, _ = la.snap_unitary(v.conj().T @ pi(u) @ v, snap_tol)
-        return snapped
-
-    return GroupMap(pi.domain, v.shape[1], fn, level=pi.level,
-                    seed=_derive_seed(pi.seed, "block"), meta=dict(pi.meta))
+    return pi.compose_output(lambda vals: la.snap_unitary(la.compress(v, vals), snap_tol)[0],
+                             v.shape[1], seed=_derive_seed(pi.seed, "block"))
 
 
 def stone_generator(pi_block: GroupMap, a: AlgebraElement, r0: float = 0.5,
@@ -299,11 +289,10 @@ def stone_generator(pi_block: GroupMap, a: AlgebraElement, r0: float = 0.5,
         raise PreconditionError("generator must be self-adjoint")
     if (a * a - identity(a.shape)).norm() > 1e-10:
         raise PreconditionError("generator must be a self-adjoint unitary (a^2 = 1)")
-    u0 = pi_block(involution_exp(a, r0))
-    h = la.principal_log_unitary(u0, branch_guard) / r0
+    values = pi_block.batch(stack_elements([involution_exp(a, r) for r in (r0, *verify_at)]))
+    h = la.principal_log_unitary(values[0], branch_guard) / r0
     rho, _ = la.herm_sign_snap(h, snap_tol)
-    for r in verify_at:
-        lhs = pi_block(involution_exp(a, r))
+    for r, lhs in zip(verify_at, values[1:]):
         rhs = np.cos(r) * np.eye(pi_block.dim) + 1j * np.sin(r) * rho
         if la.op_norm(lhs - rhs) > verify_tol:
             raise SnapError(

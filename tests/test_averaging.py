@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, HaarSampler, _derive_seed
-from starstab.averaging import (NUMERIC_FLOOR, GroupMap, average_once,
+from starstab.algebra import AlgebraShape, HaarSampler, _derive_seed, stack_elements
+from starstab.averaging import (NUMERIC_FLOOR, AveragedGroupMap, GroupMap, average_once,
                                 measure_group_map, restrict_to_unitaries,
                                 schedule, stabilize)
 from starstab.defects import ApproxMap
@@ -184,7 +184,7 @@ def test_averaged_value_is_the_mean_of_its_terms():
     rho = restrict_to_unitaries(phi, seed=31)
     new, _ = average_once(rho, 32, probe_pairs=unitary_pairs(SHAPE2, 2, 32))
     u = HaarSampler(SHAPE2, 33).unitary()
-    assert np.array_equal(new(u), new.terms(u).mean(axis=0))
+    assert np.array_equal(new(u), new.terms(stack_elements([u]))[0].mean(axis=0))
 
 
 def test_measurement_builds_one_stack_per_point(monkeypatch):
@@ -201,7 +201,7 @@ def test_measurement_builds_one_stack_per_point(monkeypatch):
 
     monkeypatch.setattr(rho, "batch", counted)
     measure_group_map(new, pairs, against=rho)
-    assert calls == [16] * (3 * len(pairs))
+    assert calls == [16] * (3 * len(pairs)) + [3 * len(pairs)]
 
 
 def test_group_memo_is_bounded(monkeypatch):
@@ -221,12 +221,12 @@ def test_group_memo_is_bounded(monkeypatch):
 
     us = [HaarSampler(SHAPE2, 40).unitary() for _ in range(2)]
     free = [tower()[-1](u) for u in us]
-    monkeypatch.setattr(GroupMap, "_MEMO_CAP", 16)
+    monkeypatch.setattr(AveragedGroupMap, "_MEMO_CAP", 16)
     evals.clear()
     maps = tower()
     capped = [maps[-1](u) for u in us]
     assert len(evals) > 512         # a new level-3 point costs 8^3 level-0 calls
-    assert all(len(m._memo) <= 16 for m in maps)
+    assert all(len(m._memo) <= 16 for m in maps[1:])
     for a, b in zip(free, capped):
         assert np.array_equal(a, b)
 

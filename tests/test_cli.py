@@ -112,3 +112,23 @@ def test_tower_command(fast_cfg, capsys):
                  "--eta", "1e-3", "--config", fast_cfg])
     assert code == 0
     assert "floor 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--shape", "2+x"],
+    ["recover", "--mult", "two"],
+    ["sweep", "--etas", "1e-3,big"],
+    ["tower", "--steps", "2,x"],
+    ["budget", "--eps", "1e-6", "--config", "MISSING"],
+])
+def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "missing.cfg") if a == "MISSING" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse rejects a flag value this way
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    message = [line for line in err.splitlines() if "error:" in line]
+    assert len(message) == 1 and err.rstrip("\n").endswith(message[0])

@@ -54,6 +54,21 @@ def test_polar_and_snap():
         la.snap_unitary(x + 0.5 * np.eye(4), 1e-3)
 
 
+def test_snap_unitary_on_a_stack():
+    xs = np.stack([rand_unitary(4, seed=s) + 1e-5 * rng(50 + s).standard_normal((4, 4))
+                   for s in range(5)])
+    w, dist = la.snap_unitary(xs, 1e-3)
+    singles = [la.snap_unitary(x, 1e-3) for x in xs]
+    assert np.array_equal(w, np.stack([ws for ws, _ in singles]))
+    assert dist == max(d for _, d in singles)
+    bad = xs.copy()
+    bad[1] += 0.2 * np.eye(4)
+    bad[3] += 0.5 * np.eye(4)
+    with pytest.raises(SnapError) as err:
+        la.snap_unitary(bad, 1e-3)
+    assert err.value.residual == max(la.snap_unitary(x, 1.0)[1] for x in bad)
+
+
 def test_spectral_round_projection():
     h = np.diag([0.98, 0.02])
     p, moved = la.spectral_round_projection(h)

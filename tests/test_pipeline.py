@@ -10,7 +10,8 @@ import pytest
 
 import starstab
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape
+from starstab.algebra import AlgebraShape, identity, matrix_unit
+from starstab.averaging import GroupMap
 from starstab.config import PipelineConfig, parse_config
 from starstab.defects import ApproxMap
 from starstab.errors import ConfigError, PreconditionError, StageAbort
@@ -18,8 +19,9 @@ from starstab.experiments import sweep_instances
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               haar_conjugator, near_identity, perturb_additive,
                               perturb_conjugate)
-from starstab.pipeline import compute_budget, run_pipeline
+from starstab.pipeline import _stone_block_map, compute_budget, run_pipeline
 from starstab.probes import ball_probes
+from starstab.reps import lift_projection, stone_generator
 from starstab.synthesis import intertwiner
 
 FAST = PipelineConfig(probes=96, group_probes=6, mc_width=128,
@@ -227,7 +229,8 @@ def test_targetless_runs_skip_near_inclusion():
 
 
 _THREADS_SCRIPT = """
-from starstab.algebra import AlgebraShape
+from starstab.algebra import AlgebraShape, identity, matrix_unit
+from starstab.averaging import GroupMap
 from starstab.config import PipelineConfig
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, haar_conjugator,
                               perturb_additive)
@@ -269,3 +272,61 @@ def test_level_zero_measurement_runs_inside_its_stage(monkeypatch):
         run_pipeline(phi, FAST)
     assert err.value.stage == "unitary-restriction"
     assert isinstance(err.value.cause, np.linalg.LinAlgError)
+
+
+def test_pipeline_measures_each_group_map_once(monkeypatch):
+    import starstab.averaging
+    import starstab.pipeline
+    measured = []
+    measure = starstab.averaging.measure_group_map
+
+    def counting(rho, *args, **kwargs):
+        measured.append(rho.level)
+        return measure(rho, *args, **kwargs)
+
+    monkeypatch.setattr(starstab.averaging, "measure_group_map", counting)
+    monkeypatch.setattr(starstab.pipeline, "measure_group_map", counting)
+    phi = perturb_additive(embedding(AlgebraShape([2]), (3,), seed=4), 1e-3, seed=5)
+    _, rep = run_pipeline(phi, FAST)
+    stab = [s for s in rep.stages if s.name == "stabilize"][0]
+    assert stab.info["levels"] == 1
+    assert measured == [0, 1]       # level 0 once, then the averaged map once
+
+
+def reference_stone_basis(pi, domain, **kw):
+    """The block-map loop that lifted every ordered swap, kept as the
+    reference."""
+    one = identity(domain)
+    units = []
+    for b, n in enumerate(domain.blocks):
+        qs = [lift_projection(pi, matrix_unit(domain, b, i, i), **kw) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    units.append(qs[i])
+                    continue
+                swap = (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
+                        + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j))
+                units.append(qs[i] @ stone_generator(pi, swap, **kw) @ qs[j])
+    return np.stack(units)
+
+
+def test_stone_block_map_lifts_each_swap_once(monkeypatch):
+    import starstab.pipeline
+    import starstab.reps
+    shape = AlgebraShape([3])
+    w = haar_conjugator(6, 28)
+    pi = GroupMap(shape, 6, lambda u: w @ np.kron(u.blocks[0], np.eye(2)) @ w.conj().T)
+    kw = dict(verify_tol=1e-6, snap_tol=1e-3)
+    expect = reference_stone_basis(pi, shape, **kw)
+    lifted = []
+
+    def counting(pi_block, a, **kwargs):
+        lifted.append(a)
+        return stone_generator(pi_block, a, **kwargs)
+
+    monkeypatch.setattr(starstab.pipeline, "stone_generator", counting)
+    monkeypatch.setattr(starstab.reps, "stone_generator", counting)
+    got = _stone_block_map(pi, shape, **kw)
+    assert len(lifted) == 6         # 3 projections and 3 unordered swaps
+    assert np.array_equal(got.basis, expect)

@@ -1,18 +1,23 @@
 """Stack evaluation: per-block input stacks of shape (K, n_b, n_b) give the
 same values as single-point calls, to rounding."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               coeff_vector, identity, stack_elements)
+from starstab.averaging import (AveragedGroupMap, GroupMeasurement, _batch_means,
+                                _spread, average_once, measure_group_map,
+                                restrict_to_unitaries)
 from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
                               estimate_defect, normalize)
 from starstab.errors import EvaluationError
 from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, perturb_additive)
-from starstab.probes import deterministic_pairs
+from starstab.probes import deterministic_pairs, unitary_pairs
 
 SHAPE = AlgebraShape([1, 2])
 
@@ -167,3 +172,45 @@ def test_stacked_defects_match_the_per_pair_loop(shape, mults):
         assert got.sample_count == ref.sample_count
         for f in ("add_defect", "scalar_defect", "mult_defect", "adj_defect", "norm_excess"):
             assert abs(getattr(got, f) - getattr(ref, f)) <= 1e-12, f
+
+
+def reference_measurement(rho, pairs, batches=8, against=None):
+    """The per-point loop that measured group maps before their points were
+    stacked, kept as the reference."""
+    points = [w for u, v in pairs for w in (u, v, u * v)]
+    f = np.stack([rho(w) for w in points]).reshape(len(pairs), 3, rho.dim, rho.dim)
+    s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
+    kappa = float(np.max(1.0 / np.maximum(s, 1e-300)))
+    delta = max(la.op_norm(c - a @ b) for a, b, c in f)
+    averaged = isinstance(rho, AveragedGroupMap)
+    mc = close = close_mc = 0.0
+    if averaged:
+        terms = [rho.terms(stack_elements([w]))[0] for w in points]
+        b = np.stack([_batch_means(t, batches) for t in terms]).reshape(
+            len(pairs), 3, -1, rho.dim, rho.dim)
+        mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
+    if against is not None:
+        g = np.stack([against(w) for w in points]).reshape(f.shape)
+        close = max(la.op_norm(x - y) for x, y in zip(f.reshape(-1, rho.dim, rho.dim),
+                                                     g.reshape(-1, rho.dim, rho.dim)))
+        if averaged:
+            close_mc = _spread(b[:, :2] - g[:, :2, None])
+    return GroupMeasurement(kappa, delta, mc, close, close_mc, len(pairs))
+
+
+def test_stacked_group_measurement_matches_the_per_point_loop():
+    rho0 = restrict_to_unitaries(perturb_additive(embedding(), 1e-3, seed=11), seed=12)
+    pairs = unitary_pairs(SHAPE, 4, 13)
+    rho1, _ = average_once(rho0, 24, probe_pairs=pairs)
+    rho2, _ = average_once(rho1, 24, probe_pairs=pairs)
+    for rho, parent in ((rho1, rho0), (rho2, rho1)):
+        for against in (None, parent):
+            got = measure_group_map(rho, pairs, against=against)
+            ref = reference_measurement(rho, pairs, against=against)
+            if against is rho0:     # level-0 values: stacked and single-point agree to rounding
+                assert abs(got.closeness - ref.closeness) <= 1e-12
+                ref = dataclasses.replace(ref, closeness=got.closeness)
+            assert got == ref
+    got, ref = measure_group_map(rho0, pairs), reference_measurement(rho0, pairs)
+    assert abs(got.kappa - ref.kappa) <= 1e-12 and abs(got.delta - ref.delta) <= 1e-12
+    assert (got.mc, got.closeness, got.pairs) == (0.0, 0.0, ref.pairs)
