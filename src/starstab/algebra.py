@@ -207,41 +207,77 @@ class HaarSampler:
     def fork(self, tag) -> "HaarSampler":
         return HaarSampler(self.shape, _derive_seed(self.seed, "fork", tag))
 
+    def generators(self, count: int) -> list[np.random.Generator]:
+        """The generators of the next ``count`` draws, in counter order."""
+        return [self._rng() for _ in range(count)]
+
     def unitary(self) -> AlgebraElement:
         """Per-block Haar-distributed unitary."""
-        rng = self._rng()
-        mats = []
-        for n in self.shape.blocks:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q, r = np.linalg.qr(g)
-            d = np.diag(r)
-            mats.append(q * (d / np.abs(d)))
-        return AlgebraElement(self.shape, mats)
+        return _only_row(self.shape, unitary_stack(self.shape, [self._rng()]))
 
     def contraction(self) -> AlgebraElement:
         """Gaussian element rescaled to a uniformly drawn norm r in [0, 1]."""
-        rng = self._rng()
-        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for n in self.shape.blocks]
-        x = AlgebraElement(self.shape, mats)
-        r = rng.uniform(0.0, 1.0)
-        nrm = x.norm()
-        if nrm == 0.0:
-            return zeros(self.shape)
-        return (r / nrm) * x
+        return _only_row(self.shape, contraction_stack(self.shape, [self._rng()]))
 
     def sphere(self) -> AlgebraElement:
         """Norm-one element (Gaussian direction)."""
-        rng = self._rng()
-        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for n in self.shape.blocks]
-        x = AlgebraElement(self.shape, mats)
-        return x / x.norm()
+        return _only_row(self.shape, sphere_stack(self.shape, [self._rng()]))
 
     def disc_scalar(self) -> complex:
         """Uniform scalar on the closed unit disc."""
-        rng = self._rng()
-        return complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        return complex(disc_scalars([self._rng()])[0])
+
+
+# Each stacked draw below takes one generator per row and draws from it what
+# the single-element sampler method draws, in the same order, so row k equals
+# the element that method gives with generator k, bit for bit.
+
+def _gaussian_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
+    """Per-block stacks of complex Gaussian matrices; row k holds the draws
+    of ``rngs[k]``, block after block, real part before imaginary part."""
+    out = tuple(np.empty((len(rngs), n, n), dtype=complex) for n in shape.blocks)
+    for k, rng in enumerate(rngs):
+        for s, n in zip(out, shape.blocks):
+            s[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return out
+
+
+def unitary_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
+    """Per-block stack of Haar unitaries, one per generator."""
+    out = []
+    for g in _gaussian_stack(shape, rngs):
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        out.append(q * (d / np.abs(d))[:, None, :])
+    return tuple(out)
+
+
+def contraction_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
+    """Per-block stack of Gaussian elements, each rescaled to a norm r drawn
+    uniformly in [0, 1] after its Gaussians (a zero draw stays zero)."""
+    x = _gaussian_stack(shape, rngs)
+    r = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+    nrm = stack_norms(x)
+    scale = np.divide(r, nrm, out=np.zeros_like(r), where=nrm != 0.0)
+    scale = scale.astype(complex)[:, None, None]
+    return tuple(scale * s for s in x)
+
+
+def sphere_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
+    """Per-block stack of norm-one elements (Gaussian directions)."""
+    x = _gaussian_stack(shape, rngs)
+    nrm = stack_norms(x).astype(complex)[:, None, None]
+    return tuple(s / nrm for s in x)
+
+
+def disc_scalars(rngs) -> np.ndarray:
+    """Uniform scalars on the closed unit disc, one per generator."""
+    return np.array([np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                     for rng in rngs], dtype=complex)
+
+
+def _only_row(shape: AlgebraShape, stack) -> AlgebraElement:
+    return AlgebraElement(shape, [s[0] for s in stack])
 
 
 def coeff_vector(x: AlgebraElement) -> np.ndarray:
@@ -269,6 +305,12 @@ def stack_norms(stack) -> np.ndarray:
 def stack_row(shape: AlgebraShape, stack, k: int) -> AlgebraElement:
     """Element k of a per-block stack."""
     return AlgebraElement._raw(shape, tuple(s[k] for s in stack))
+
+
+def stack_rows(shape: AlgebraShape, stack) -> list[AlgebraElement]:
+    """The K elements of a per-block stack, in order (``stack_elements``
+    inverted)."""
+    return [stack_row(shape, stack, k) for k in range(stack[0].shape[0])]
 
 
 def involution_exp(a: AlgebraElement, r: float) -> AlgebraElement:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, _derive_seed,
-                      stack_elements, stack_row)
+                      stack_row, unitary_stack)
 from .defects import ApproxMap, remember
 from .errors import ContractionError, PreconditionError
 from .probes import unitary_pairs
@@ -187,26 +187,30 @@ def _spread(mats: np.ndarray) -> float:
 
 def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
                       against: GroupMap | None = None) -> GroupMeasurement:
-    """Measure kappa, the defect and their Monte-Carlo error over probe pairs:
-    ``rho`` (and ``against``) evaluate the points u, v and uv of all pairs as
-    one stack, and each supremum is one batched norm."""
-    points = stack_elements([w for u, v in pairs for w in (u, v, u * v)])
+    """Measure kappa, the defect and their Monte-Carlo error over probe pairs,
+    given as two per-block stacks (us, vs): ``rho`` (and ``against``)
+    evaluate the points u, v and uv of all pairs as one stack, and each
+    supremum is one batched norm."""
+    us, vs = pairs
+    count = len(us[0])
+    points = tuple(np.stack([u, v, u @ v], axis=1).reshape(-1, *u.shape[1:])
+                   for u, v in zip(us, vs))
     terms = rho.terms(points) if isinstance(rho, AveragedGroupMap) else None
-    f = rho.batch(points).reshape(len(pairs), 3, rho.dim, rho.dim)
+    f = rho.batch(points).reshape(count, 3, rho.dim, rho.dim)
     s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
     kappa = float(np.max(1.0 / np.maximum(s, 1e-300)))
     delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])
     mc = close = close_mc = 0.0
     if terms is not None:
         b = np.stack([_batch_means(t, batches) for t in terms]).reshape(
-            len(pairs), 3, -1, rho.dim, rho.dim)
+            count, 3, -1, rho.dim, rho.dim)
         mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
     if against is not None:
         g = against.batch(points).reshape(f.shape)
         close = la.op_norm(f - g)
         if terms is not None:
             close_mc = _spread(b[:, :2] - g[:, :2, None])
-    return GroupMeasurement(kappa, delta, mc, close, close_mc, len(pairs))
+    return GroupMeasurement(kappa, delta, mc, close, close_mc, count)
 
 
 @dataclass(frozen=True)
@@ -258,10 +262,9 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
             f"averaging hypothesis violated: defect {before.delta:.3g} "
             f">= kappa^-2 = {1.0 / before.kappa ** 2:.3g}")
     sampler = HaarSampler(rho.domain, _derive_seed(rho.seed, "level", rho.level + 1))
-    xs = [sampler.unitary() for _ in range(width)]
+    samples = unitary_stack(rho.domain, sampler.generators(width))
     if translate_by is not None:
-        xs = [translate_by * x for x in xs]
-    samples = stack_elements(xs)
+        samples = tuple(t @ s for t, s in zip(translate_by.blocks, samples))
     inverses = la.batched_inv_cond(rho.batch(samples))
     new = AveragedGroupMap(rho, samples, inverses, seed=rho.seed)
     after = measure_group_map(new, probe_pairs, batches, against=rho)

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, coeff_vector,
-                      identity, stack_coeffs, stack_elements, stack_row)
+                      identity, stack_coeffs, stack_norms, stack_row)
 from .errors import EvaluationError, PreconditionError
-from .probes import deterministic_pairs, sphere_probes
+from .probes import constant, defect_triples, forked_spheres, sphere_probes
 
 
 def remember(cache: dict, key: bytes, value: np.ndarray, cap: int) -> np.ndarray:
@@ -179,7 +179,8 @@ class DefectReport:
                    d["adj_defect"], d["norm_excess"], d["sample_count"])
 
     def merge(self, other: "DefectReport") -> "DefectReport":
-        """Associative max-merge of two reports (parallel probe evaluation)."""
+        """Associative max-merge of two reports measured on disjoint probe
+        sets: the report of their union, whose sample counts add."""
         return DefectReport(
             max(self.add_defect, other.add_defect),
             max(self.scalar_defect, other.scalar_defect),
@@ -189,37 +190,33 @@ class DefectReport:
             self.sample_count + other.sample_count)
 
 
-def _defects_on_pairs(m: ApproxMap, triples) -> DefectReport:
-    xs, ys, lams = zip(*triples)
-    x, y = stack_elements(xs), stack_elements(ys)
-    lam = np.array(lams, dtype=complex)[:, None, None]
+def _defects_on_pairs(m: ApproxMap, x, y, lams: np.ndarray) -> DefectReport:
+    """The five suprema over the triples (x_k, y_k, lambda_k) given as per-block
+    stacks x and y and a (K,) array of scalars."""
+    lam = lams[:, None, None]
     fx, fy = m.batch(x), m.batch(y)
     add = la.op_norm(m.batch(tuple(a + b for a, b in zip(x, y))) - fx - fy)
     scal = la.op_norm(m.batch(tuple(lam * a for a in x)) - lam * fx)
     mult = la.op_norm(m.batch(tuple(a @ b for a, b in zip(x, y))) - fx @ fy)
     adj = la.op_norm(m.batch(tuple(la.adj(a) for a in x)) - la.adj(fx))
     excess = max(la.op_norm(fx), la.op_norm(fy)) - 1.0
-    return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(triples))
+    return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(lams))
 
 
 def estimate_defect(m: ApproxMap, samples: int,
                     det_cap: int = 12, det_pair_cap: int = 256) -> DefectReport:
     """Evaluate the five defects on random unit-ball pairs plus the
-    deterministic probe grid; per-probe seeds derive from the probe index."""
+    deterministic probe grid; per-probe seeds derive from the probe index, so
+    the probe set is a constant of (shape, samples, det_cap, det_pair_cap)
+    (``probes.defect_triples``)."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    sampler = HaarSampler(m.domain, seed=0)
-    triples = []
-    for i in range(samples):
-        s = sampler.fork(("defect", i))
-        triples.append((s.contraction(), s.contraction(), s.disc_scalar()))
-    triples += deterministic_pairs(m.domain, cap_elems=det_cap, cap_pairs=det_pair_cap)
-    return _defects_on_pairs(m, triples)
+    return _defects_on_pairs(m, *defect_triples(m.domain, samples, det_cap, det_pair_cap))
 
 
 def map_norm(m: ApproxMap, probes) -> float:
-    """sup of ||phi(x)|| over the given unit-ball probes."""
-    return la.op_norm(m.batch(stack_elements(probes)))
+    """sup of ||phi(x)|| over a per-block stack of unit-ball probes."""
+    return la.op_norm(m.batch(probes))
 
 
 def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
@@ -234,7 +231,7 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
         raise PreconditionError(
             f"normalize needs estimated defect < 0.1, measured {defect.epsilon:.3g}")
     one = identity(m.domain)
-    probes = sphere_probes(m.domain, max(samples, 16), seed=7)
+    probes = constant(sphere_probes, m.domain, max(samples, 16), 7)
     scale = max(1.0, map_norm(m, probes))
     p, moved = la.spectral_round_projection(la.herm(m(one)), band=band)
     one_bits = [a.view(np.int64).ravel() for a in one.blocks]
@@ -259,13 +256,13 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
 
 
 def is_eps_nonzero(m: ApproxMap, eps: float, probes):
-    """True iff some norm-one probe keeps ||phi(a)|| >= 1 - eps; returns the
-    first such witness."""
-    unit = [a for a in probes if abs(a.norm() - 1.0) <= 1e-9]
-    if not unit:
+    """True iff some norm-one probe of the per-block stack ``probes`` keeps
+    ||phi(a)|| >= 1 - eps; returns the first such witness."""
+    unit = np.flatnonzero(np.abs(stack_norms(probes) - 1.0) <= 1e-9)
+    if not unit.size:
         return False, None
-    hits = np.flatnonzero(la.op_norms(m.batch(stack_elements(unit))) >= 1.0 - eps)
-    return (True, unit[hits[0]]) if hits.size else (False, None)
+    hits = np.flatnonzero(la.op_norms(m.batch(tuple(s[unit] for s in probes))) >= 1.0 - eps)
+    return (True, stack_row(m.domain, probes, unit[hits[0]])) if hits.size else (False, None)
 
 
 def s_iterate(x: AlgebraElement, n: int) -> AlgebraElement:
@@ -337,22 +334,21 @@ def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
         raise PreconditionError("diagnostic applies to a single matrix block")
     if not eps < 1.0 / 100.0:
         raise PreconditionError("requires eps < 1/100")
-    if sampler is None:
-        sampler = HaarSampler(m.domain, seed=11)
-    probes = sphere_probes(m.domain, max(trials // 4, 8), seed=13)
+    probes = constant(sphere_probes, m.domain, max(trials // 4, 8), 13)
     if map_norm(m, probes) > 1.0 + 1e-9:
         raise PreconditionError("map must be normalized (||phi|| <= 1) first")
     thr = 2.0 * math.sqrt(eps)
     ok, _ = is_eps_nonzero(m, thr, probes)
     if not ok:
-        return IsometryReport("not-nonzero", thr, len(probes))
+        return IsometryReport("not-nonzero", thr, len(probes[0]))
 
     ell = m.domain.blocks[0]
-    xs = [sampler.fork(("iso", i)).sphere() for i in range(trials)]
-    low = np.flatnonzero(la.op_norms(m.batch(stack_elements(xs))) < 1.0 - thr)
+    xs = (constant(forked_spheres, m.domain, trials, 11, "iso") if sampler is None
+          else forked_spheres(m.domain, trials, sampler.seed, "iso"))
+    low = np.flatnonzero(la.op_norms(m.batch(xs)) < 1.0 - thr)
     if not low.size:
         return IsometryReport("isometric", thr, trials)
-    bad, checked = xs[low[0]], int(low[0]) + 1
+    bad, checked = stack_row(m.domain, xs, low[0]), int(low[0]) + 1
 
     steps = [("violating probe image norm", la.op_norm(m(bad)))]
     y = bad

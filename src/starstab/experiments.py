@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraShape, _derive_seed, stack_elements, stack_norms
+from .algebra import AlgebraShape, _derive_seed, stack_norms
 from .config import PipelineConfig
 from .defects import ApproxMap
 from .errors import PreconditionError
@@ -115,8 +115,7 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
     exp2 = TraceExpectation(spec2)
 
     count = max(16, config.probes // 8)
-    sphere = stack_elements(sphere_probes(shape, count,
-                                          _derive_seed(config.seed, "kk-sphere")))
+    sphere = sphere_probes(shape, count, _derive_seed(config.seed, "kk-sphere"))
     radius = stack_norms(sphere)
     x1, x2 = psi1.batch(sphere), psi2.batch(sphere)
     upper = max(_nearest(x1, radius, u, exp2)[1].max(),
@@ -127,8 +126,7 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
 
     phi = ApproxMap(shape, n, None, {"kind": "kk-nearest-point", "eta": eta},
                     stack_fn=partial(_nearest_point, psi1, u, exp2))
-    ball = stack_elements(ball_probes(shape, min(config.probes, 96),
-                                      _derive_seed(config.seed, "kk-ball")))
+    ball = ball_probes(shape, min(config.probes, 96), _derive_seed(config.seed, "kk-ball"))
     # distances to the identity are homogeneous, so the sphere probes used
     # for the bracket are the right comparison set
     phi_dist = la.op_norm(phi.batch(sphere) - x1)

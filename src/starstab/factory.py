@@ -19,10 +19,10 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, matrix_units, stack_coeffs,
-                      stack_elements, stack_norms)
+                      stack_norms)
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError
-from .probes import ball_probes
+from .probes import ball_probes, constant
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def discretize(phi: ApproxMap, grid: float, probe_seed: int = 3,
         raise PreconditionError("grid step must be positive")
     out = phi.compose_input(lambda stack: tuple(lattice_quantize(s, grid) for s in stack),
                             kind="discretized", grid=grid)
-    x = stack_elements(ball_probes(phi.domain, probe_count, probe_seed))
+    x = constant(ball_probes, phi.domain, probe_count, probe_seed)
     q = tuple(lattice_quantize(s, grid) for s in x)
     d = stack_norms(tuple(a - b for a, b in zip(x, q)))
     moved = d > 1e-15

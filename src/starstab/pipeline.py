@@ -25,8 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (AlgebraShape, _derive_seed, identity, matrix_unit,
-                      stack_elements)
+from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit
 from .averaging import (measure_group_map, restrict_to_unitaries, stabilize)
 from .config import PipelineConfig
 from .defects import ApproxMap, estimate_defect, normalize
@@ -218,11 +217,9 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     shape = phi.domain
     stages: list[StageRecord] = []
     clock = _StageClock(stages)
-    probes = ball_probes(shape, config.probes, _derive_seed(seed, "ball"))
-    ball = stack_elements(probes)
+    ball = ball_probes(shape, config.probes, _derive_seed(seed, "ball"))
     pairs = unitary_pairs(shape, config.group_probes, _derive_seed(seed, "pairs"))
-    probe_us = [u for u, _ in pairs] + [v for _, v in pairs]
-    us = stack_elements(probe_us)
+    us = tuple(np.concatenate(blocks) for blocks in zip(*pairs))
 
     report_in = estimate_defect(phi, config.probes,
                                 det_cap=config.det_cap)
@@ -292,7 +289,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # 6. unitarize ------------------------------------------------------------
     snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
     (unit_out, rec) = clock.run("unitarize", lambda: unitarize(
-        stab.final, config.unitarize_width, probe_us=probe_us,
+        stab.final, config.unitarize_width, probe_us=us,
         batches=config.mc_batches, eps2=eps2_meas, snap_tol=snap_tol,
         seed=seed))
     unitarizer, pi, unit_info = unit_out
@@ -363,7 +360,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
         kw = {"admissible": max(1e-2, 4.0 * eps_in, 4.0 * corr_residual),
               "assert_factor": config.correction_factor}
         (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
-            psi_blocks, target, tol=1e-9, probes=probes[:48],
+            psi_blocks, target, tol=1e-9, probes=tuple(s[:48] for s in ball),
             correction_kwargs=kw))
         _, psi_work, ni_info = ni_out
         rec.movement = _sup_dist(psi_work, psi_blocks, ball, q_iso)

@@ -3,13 +3,68 @@
 Deterministic probes (identity, matrix units, their self-adjoint combos)
 guarantee that exactness tests never depend on sampling luck; seeded random
 probes cover the rest of the unit ball.
+
+Every probe set is a fixed function of (shape, count, seed) and is built
+directly as per-block stacks, one ``(K, n_b, n_b)`` array per block.  The
+sets whose seed is a constant of the code repeat within and across runs, so
+they are built once per process and kept, read-only, in one LRU cache of at
+most ``CACHE_CAP`` entries (``constant`` and ``defect_triples``).  Sets
+seeded per run are built fresh on every call.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
-from .algebra import (AlgebraShape, HaarSampler, identity, matrix_unit,
-                      zeros)
+from .algebra import (AlgebraShape, HaarSampler, contraction_stack,
+                      disc_scalars, identity, matrix_unit, matrix_units,
+                      sphere_stack, stack_elements, unitary_stack, zeros)
+
+CACHE_CAP = 64
+_cache: OrderedDict = OrderedDict()
+
+
+def _freeze(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    else:
+        for v in value:
+            _freeze(v)
+    return value
+
+
+def _cached(key):
+    value = _cache.get(key)
+    if value is not None:
+        _cache.move_to_end(key)
+    return value
+
+
+def _store(key, value):
+    _cache[key] = _freeze(value)
+    _cache.move_to_end(key)
+    while len(_cache) > CACHE_CAP:
+        _cache.popitem(last=False)
+    return value
+
+
+def clear_cache() -> None:
+    """Drop every cached probe set; later calls build them again."""
+    _cache.clear()
+
+
+def constant(builder, shape: AlgebraShape, *args):
+    """``builder(shape, *args)`` for arguments that are constants of the
+    code: built on the first call, then returned from the cache, read-only
+    (writing to it raises ValueError)."""
+    key = (builder, shape, *args)
+    value = _cached(key)
+    return _store(key, builder(shape, *args)) if value is None else value
+
+
+def _concat(*stacks) -> tuple[np.ndarray, ...]:
+    return tuple(np.concatenate(blocks) for blocks in zip(*stacks))
 
 
 def deterministic_elements(shape: AlgebraShape, cap: int | None = None):
@@ -37,47 +92,87 @@ def deterministic_elements(shape: AlgebraShape, cap: int | None = None):
     return out
 
 
+def deterministic_stack(shape: AlgebraShape, cap: int | None = None):
+    """``deterministic_elements`` as a per-block stack."""
+    return stack_elements(deterministic_elements(shape, cap))
+
+
 def deterministic_pairs(shape: AlgebraShape, cap_elems: int = 12, cap_pairs: int = 256):
-    """Ordered pairs over the deterministic probes, strided to a cap."""
-    elems = deterministic_elements(shape, cap=cap_elems)
-    lams = [1.0, -1.0, 1j, 0.5 + 0.5j]
-    pairs = []
-    k = 0
-    for x in elems:
-        for y in elems:
-            pairs.append((x, y, lams[k % len(lams)]))
-            k += 1
-    if len(pairs) > cap_pairs:
-        idx = np.linspace(0, len(pairs) - 1, cap_pairs).round().astype(int)
-        pairs = [pairs[i] for i in sorted(set(idx.tolist()))]
-    return pairs
+    """Ordered pairs (x, y, lambda) over the deterministic probes, strided to
+    a cap: per-block stacks of x and of y, and a (K,) array of lambda."""
+    elems = deterministic_stack(shape, cap_elems)
+    m = len(elems[0])
+    k = np.arange(m * m)
+    if len(k) > cap_pairs:
+        k = np.unique(np.linspace(0, len(k) - 1, cap_pairs).round().astype(int))
+    lams = np.array([1.0, -1.0, 1j, 0.5 + 0.5j])
+    return (tuple(e[k // m] for e in elems), tuple(e[k % m] for e in elems),
+            lams[k % len(lams)])
+
+
+def _random_triples(shape: AlgebraShape, start: int, stop: int):
+    """Random defect triples start..stop-1: triple i is two contractions and
+    a disc scalar, drawn in that order by the fork ("defect", i) of the
+    seed-0 sampler."""
+    sampler = HaarSampler(shape, seed=0)
+    gens = [sampler.fork(("defect", i)).generators(3) for i in range(start, stop)]
+    xs, ys, lams = zip(*gens)
+    return contraction_stack(shape, xs), contraction_stack(shape, ys), disc_scalars(lams)
+
+
+def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12,
+                   det_pair_cap: int = 256):
+    """``estimate_defect``'s probe triples (x, y, lambda): the first
+    ``samples`` random unit-ball triples, then the deterministic pairs.
+
+    Triple i depends on i alone, so the cache keeps one entry of random
+    triples per shape, the longest prefix built so far, and a shorter set is
+    a slice of it; a longer one extends it.
+    """
+    key = ("defect-triples", shape)
+    have = _cached(key)
+    built = 0 if have is None else len(have[2])
+    if built < samples:
+        more = _random_triples(shape, built, samples)
+        have = _store(key, more if have is None else (
+            _concat(have[0], more[0]), _concat(have[1], more[1]),
+            np.concatenate([have[2], more[2]])))
+    x, y, lam = (tuple(s[:samples] for s in have[0]), tuple(s[:samples] for s in have[1]),
+                 have[2][:samples])
+    dx, dy, dlam = constant(deterministic_pairs, shape, det_cap, det_pair_cap)
+    return _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
 
 
 def random_unitaries(shape: AlgebraShape, count: int, seed: int):
-    s = HaarSampler(shape, seed)
-    return [s.unitary() for _ in range(count)]
+    """``count`` Haar unitaries as a per-block stack."""
+    return unitary_stack(shape, HaarSampler(shape, seed).generators(count))
 
 
 def unitary_pairs(shape: AlgebraShape, count: int, seed: int):
-    s = HaarSampler(shape, seed)
-    return [(s.unitary(), s.unitary()) for _ in range(count)]
+    """``count`` pairs of unitaries as two per-block stacks (us, vs); pair k
+    takes the sampler's draws 2k and 2k + 1."""
+    gens = HaarSampler(shape, seed).generators(2 * count)
+    return unitary_stack(shape, gens[0::2]), unitary_stack(shape, gens[1::2])
 
 
 def ball_probes(shape: AlgebraShape, count: int, seed: int, det_cap: int = 24):
     """Deterministic unit-ball probes padded with random contractions."""
-    det = deterministic_elements(shape, cap=det_cap)
-    s = HaarSampler(shape, seed)
-    return det + [s.contraction() for _ in range(count - len(det))]
+    det = constant(deterministic_stack, shape, det_cap)
+    gens = HaarSampler(shape, seed).generators(count - len(det[0]))
+    return _concat(det, contraction_stack(shape, gens))
 
 
 def sphere_probes(shape: AlgebraShape, count: int, seed: int):
     """Norm-one probes: identity, normalized units, random directions."""
-    out = [identity(shape)]
-    for b, n in enumerate(shape.blocks):
-        for i in range(n):
-            for j in range(n):
-                out.append(matrix_unit(shape, b, i, j))
-    out = out[:count] if len(out) > count else out
-    s = HaarSampler(shape, seed)
-    out += [s.sphere() for _ in range(count - len(out))]
-    return out
+    units = [identity(shape)] + [e for *_, e in matrix_units(shape)]
+    units = units[:count]
+    gens = HaarSampler(shape, seed).generators(count - len(units))
+    return _concat(stack_elements(units), sphere_stack(shape, gens))
+
+
+def forked_spheres(shape: AlgebraShape, count: int, seed: int, tag):
+    """Norm-one probes, probe i drawn by the fork (tag, i) of the sampler
+    seeded ``seed``."""
+    sampler = HaarSampler(shape, seed)
+    return sphere_stack(shape, [sampler.fork((tag, i)).generators(1)[0]
+                                for i in range(count)])

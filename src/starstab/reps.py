@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
-                      stack_elements)
+                      stack_elements, unitary_stack)
 from .averaging import GroupMap, HaarSampler, _batch_means, _spread
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
@@ -44,19 +44,19 @@ def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
     and snap to unitaries.
 
     Returns (Unitarizer, pi, info).  Requires the measured Gram deviation
-    sup ||tau(u)* tau(u) - 1|| to be < 1/2 over the probes.
+    sup ||tau(u)* tau(u) - 1|| to be < 1/2 over the probes ``probe_us``, a
+    per-block stack of unitaries.
     """
     if probe_us is None:
         probe_us = random_unitaries(tau.domain, 8, _derive_seed(tau.seed, "unit-probes"))
-    us = stack_elements(probe_us)
-    tau_us = tau.batch(us)
+    tau_us = tau.batch(probe_us)
     eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
     if not eps3 < 0.5:
         raise PreconditionError(
             f"Gram deviation {eps3:.3g} >= 1/2: too far from unitary to unitarize")
     sampler = HaarSampler(tau.domain, _derive_seed(tau.seed, "unitarize",
                                                    seed if seed is not None else 0))
-    draws = tau.batch(stack_elements([sampler.unitary() for _ in range(width)]))
+    draws = tau.batch(unitary_stack(tau.domain, sampler.generators(width)))
     grams = la.adj(draws) @ draws
     mean = la.herm(grams.mean(axis=0))
     mc = _spread(_batch_means(grams, batches))
@@ -235,8 +235,7 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
     if generator_count < 2:
         raise PreconditionError("need at least two generators")
     seed = _derive_seed(pi.seed, "decompose") if seed is None else seed
-    gens = stack_elements(random_unitaries(pi.domain, generator_count,
-                                           _derive_seed(seed, "gens")))
+    gens = random_unitaries(pi.domain, generator_count, _derive_seed(seed, "gens"))
     mats = pi.batch(gens)
     unit_dev = la.op_norm(la.adj(mats) @ mats - np.eye(pi.dim))
     if unit_dev > 1e-8:

@@ -26,7 +26,7 @@ from .defects import ApproxMap, estimate_defect
 from .errors import (GapError, MultiplicityMismatch, PreconditionError,
                      SingularMapError)
 from .factory import EmbeddingSpec, exact_homomorphism
-from .probes import ball_probes
+from .probes import ball_probes, constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +138,8 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
 
     Returns (MatrixUnitSystem, psi, info).  Aborts with GapError when a
     rounded element has an eigenvalue inside [1/2 - 5 eps, 1/2 + 5 eps].
-    The measured distance ||psi - phi|| over probes is asserted to stay
+    The measured distance ||psi - phi|| over ``probes`` (a per-block stack;
+    by default 48 fixed unit-ball probes) is asserted to stay
     below ``assert_factor * eps`` (plus a small absolute floor).
     """
     shape = phi.domain
@@ -189,7 +190,8 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
         raise SingularMapError(
             f"matrix-unit relations only hold to {resid:.3g} (tolerance {tol:.3g})")
     psi = system.as_map()
-    probes = stack_elements(ball_probes(shape, 48, seed=23) if probes is None else probes)
+    if probes is None:
+        probes = constant(ball_probes, shape, 48, 23)
     dist = la.op_norm(psi.batch(probes) - phi.batch(probes))
     bound = assert_factor * eps + 1e-9
     info = {"distance": dist, "distance_bound": bound, "distance_ok": dist <= bound,
@@ -301,14 +303,15 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
 
     Projects through the trace expectation, corrects to an exact
     homomorphism inside the subalgebra, and aligns with a unitary close
-    to 1.  Returns (V, psi, info) with the measured near-inclusion distance
+    to 1.  Returns (V, psi, info) with the near-inclusion distance measured
+    over ``probes`` (a per-block stack; by default 48 fixed unit-ball probes)
     and the sqrt-budget checks.
     """
     if target.dim != psi1.dim:
         raise PreconditionError("target subalgebra lives in a different matrix size")
     exp = TraceExpectation(target)
-    probes = stack_elements(ball_probes(psi1.domain, 48, seed=29) if probes is None
-                            else probes)
+    if probes is None:
+        probes = constant(ball_probes, psi1.domain, 48, 29)
     values = psi1.batch(probes)
     eps6 = exp.distance(values, stack_norms(probes))
     kw = dict(correction_kwargs or {})

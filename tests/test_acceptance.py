@@ -10,7 +10,7 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraShape, HaarSampler, four_unitaries,
-                              reconstruct)
+                              reconstruct, stack_rows)
 from starstab.averaging import (NUMERIC_FLOOR, GroupMap, average_once,
                                 restrict_to_unitaries, schedule)
 from starstab.config import PipelineConfig
@@ -179,7 +179,7 @@ def test_acceptance_8_intertwiner():
                       "multiplicities raise the typed error", 10.0):
         shape = AlgebraShape([1, 2])
         psi = embedding(shape, (2, 1), seed=9)
-        probes = ball_probes(shape, 64, 10)
+        probes = stack_rows(shape, ball_probes(shape, 64, 10))
         for dist in (1e-2, 5e-2):
             u = near_identity_unitary(4, dist, seed=11)
             psi2 = ApproxMap.linear(shape, 4, u @ psi.basis @ u.conj().T)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, HaarSampler, _derive_seed, stack_elements
+from starstab.algebra import AlgebraShape, HaarSampler, _derive_seed, stack_elements, stack_rows
 from starstab.averaging import (NUMERIC_FLOOR, AveragedGroupMap, GroupMap, average_once,
                                 measure_group_map, restrict_to_unitaries,
                                 schedule, stabilize)
@@ -13,6 +13,10 @@ from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
 from starstab.probes import unitary_pairs
 
 SHAPE2 = AlgebraShape([2])
+
+
+def pair_rows(pairs):
+    return zip(*(stack_rows(SHAPE2, s) for s in pairs))
 
 
 def embedding8():
@@ -57,7 +61,7 @@ def test_multiplicative_fixed_point_any_samples():
     rho = restrict_to_unitaries(phi, seed=2)
     pairs = unitary_pairs(SHAPE2, 6, 3)
     out, rec = average_once(rho, 64, probe_pairs=pairs)
-    for u, v in pairs:
+    for u, v in pair_rows(pairs):
         assert la.op_norm(out(u) - rho(u)) < 1e-12
     assert rec.after.closeness < 1e-12
     assert rec.contraction_ok and rec.closeness_ok and rec.kappa_ok
@@ -105,7 +109,7 @@ def test_translation_invariance_of_estimator():
     out_b, rec_b = average_once(rho, 192, probe_pairs=pairs, translate_by=g)
     budget = rec_a.after.closeness_mc + rec_b.after.closeness_mc \
         + rec_a.after.mc + rec_b.after.mc + NUMERIC_FLOOR
-    for u, v in pairs:
+    for u, v in pair_rows(pairs):
         for w in (u, v, u * v):
             assert la.op_norm(out_a(w) - out_b(w)) <= budget
 
@@ -191,7 +195,7 @@ def test_measurement_builds_one_stack_per_point(monkeypatch):
     phi = perturb_additive(embedding8(), 2e-4, seed=34)
     rho = restrict_to_unitaries(phi, seed=35)
     pairs = unitary_pairs(SHAPE2, 5, 36)
-    new, _ = average_once(rho, 16, probe_pairs=pairs[:1])
+    new, _ = average_once(rho, 16, probe_pairs=tuple(tuple(s[:1] for s in p) for p in pairs))
     calls = []
     batch = rho.batch
 
@@ -201,7 +205,7 @@ def test_measurement_builds_one_stack_per_point(monkeypatch):
 
     monkeypatch.setattr(rho, "batch", counted)
     measure_group_map(new, pairs, against=rho)
-    assert calls == [16] * (3 * len(pairs)) + [3 * len(pairs)]
+    assert calls == [16] * (3 * 5) + [3 * 5]
 
 
 def test_group_memo_is_bounded(monkeypatch):
@@ -237,7 +241,7 @@ def test_non_finite_parent_value_aborts_averaging():
     rho_seed = 42
     sampler = HaarSampler(SHAPE2, _derive_seed(rho_seed, "level", 1))
     samples = [sampler.unitary() for _ in range(16)]
-    target = samples[3].blocks[0] @ pairs[0][0].blocks[0]
+    target = samples[3].blocks[0] @ pairs[0][0][0]
 
     def fn(x):
         if np.allclose(x.blocks[0], target, rtol=0.0, atol=1e-12):

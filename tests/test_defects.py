@@ -5,7 +5,7 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
-                              identity)
+                              identity, stack_elements, stack_rows)
 from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
                               estimate_defect, induction_window, is_eps_nonzero,
                               isometry_diagnostic, map_norm, normalize,
@@ -73,8 +73,10 @@ def test_defect_monotone_in_probe_set():
     for i in range(40):
         s = sampler.fork(("defect", i))
         triples.append((s.contraction(), s.contraction(), s.disc_scalar()))
-    small = _defects_on_pairs(phi, triples[:20])
-    big = _defects_on_pairs(phi, triples)
+    xs, ys, lams = zip(*triples)
+    x, y, lam = stack_elements(xs), stack_elements(ys), np.array(lams)
+    small = _defects_on_pairs(phi, tuple(s[:20] for s in x), tuple(s[:20] for s in y), lam[:20])
+    big = _defects_on_pairs(phi, x, y, lam)
     for f in ("add_defect", "scalar_defect", "mult_defect", "adj_defect", "norm_excess"):
         assert getattr(big, f) >= getattr(small, f)
 
@@ -86,7 +88,7 @@ def test_convex_blend_defect():
     psi0 = embedding()
     u = near_identity_unitary(4, 0.3, seed=5)
     psi1 = ApproxMap.linear(SHAPE2, 4, u @ psi0.basis @ u.conj().T)
-    probes = sphere_probes(SHAPE2, 48, 6)
+    probes = stack_rows(SHAPE2, sphere_probes(SHAPE2, 48, 6))
     d = max(la.op_norm(psi0(x) - psi1(x)) for x in probes)
     t = 0.3
     blend = ApproxMap.linear(SHAPE2, 4, (1 - t) * psi0.basis + t * psi1.basis)
@@ -98,7 +100,7 @@ def test_convex_blend_defect():
 def test_normalize_fixed_point():
     psi = embedding()
     out = normalize(psi, estimate_defect(psi, 64))
-    probes = sphere_probes(SHAPE2, 16, 3)
+    probes = stack_rows(SHAPE2, sphere_probes(SHAPE2, 16, 3))
     assert max(la.op_norm(out(x) - psi(x)) for x in probes) < 1e-12
 
 
@@ -108,7 +110,7 @@ def test_normalize_scaling_case():
     before = estimate_defect(phi, 64)
     out = normalize(phi, before)
     probes = sphere_probes(SHAPE2, 32, 3)
-    assert max(la.op_norm(out(x) - phi(x)) for x in probes) <= 0.05 + 1e-9
+    assert max(la.op_norm(out(x) - phi(x)) for x in stack_rows(SHAPE2, probes)) <= 0.05 + 1e-9
     assert map_norm(out, probes) <= 1.0 + 1e-9
     assert estimate_defect(out, 64).epsilon <= 6 * before.epsilon + 1e-9
 
@@ -210,6 +212,7 @@ def test_isometry_diagnostic_zero_map():
     zero = ApproxMap(SHAPE2, 4, lambda x: np.zeros((4, 4), dtype=complex))
     rep = isometry_diagnostic(zero, 1e-4, 100)
     assert rep.verdict == "not-nonzero"
+    assert rep.probes_checked == 25         # the sphere probes, max(trials // 4, 8)
 
 
 def test_isometry_diagnostic_perturbed():
@@ -258,4 +261,4 @@ def test_evaluator_failure_carries_input():
 
 def test_deterministic_pairs_capped():
     pairs = deterministic_pairs(AlgebraShape([3, 3]), cap_elems=10, cap_pairs=50)
-    assert len(pairs) <= 50
+    assert len(pairs[2]) <= 50

@@ -3,7 +3,7 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
-                              stack_elements)
+                              stack_elements, stack_rows)
 from starstab.defects import estimate_defect
 from starstab.errors import PreconditionError
 from starstab.factory import (EmbeddingSpec, InclusionSpec, discretize,
@@ -72,7 +72,7 @@ def test_perturb_additive_defect_window():
     rep = estimate_defect(phi, 500)
     assert 1e-3 <= rep.epsilon <= 4.0 * eta
     # the perturbation stays within eta of its base in sup-distance
-    probes = ball_probes(SHAPE2, 64, 3)
+    probes = stack_rows(SHAPE2, ball_probes(SHAPE2, 64, 3))
     assert max(la.op_norm(phi(x) - psi(x)) for x in probes) <= eta + 1e-12
     # deterministic: bit-identical repeated evaluation
     x = HaarSampler(SHAPE2, 3).contraction()
@@ -145,7 +145,7 @@ def test_discretize_contract():
     h = 1e-3
     out = discretize(psi, h)
     c = mesh_constant(shape)
-    probes = ball_probes(shape, 40, 5)
+    probes = stack_rows(shape, ball_probes(shape, 40, 5))
     worst = max(la.op_norm(out(x) - psi(x)) for x in probes)
     assert worst <= 2.0 * h * c
     assert out.meta["distance_bound"] >= 0.0

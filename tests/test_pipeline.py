@@ -10,7 +10,7 @@ import pytest
 
 import starstab
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, identity, matrix_unit
+from starstab.algebra import AlgebraShape, identity, matrix_unit, stack_rows
 from starstab.averaging import GroupMap
 from starstab.config import PipelineConfig, parse_config
 from starstab.defects import ApproxMap
@@ -106,7 +106,7 @@ def test_additive_recovery_and_triangle():
     assert rep.final_distance <= rep.movement_sum() + 1e-8
     assert psi.meta["output_defect"]["epsilon"] < 1e-8
     # recovered map is within the perturbation triangle of the ground truth
-    probes = ball_probes(AlgebraShape([2]), 48, 6)
+    probes = stack_rows(AlgebraShape([2]), ball_probes(AlgebraShape([2]), 48, 6))
     d_truth = max(la.op_norm(psi(x) - psi0(x)) for x in probes)
     assert d_truth <= rep.final_distance + eta + 1e-9
 
@@ -170,7 +170,7 @@ def test_stone_path_matches_unit_path():
     psi_s, rep_s = run_pipeline(phi, FAST.replace(path="stone"))
     assert rep_f.ok() and rep_s.ok()
     v = intertwiner(psi_f, psi_s)
-    probes = ball_probes(AlgebraShape([2]), 32, 13)
+    probes = stack_rows(AlgebraShape([2]), ball_probes(AlgebraShape([2]), 32, 13))
     worst = max(la.op_norm(v @ psi_f(x) @ v.conj().T - psi_s(x)) for x in probes)
     assert worst < 1e-9
 

@@ -5,7 +5,7 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
-                              identity, zeros)
+                              identity, stack_rows, zeros)
 from starstab.averaging import GroupMap, restrict_to_unitaries
 from starstab.errors import PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
@@ -29,7 +29,7 @@ def test_unitarize_fixed_point():
     pi0 = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
     unzr, pi, info = unitarize(pi0, 128)
     assert unzr.deviation < 1e-12
-    us = random_unitaries(SHAPE2, 6, 2)
+    us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 6, 2))
     assert max(la.op_norm(pi(u) - pi0(u)) for u in us) < 1e-12
 
 
@@ -37,7 +37,7 @@ def test_unitarize_recovers_conjugated_rep():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (4,), 0))
     tau = restrict_to_unitaries(perturb_conjugate(psi, near_identity(8, 0.01, seed=3)), seed=4)
     unzr, pi, info = unitarize(tau, 512)
-    us = random_unitaries(SHAPE2, 8, 5)
+    us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 8, 5))
     for u in us:
         val = pi(u)
         assert la.op_norm(val.conj().T @ val - np.eye(8)) < 1e-12
@@ -74,7 +74,7 @@ def test_unitarize_multiplicativity_transport():
     t_dev = unzr.deviation
     # input is exactly multiplicative; the defect of pi comes from the
     # conjugation transport plus the polar-snap residue it absorbed
-    for u, v in unitary_pairs(SHAPE2, 6, 10):
+    for u, v in zip(*(stack_rows(SHAPE2, s) for s in unitary_pairs(SHAPE2, 6, 10))):
         lhs = la.op_norm(pi(u * v) - pi(u) @ pi(v))
         assert lhs <= 1e-10 * (1 + 4 * t_dev) + 3 * info["max_snap"] + 1e-8
 

@@ -1,23 +1,32 @@
 """Stack evaluation: per-block input stacks of shape (K, n_b, n_b) give the
-same values as single-point calls, to rounding."""
+same values as single-point calls, to rounding; probe sets built as stacks
+equal the per-element builds bit for bit, and their cache is bounded and
+read-only."""
 import dataclasses
 
 import numpy as np
 import pytest
 
 import starstab._linalg as la
+from starstab import probes
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
-                              coeff_vector, identity, stack_elements)
+                              coeff_vector, identity, matrix_unit, stack_elements,
+                              zeros)
 from starstab.averaging import (AveragedGroupMap, GroupMeasurement, _batch_means,
                                 _spread, average_once, measure_group_map,
                                 restrict_to_unitaries)
+from starstab.config import PipelineConfig
 from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
                               estimate_defect, normalize)
 from starstab.errors import EvaluationError
+from starstab.experiments import sweep_instances
 from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, perturb_additive)
-from starstab.probes import deterministic_pairs, unitary_pairs
+from starstab.pipeline import run_pipeline
+from starstab.probes import (ball_probes, deterministic_elements,
+                             deterministic_pairs, forked_spheres,
+                             random_unitaries, sphere_probes, unitary_pairs)
 
 SHAPE = AlgebraShape([1, 2])
 
@@ -148,27 +157,170 @@ def reference_defects(m, triples):
     return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(triples))
 
 
-def defect_triples(shape, samples, det_cap):
+# -- reference probe builders: the per-element code that the stacked builders
+# replaced, kept to show that every probe set is unchanged bit for bit
+
+def ref_gaussians(shape, rng):
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in shape.blocks]
+
+
+def ref_unitary(s):
+    mats = []
+    for g in ref_gaussians(s.shape, s._rng()):
+        q, r = np.linalg.qr(g)
+        d = np.diag(r)
+        mats.append(q * (d / np.abs(d)))
+    return AlgebraElement(s.shape, mats)
+
+
+def ref_contraction(s):
+    rng = s._rng()
+    x = AlgebraElement(s.shape, ref_gaussians(s.shape, rng))
+    r = rng.uniform(0.0, 1.0)
+    nrm = x.norm()
+    return zeros(s.shape) if nrm == 0.0 else (r / nrm) * x
+
+
+def ref_sphere(s):
+    x = AlgebraElement(s.shape, ref_gaussians(s.shape, s._rng()))
+    return x / x.norm()
+
+
+def ref_disc_scalar(s):
+    rng = s._rng()
+    return complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+
+
+def ref_deterministic_pairs(shape, cap_elems=12, cap_pairs=256):
+    elems = deterministic_elements(shape, cap=cap_elems)
+    lams = [1.0, -1.0, 1j, 0.5 + 0.5j]
+    pairs = []
+    k = 0
+    for x in elems:
+        for y in elems:
+            pairs.append((x, y, lams[k % len(lams)]))
+            k += 1
+    if len(pairs) > cap_pairs:
+        idx = np.linspace(0, len(pairs) - 1, cap_pairs).round().astype(int)
+        pairs = [pairs[i] for i in sorted(set(idx.tolist()))]
+    return pairs
+
+
+def ref_random_unitaries(shape, count, seed):
+    s = HaarSampler(shape, seed)
+    return [ref_unitary(s) for _ in range(count)]
+
+
+def ref_unitary_pairs(shape, count, seed):
+    s = HaarSampler(shape, seed)
+    return [(ref_unitary(s), ref_unitary(s)) for _ in range(count)]
+
+
+def ref_ball_probes(shape, count, seed, det_cap=24):
+    det = deterministic_elements(shape, cap=det_cap)
+    s = HaarSampler(shape, seed)
+    return det + [ref_contraction(s) for _ in range(count - len(det))]
+
+
+def ref_sphere_probes(shape, count, seed):
+    out = [identity(shape)]
+    for b, n in enumerate(shape.blocks):
+        for i in range(n):
+            for j in range(n):
+                out.append(matrix_unit(shape, b, i, j))
+    out = out[:count] if len(out) > count else out
+    s = HaarSampler(shape, seed)
+    out += [ref_sphere(s) for _ in range(count - len(out))]
+    return out
+
+
+def ref_defect_triples(shape, samples, det_cap):
     sampler = HaarSampler(shape, seed=0)
     triples = []
     for i in range(samples):
         s = sampler.fork(("defect", i))
-        triples.append((s.contraction(), s.contraction(), s.disc_scalar()))
-    return triples + deterministic_pairs(shape, cap_elems=det_cap)
+        triples.append((ref_contraction(s), ref_contraction(s), ref_disc_scalar(s)))
+    return triples + ref_deterministic_pairs(shape, cap_elems=det_cap)
+
+
+def stacked(triples):
+    xs, ys, lams = zip(*triples)
+    return stack_elements(xs), stack_elements(ys), np.array(lams, dtype=complex)
+
+
+def same_stack(stack, ref):
+    return len(stack) == len(ref) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(stack, ref))
+
+
+def same_bits(stack, elems):
+    return same_stack(stack, stack_elements(elems))
+
+
+SHAPES = [AlgebraShape([2]), SHAPE, AlgebraShape([2, 2])]
+
+
+@pytest.mark.parametrize("shape", SHAPES + [AlgebraShape([3]), AlgebraShape([4])])
+def test_stacked_probe_sets_match_the_per_element_builders(shape):
+    probes.clear_cache()
+    for count, seed, det_cap in ((48, 23, 24), (32, 3, 24), (40, 5, 8), (4, 1, 24)):
+        assert same_bits(ball_probes(shape, count, seed, det_cap),
+                         ref_ball_probes(shape, count, seed, det_cap))
+    for count, seed in ((64, 7), (8, 13), (3, 2)):
+        assert same_bits(sphere_probes(shape, count, seed), ref_sphere_probes(shape, count, seed))
+    assert same_bits(random_unitaries(shape, 8, 5), ref_random_unitaries(shape, 8, 5))
+    iso = HaarSampler(shape, 11)
+    assert same_bits(forked_spheres(shape, 6, 11, "iso"),
+                     [ref_sphere(iso.fork(("iso", i))) for i in range(6)])
+    us, vs = unitary_pairs(shape, 6, 10)
+    ref = ref_unitary_pairs(shape, 6, 10)
+    assert same_bits(us, [u for u, _ in ref]) and same_bits(vs, [v for _, v in ref])
+    for det_cap in (8, 12):
+        x, y, lam = deterministic_pairs(shape, det_cap)
+        rx, ry, rlam = stacked(ref_deterministic_pairs(shape, det_cap))
+        assert same_stack(x, rx) and same_stack(y, ry) and lam.tobytes() == rlam.tobytes()
+    s, r = HaarSampler(shape, 9), HaarSampler(shape, 9)
+    for _ in range(3):
+        assert s.unitary().key() == ref_unitary(r).key()
+        assert s.contraction().key() == ref_contraction(r).key()
+        assert s.sphere().key() == ref_sphere(r).key()
+        assert s.disc_scalar() == ref_disc_scalar(r)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_estimate_defect_is_bit_identical_to_the_per_call_reference(shape):
+    mults = (2,) * len(shape.blocks)
+    n = sum(m * b for m, b in zip(mults, shape.blocks))
+    psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0, haar_conjugator(n, 5)))
+
+    def maps():     # fresh maps: opaque per-element, linear and additive
+        yield ApproxMap(shape, n, lambda x: psi(x) + 1e-3 * psi(x) @ psi(x) @ psi(x))
+        yield psi
+        yield perturb_additive(psi, 1e-3, seed=3)
+
+    probes.clear_cache()
+    # cold, a slice of a longer set, an extension, a slice again
+    for samples in (96, 24, 200, 64):
+        for det_cap in (8, 12):
+            triples = stacked(ref_defect_triples(shape, samples, det_cap))
+            for m, ref_m in zip(maps(), maps()):
+                got = estimate_defect(m, samples, det_cap=det_cap)
+                assert got.to_dict() == _defects_on_pairs(ref_m, *triples).to_dict()
 
 
 @pytest.mark.parametrize("shape, mults", [(SHAPE, (2, 1)), (AlgebraShape([2]), (2,))])
 def test_stacked_defects_match_the_per_pair_loop(shape, mults):
     psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0, haar_conjugator(4, 5)))
-    triples = defect_triples(shape, 24, 8)
+    triples = ref_defect_triples(shape, 24, 8)
 
     def opaque():   # a fresh per-element map, nonlinear and not multiplicative
         return ApproxMap(shape, psi.dim, lambda x: psi(x) + 1e-3 * psi(x) @ psi(x) @ psi(x))
 
-    assert _defects_on_pairs(opaque(), triples) == reference_defects(opaque(), triples)
+    assert _defects_on_pairs(opaque(), *stacked(triples)) == reference_defects(opaque(), triples)
     assert estimate_defect(opaque(), 24, det_cap=8) == reference_defects(opaque(), triples)
     for m in (psi, perturb_additive(psi, 1e-3, seed=3)):
-        got, ref = _defects_on_pairs(m, triples), reference_defects(m, triples)
+        got, ref = _defects_on_pairs(m, *stacked(triples)), reference_defects(m, triples)
         assert got.sample_count == ref.sample_count
         for f in ("add_defect", "scalar_defect", "mult_defect", "adj_defect", "norm_excess"):
             assert abs(getattr(got, f) - getattr(ref, f)) <= 1e-12, f
@@ -176,7 +328,7 @@ def test_stacked_defects_match_the_per_pair_loop(shape, mults):
 
 def reference_measurement(rho, pairs, batches=8, against=None):
     """The per-point loop that measured group maps before their points were
-    stacked, kept as the reference."""
+    stacked, kept as the reference; ``pairs`` is a list of element pairs."""
     points = [w for u, v in pairs for w in (u, v, u * v)]
     f = np.stack([rho(w) for w in points]).reshape(len(pairs), 3, rho.dim, rho.dim)
     s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
@@ -201,16 +353,83 @@ def reference_measurement(rho, pairs, batches=8, against=None):
 def test_stacked_group_measurement_matches_the_per_point_loop():
     rho0 = restrict_to_unitaries(perturb_additive(embedding(), 1e-3, seed=11), seed=12)
     pairs = unitary_pairs(SHAPE, 4, 13)
+    pair_list = ref_unitary_pairs(SHAPE, 4, 13)
     rho1, _ = average_once(rho0, 24, probe_pairs=pairs)
     rho2, _ = average_once(rho1, 24, probe_pairs=pairs)
     for rho, parent in ((rho1, rho0), (rho2, rho1)):
         for against in (None, parent):
             got = measure_group_map(rho, pairs, against=against)
-            ref = reference_measurement(rho, pairs, against=against)
+            ref = reference_measurement(rho, pair_list, against=against)
             if against is rho0:     # level-0 values: stacked and single-point agree to rounding
                 assert abs(got.closeness - ref.closeness) <= 1e-12
                 ref = dataclasses.replace(ref, closeness=got.closeness)
             assert got == ref
-    got, ref = measure_group_map(rho0, pairs), reference_measurement(rho0, pairs)
+    got, ref = measure_group_map(rho0, pairs), reference_measurement(rho0, pair_list)
     assert abs(got.kappa - ref.kappa) <= 1e-12 and abs(got.delta - ref.delta) <= 1e-12
     assert (got.mc, got.closeness, got.pairs) == (0.0, 0.0, ref.pairs)
+
+
+# -- the probe cache ----------------------------------------------------------------
+
+def test_a_repeated_defect_estimate_draws_nothing(monkeypatch):
+    m = perturb_additive(embedding(), 1e-3, seed=7)
+    probes.clear_cache()
+    draws = []
+    rng = HaarSampler._rng
+
+    def counted(sampler):
+        draws.append(sampler.seed)
+        return rng(sampler)
+
+    monkeypatch.setattr(HaarSampler, "_rng", counted)
+    first = estimate_defect(m, 96, det_cap=12)
+    assert len(draws) == 3 * 96
+    draws.clear()
+    assert estimate_defect(m, 96, det_cap=12) == first
+    estimate_defect(m, 64, det_cap=12)      # a prefix of the cached set
+    assert draws == []
+
+
+def test_cached_probe_sets_are_read_only():
+    probes.clear_cache()
+    estimate_defect(embedding(), 24)
+    ball = probes.constant(ball_probes, SHAPE, 48, 23)
+    with pytest.raises(ValueError):
+        ball[0][0, 0, 0] = 1.0
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        return [a for v in value for a in arrays(v)]
+
+    cached = [a for v in probes._cache.values() for a in arrays(v)]
+    # random triples, deterministic pairs, the ball set and its deterministic part
+    assert len(probes._cache) == 4 and cached
+    assert not any(a.flags.writeable for a in cached)
+
+
+def test_probe_cache_is_bounded():
+    probes.clear_cache()
+    cap = probes.CACHE_CAP
+    for count in range(1, cap + 6):
+        probes.constant(sphere_probes, SHAPE, count, 7)
+    probes.constant(sphere_probes, SHAPE, 6, 7)     # a hit makes 6 the most recent
+    probes.constant(sphere_probes, SHAPE, cap + 6, 7)
+    assert len(probes._cache) == cap
+    assert (sphere_probes, SHAPE, 6, 7) in probes._cache
+    assert (sphere_probes, SHAPE, 7, 7) not in probes._cache
+    assert (sphere_probes, SHAPE, cap + 6, 7) in probes._cache
+
+
+def test_sweep_report_does_not_depend_on_the_cache():
+    config = PipelineConfig(probes=96, group_probes=6, mc_width=128,
+                            unitarize_width=48, max_levels=1, seed=1)
+
+    def report():
+        _, phi, _, _ = next(sweep_instances((1e-3,), 1, config))
+        return run_pipeline(phi, config)[1].canonical_json()
+
+    probes.clear_cache()
+    cold = report()
+    assert probes._cache
+    assert report() == cold

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, HaarSampler, matrix_unit
+from starstab.algebra import AlgebraShape, HaarSampler, matrix_unit, stack_rows
 from starstab.defects import ApproxMap, estimate_defect
 from starstab.errors import (GapError, MultiplicityMismatch, PreconditionError)
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
@@ -42,7 +42,7 @@ def test_correction_of_additive_perturbation():
     phi = perturb_additive(psi0, 1e-3, seed=3)
     system, out, info = matrix_unit_correction(phi)
     assert info["relation_residual"] < 1e-9
-    probes = ball_probes(SHAPE12, 48, 4)
+    probes = stack_rows(SHAPE12, ball_probes(SHAPE12, 48, 4))
     assert sup_dist(out, psi0, probes) <= 1e-2
     # all five defects of the output are tiny
     assert estimate_defect(out, 60).epsilon < 1e-8
@@ -108,7 +108,7 @@ def test_intertwiner_conjugated(dist):
     u = near_identity_unitary(4, dist, seed=13)
     psi2 = ApproxMap.linear(SHAPE12, 4, u @ psi.basis @ u.conj().T)
     v = intertwiner(psi, psi2)
-    probes = ball_probes(SHAPE12, 48, 14)
+    probes = stack_rows(SHAPE12, ball_probes(SHAPE12, 48, 14))
     assert sup_dist(lambda x: v @ psi(x) @ v.conj().T, psi2, probes) < 1e-10
     gap = sup_dist(psi, psi2, probes)
     assert la.op_norm(v - np.eye(4)) <= 10.0 * gap + 1e-9
@@ -160,7 +160,7 @@ def test_near_inclusion_trivial():
     psi = exact_homomorphism(spec)
     v, out, info = near_inclusion_fix(psi, spec)
     assert la.op_norm(v - np.eye(4)) < 1e-9
-    probes = ball_probes(SHAPE12, 32, 18)
+    probes = stack_rows(SHAPE12, ball_probes(SHAPE12, 32, 18))
     assert sup_dist(out, psi, probes) < 1e-9
 
 
@@ -169,7 +169,7 @@ def test_near_inclusion_full_algebra():
     full = EmbeddingSpec(AlgebraShape([4]), (1,), 0)
     v, out, info = near_inclusion_fix(psi, full)
     assert info["eps6"] < 1e-12
-    probes = ball_probes(SHAPE12, 32, 20)
+    probes = stack_rows(SHAPE12, ball_probes(SHAPE12, 32, 20))
     assert sup_dist(out, psi, probes) < 1e-9
 
 
@@ -181,7 +181,7 @@ def test_near_inclusion_conjugated():
     assert info["v_ok"] and info["movement_ok"]
     # output genuinely lands in the subalgebra
     exp = TraceExpectation(spec)
-    probes = ball_probes(SHAPE12, 24, 23)
+    probes = stack_rows(SHAPE12, ball_probes(SHAPE12, 24, 23))
     assert max(la.op_norm(out(x) - exp.project(out(x))) for x in probes) < 1e-10
 
 
@@ -211,7 +211,7 @@ def test_near_inclusion_skips_correcting_an_exact_input():
     v2, out2, info2 = near_inclusion_fix(opaque, target)
     assert info2["input_correction"]["relation_residual"] <= 1e-9
     assert la.op_norm(v - v2) <= 1e-12
-    probes = ball_probes(SHAPE12, 24, 33)
+    probes = stack_rows(SHAPE12, ball_probes(SHAPE12, 24, 33))
     assert sup_dist(out, out2, probes) <= 1e-12
 
 
