@@ -20,7 +20,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, _derive_seed,
                       stack_row, unitary_stack)
-from .defects import ApproxMap, remember
+from .defects import ApproxMap
 from .errors import ContractionError, PreconditionError
 from .probes import unitary_pairs
 
@@ -96,57 +96,34 @@ class GroupMap:
         return np.stack([self.fn(stack_row(self.domain, stack, k))
                          for k in range(stack[0].shape[0])]).astype(complex, copy=False)
 
-    def compose_output(self, post: Callable[[np.ndarray], np.ndarray], dim: int,
-                       seed: int | None = None, **meta) -> "GroupMap":
-        """u -> post(self(u)), where ``post`` maps a (K, N, N) stack of values
-        row by row to a (K, dim, dim) stack; keeps the level and (unless
-        given) the seed, and adds ``meta``."""
-        return GroupMap(self.domain, dim, level=self.level,
-                        seed=self.seed if seed is None else seed,
-                        meta={**self.meta, **meta},
-                        stack_fn=lambda stack: post(self.batch(stack)))
-
 
 class AveragedGroupMap(GroupMap):
     """One averaging pass over a fixed sample set of the parent map; the
     samples are held as a per-block stack with their parent values'
-    inverses alongside.  A value costs a whole pass, so it is the one group
-    map with a memo: values keyed by the point's canonical bytes, cleared
-    when it reaches ``_MEMO_CAP`` entries."""
-
-    _MEMO_CAP = 8192
+    inverses alongside.  A value costs one parent row per sample and is not
+    cached: measurements carry the values they took forward."""
 
     def __init__(self, parent: GroupMap, samples: tuple, inverses: np.ndarray, seed: int):
         self.parent = parent
         self.samples = samples
         self.inverses = inverses
-        self._memo: dict[bytes, np.ndarray] = {}
         super().__init__(parent.domain, parent.dim, level=parent.level + 1, seed=seed,
                          meta={**parent.meta, "width": len(inverses)},
-                         stack_fn=self._values)
+                         stack_fn=lambda stack: np.stack([t.mean(axis=0)
+                                                          for t in self._terms(stack)]))
+
+    def _terms(self, stack):
+        """rho(x_j)^{-1} rho(x_j u) for all samples x_j, one point u of a
+        per-block stack at a time: one stacked product per block and one
+        parent batch of M rows per point."""
+        for k in range(stack[0].shape[0]):
+            yield self.inverses @ self.parent.batch(
+                tuple(x @ s[k] for x, s in zip(self.samples, stack)))
 
     def terms(self, stack) -> np.ndarray:
-        """rho(x_j)^{-1} rho(x_j u) for all samples x_j at each point u of a
-        per-block stack, as (K, M, N, N): per point one stacked product per
-        block and one parent batch of M rows.  Memoizes each point's value,
+        """The terms at the K points of a stack, as (K, M, N, N); a value is
         the mean of its terms."""
-        out = []
-        for k in range(stack[0].shape[0]):
-            u = stack_row(self.domain, stack, k)
-            t = self.inverses @ self.parent.batch(
-                tuple(x @ b for x, b in zip(self.samples, u.blocks)))
-            remember(self._memo, u.key(), t.mean(axis=0), self._MEMO_CAP)
-            out.append(t)
-        return np.stack(out)
-
-    def _values(self, stack) -> np.ndarray:
-        values = []
-        for k in range(stack[0].shape[0]):
-            key = stack_row(self.domain, stack, k).key()
-            if key not in self._memo:       # a one-row pass stores its key last
-                self.terms(tuple(s[k:k + 1] for s in stack))
-            values.append(self._memo[key])
-        return np.stack(values)
+        return np.stack(list(self._terms(stack)))
 
 
 def restrict_to_unitaries(m: ApproxMap, seed: int = 0) -> GroupMap:
@@ -158,7 +135,9 @@ def restrict_to_unitaries(m: ApproxMap, seed: int = 0) -> GroupMap:
 @dataclass(frozen=True)
 class GroupMeasurement:
     """Probe measurements of a group map: inverse bound, multiplicativity
-    defect, and (for averaged maps) the 3-sigma batch error of each."""
+    defect, and (for averaged maps) the 3-sigma batch error of each.
+    ``values`` (read-only) are the map's values at u, v and uv of each
+    pair, (P, 3, N, N), for later stages to reuse."""
 
     kappa: float
     delta: float
@@ -166,6 +145,7 @@ class GroupMeasurement:
     closeness: float = 0.0      # sup ||new(u) - parent(u)|| where applicable
     closeness_mc: float = 0.0
     pairs: int = 0
+    values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _batch_means(stack: np.ndarray, batches: int) -> np.ndarray:
@@ -186,17 +166,19 @@ def _spread(mats: np.ndarray) -> float:
 
 
 def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
-                      against: GroupMap | None = None) -> GroupMeasurement:
+                      against: GroupMeasurement | None = None) -> GroupMeasurement:
     """Measure kappa, the defect and their Monte-Carlo error over probe pairs,
-    given as two per-block stacks (us, vs): ``rho`` (and ``against``)
-    evaluate the points u, v and uv of all pairs as one stack, and each
-    supremum is one batched norm."""
+    given as two per-block stacks (us, vs): ``rho`` evaluates the points u,
+    v and uv of all pairs as one stack, and each supremum is one batched
+    norm.  The closeness is taken against the values of ``against``, the
+    parent's measurement on the same pairs."""
     us, vs = pairs
     count = len(us[0])
     points = tuple(np.stack([u, v, u @ v], axis=1).reshape(-1, *u.shape[1:])
                    for u, v in zip(us, vs))
     terms = rho.terms(points) if isinstance(rho, AveragedGroupMap) else None
-    f = rho.batch(points).reshape(count, 3, rho.dim, rho.dim)
+    f = (rho.batch(points) if terms is None else terms.mean(axis=1)).reshape(
+        count, 3, rho.dim, rho.dim)
     s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
     kappa = float(np.max(1.0 / np.maximum(s, 1e-300)))
     delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])
@@ -206,11 +188,12 @@ def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
             count, 3, -1, rho.dim, rho.dim)
         mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
     if against is not None:
-        g = against.batch(points).reshape(f.shape)
+        g = against.values
         close = la.op_norm(f - g)
         if terms is not None:
             close_mc = _spread(b[:, :2] - g[:, :2, None])
-    return GroupMeasurement(kappa, delta, mc, close, close_mc, count)
+    f.setflags(write=False)
+    return GroupMeasurement(kappa, delta, mc, close, close_mc, count, f)
 
 
 @dataclass(frozen=True)
@@ -245,7 +228,8 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
     """One averaging pass with ``width`` common Haar samples.
 
     ``before``, when given, is the caller's measurement of ``rho`` on the
-    same pairs and batches.  Requires the measured hypothesis
+    same pairs and batches (the closing one is compared with its values).
+    Requires the measured hypothesis
     delta < kappa^{-2}.  The returned pass records the quadratic bound
     2 kappa^2 delta^2 + mc, the closeness bound kappa delta + mc and the
     inverse bound kappa/(1 - kappa^2 delta) + mc, each padded by the
@@ -267,7 +251,7 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
         samples = tuple(t @ s for t, s in zip(translate_by.blocks, samples))
     inverses = la.batched_inv_cond(rho.batch(samples))
     new = AveragedGroupMap(rho, samples, inverses, seed=rho.seed)
-    after = measure_group_map(new, probe_pairs, batches, against=rho)
+    after = measure_group_map(new, probe_pairs, batches, against=before)
     floor = NUMERIC_FLOOR * max(1.0, before.kappa)
     k, d = before.kappa, before.delta
     rec = AveragingPass(

@@ -38,6 +38,11 @@ class PipelineConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+# the smallest value each count's consumer accepts; a 3-sigma error needs
+# two batches (one gives a spread of 0, so every Monte-Carlo bound drops it)
+MINIMUMS = {"probes": 1, "group_probes": 1, "det_cap": 1, "mc_width": 2,
+            "unitarize_width": 1, "mc_batches": 2, "max_levels": 0,
+            "generator_count": 2}
 
 
 def _coerce(key: str, raw: str):
@@ -68,6 +73,9 @@ def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfi
         values[key] = _coerce(key, raw)
     if values.get("path", cfg.path) not in ("units", "stone"):
         raise ConfigError("path must be 'units' or 'stone'")
+    for key, least in MINIMUMS.items():
+        if values.get(key, least) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {values[key]}")
     return cfg.replace(**values)
 
 

@@ -25,14 +25,14 @@ from functools import partial
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit
+from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit, stack_elements
 from .averaging import (measure_group_map, restrict_to_unitaries, stabilize)
 from .config import PipelineConfig
 from .defects import ApproxMap, estimate_defect, normalize
 from .errors import PreconditionError, StabilityError, StageAbort
 from .factory import EmbeddingSpec, discretize, mesh_constant
 from .probes import ball_probes, unitary_pairs
-from .reps import compress, decompose, lift_projection, stone_generator, unitarize
+from .reps import compress, decompose, lift_projection, stone_generator, stone_points, unitarize
 from .synthesis import matrix_unit_correction, near_inclusion_fix
 
 BUDGET_EPS_MAX = 2.0 ** -12
@@ -183,25 +183,32 @@ class _StageClock:
         return out, rec
 
 
-def _stone_block_map(pi_block, domain: AlgebraShape, verify_tol: float,
+def _stone_elements(domain: AlgebraShape):
+    """The self-adjoint unitaries the stone path lifts, block by block:
+    1 - 2 e_ii for each i, then one swap per unordered pair i < j."""
+    one = identity(domain)
+    for b, n in enumerate(domain.blocks):
+        yield from (one - 2.0 * matrix_unit(domain, b, i, i) for i in range(n))
+        yield from (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
+                    + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j)
+                    for i in range(n) for j in range(i + 1, n))
+
+
+def _stone_block_map(values: np.ndarray, domain: AlgebraShape, verify_tol: float,
                      snap_tol: float) -> ApproxMap:
     """Assemble a block map from lifted projections and lifted self-adjoint
-    swap unitaries: psi(e_ij) = q_i rho(swap_ij) q_j, as a basis tensor."""
-    one = identity(domain)
+    swap unitaries, psi(e_ij) = q_i rho(swap_ij) q_j, as a basis tensor;
+    ``values[g]`` is the block at the stone points of ``_stone_elements`` g."""
     kw = dict(verify_tol=verify_tol, snap_tol=snap_tol)
+    lifts = iter(values)
     units = []
-    for b, n in enumerate(domain.blocks):
-        qs = [lift_projection(pi_block, matrix_unit(domain, b, i, i), **kw)
-              for i in range(n)]
-        swaps = {}      # swap_ij = swap_ji, so each unordered pair is lifted once
-        for i in range(n):
-            for j in range(i + 1, n):
-                swap = (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
-                        + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j))
-                swaps[i, j] = swaps[j, i] = stone_generator(pi_block, swap, **kw)
-        units += [qs[i] if i == j else qs[i] @ swaps[i, j] @ qs[j]
+    for n in domain.blocks:
+        qs = [lift_projection(next(lifts), **kw) for _ in range(n)]
+        swaps = {(i, j): stone_generator(next(lifts), **kw)
+                 for i in range(n) for j in range(i + 1, n)}
+        units += [qs[i] if i == j else qs[i] @ swaps[min(i, j), max(i, j)] @ qs[j]
                   for i in range(n) for j in range(n)]
-    return ApproxMap.linear(domain, pi_block.dim, np.stack(units), {"kind": "stone-lift"})
+    return ApproxMap.linear(domain, values.shape[-1], np.stack(units), {"kind": "stone-lift"})
 
 
 def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
@@ -219,7 +226,6 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     clock = _StageClock(stages)
     ball = ball_probes(shape, config.probes, _derive_seed(seed, "ball"))
     pairs = unitary_pairs(shape, config.group_probes, _derive_seed(seed, "pairs"))
-    us = tuple(np.concatenate(blocks) for blocks in zip(*pairs))
 
     report_in = estimate_defect(phi, config.probes,
                                 det_cap=config.det_cap)
@@ -262,14 +268,14 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # 4. restrict to the unitary group ---------------------------------------
     def make_group():
         rho = restrict_to_unitaries(phi3, seed=_derive_seed(seed, "group"))
-        kappa0 = la.op_norm(la.batched_inv_cond(rho.batch(us)))
-        if kappa0 > 2.0 + 1e-6:
+        m = measure_group_map(rho, pairs, config.mc_batches)
+        if m.kappa > 2.0 + 1e-6:
             raise PreconditionError(
-                f"inverse bound {kappa0:.3g} exceeds 2 on unitary probes")
-        return rho, kappa0, measure_group_map(rho, pairs, config.mc_batches)
-    ((rho0, kappa0, m0), rec) = clock.run("unitary-restriction", make_group)
+                f"inverse bound {m.kappa:.3g} exceeds 2 on unitary probes")
+        return rho, m
+    ((rho0, m0), rec) = clock.run("unitary-restriction", make_group)
     rec.in_triangle = False
-    rec.info = {"kappa0": kappa0}
+    rec.info = {"kappa0": m0.kappa}
 
     # 5. averaging -----------------------------------------------------------
     eps1 = max(4.0 * eps_in, m0.delta + m0.mc, 1e-13)
@@ -289,7 +295,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # 6. unitarize ------------------------------------------------------------
     snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
     (unit_out, rec) = clock.run("unitarize", lambda: unitarize(
-        stab.final, config.unitarize_width, probe_us=us,
+        stab.final, config.unitarize_width, post.values[:, :2].reshape(-1, work_dim, work_dim),
         batches=config.mc_batches, eps2=eps2_meas, snap_tol=snap_tol,
         seed=seed))
     unitarizer, pi, unit_info = unit_out
@@ -307,10 +313,11 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     rec.in_triangle = False
     rec.info = {"block_dims": list(blocks.block_dims), "residual": blocks.residual}
 
-    # commutator transport diagnostics
+    # commutator transport diagnostics (m0 holds phi3 at the unitary probes)
     p = np.stack(blocks.projections)[:, None]
     comm_u, comm_a = (la.op_norm(f @ p - p @ f) for f in
-                      (phi3.batch(us), phi3.batch(tuple(s[:24] for s in ball))))
+                      (m0.values[:, :2].reshape(-1, work_dim, work_dim),
+                       phi3.batch(tuple(s[:24] for s in ball))))
     comm_bound = 2.0 * (eps4_meas + eps2_meas) + 2.0 * blocks.residual \
         + post.mc + 1e-9
     comm_a_bound = 8.0 * (eps4_meas + eps2_meas) + 8.0 * eps1 \
@@ -318,17 +325,22 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
 
     # 8. per-block correction --------------------------------------------------
     # Both routes build an approximate block map and end in the same
-    # matrix-unit correction; only the source of the block map differs.
+    # matrix-unit correction; only the source of the block map differs.  The
+    # stone route evaluates pi once and compresses its values to each block.
     def correct_blocks():
         basis = np.zeros((shape.linear_dim, work_dim, work_dim), dtype=complex)
         residual = 0.0
         mult_total = [0] * len(shape.blocks)
+        if config.path == "stone":
+            gens = list(_stone_elements(shape))
+            pi_stone = pi.batch(stack_elements([w for a in gens for w in stone_points(a)]))
+            pi_stone = pi_stone.reshape(len(gens), -1, work_dim, work_dim)
+            verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
         for v_k in blocks.isometries():
             if config.path == "stone":
-                pi_k = compress(pi, v_k, snap_tol=max(1e-6, 4.0 * dec_tol))
-                verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
-                phi_k = _stone_block_map(pi_k, shape, verify,
-                                         snap_tol=max(1e-3, verify))
+                phi_k = _stone_block_map(
+                    compress(pi_stone, v_k, snap_tol=max(1e-6, 4.0 * dec_tol)), shape,
+                    verify, snap_tol=max(1e-3, verify))
             else:
                 phi_k = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
             eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon

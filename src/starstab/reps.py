@@ -18,10 +18,12 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
-                      stack_elements, unitary_stack)
+                      unitary_stack)
 from .averaging import GroupMap, HaarSampler, _batch_means, _spread
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
+
+STONE_ANGLES = (0.5, np.pi / 7.0, 1.0 / 3.0, 1.0)     # the log's r0, then check angles
 
 
 @dataclass(frozen=True)
@@ -37,19 +39,16 @@ class Unitarizer:
             raise PreconditionError("recorded deviation does not match T")
 
 
-def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
+def unitarize(tau: GroupMap, width: int, tau_us: np.ndarray, batches: int = 8,
               eps2: float | None = None, snap_tol: float = 1e-3,
               seed: int | None = None):
     """Average tau(u)* tau(u) over Haar samples, conjugate by the square root
     and snap to unitaries.
 
     Returns (Unitarizer, pi, info).  Requires the measured Gram deviation
-    sup ||tau(u)* tau(u) - 1|| to be < 1/2 over the probes ``probe_us``, a
-    per-block stack of unitaries.
+    sup ||tau(u)* tau(u) - 1|| to be < 1/2 over probe unitaries u, whose
+    values ``tau_us`` the caller gives as a (K, N, N) stack.
     """
-    if probe_us is None:
-        probe_us = random_unitaries(tau.domain, 8, _derive_seed(tau.seed, "unit-probes"))
-    tau_us = tau.batch(probe_us)
     eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
     if not eps3 < 0.5:
         raise PreconditionError(
@@ -66,8 +65,10 @@ def unitarize(tau: GroupMap, width: int, probe_us=None, batches: int = 8,
     t = la.herm_fun(mean, np.sqrt)
     t_inv = la.herm_fun(mean, lambda x: 1.0 / np.sqrt(x))
     deviation = la.op_norm(t - np.eye(tau.dim))
-    pi = tau.compose_output(lambda vals: la.snap_unitary(t @ vals @ t_inv, snap_tol)[0],
-                            tau.dim, unitarized=True)
+    pi = GroupMap(tau.domain, tau.dim, level=tau.level, seed=tau.seed,
+                  meta={**tau.meta, "unitarized": True},
+                  stack_fn=lambda stack: la.snap_unitary(t @ tau.batch(stack) @ t_inv,
+                                                         snap_tol)[0])
     if eps2 is None:
         eps2 = max(la.op_norm(tau_us) - 1.0, 0.0)
     pi_us, max_snap = la.snap_unitary(t @ tau_us @ t_inv, snap_tol)
@@ -264,35 +265,38 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
     return BlockDecomposition(pi.dim, projections, dims, resid)
 
 
-def compress(pi: GroupMap, isometry: np.ndarray, snap_tol: float = 1e-6) -> GroupMap:
-    """Restrict a unitary representation to an invariant subspace, re-snapping
-    so the block values are exactly unitary."""
+def compress(values: np.ndarray, isometry: np.ndarray, snap_tol: float = 1e-6) -> np.ndarray:
+    """Restrict a stack of values of a unitary representation to an
+    invariant subspace, re-snapping so the block values are exactly
+    unitary: the polar factor of v* x v for each x."""
     v = np.ascontiguousarray(isometry)
-    return pi.compose_output(lambda vals: la.snap_unitary(la.compress(v, vals), snap_tol)[0],
-                             v.shape[1], seed=_derive_seed(pi.seed, "block"))
+    return la.snap_unitary(la.compress(v, values), snap_tol)[0]
 
 
-def stone_generator(pi_block: GroupMap, a: AlgebraElement, r0: float = 0.5,
-                    verify_at=(np.pi / 7.0, 1.0 / 3.0, 1.0),
-                    verify_tol: float = 1e-6, snap_tol: float = 1e-3,
+def stone_points(a: AlgebraElement) -> list[AlgebraElement]:
+    """The points exp(i r a), one per angle of ``STONE_ANGLES``, at which
+    ``stone_generator`` reads a representation; ``a`` must be a
+    self-adjoint unitary."""
+    if not a.is_hermitian(1e-10) or (a * a - identity(a.shape)).norm() > 1e-10:
+        raise PreconditionError("generator must be a self-adjoint unitary (a = a*, a^2 = 1)")
+    return [involution_exp(a, r) for r in STONE_ANGLES]
+
+
+def stone_generator(values: np.ndarray, verify_tol: float = 1e-6, snap_tol: float = 1e-3,
                     branch_guard: float = 1e-6) -> np.ndarray:
-    """Image of a self-adjoint unitary under the one-parameter-group
-    logarithm of the representation.
+    """Image of a self-adjoint unitary a under the one-parameter-group
+    logarithm of the representation, from its values at ``stone_points(a)``.
 
-    Takes the principal logarithm of pi(exp(i r0 a)) at r0 = 1/2 (safely off
-    the branch cut for spectrum in {-1, +1}), rescales, and snaps via the
-    Hermitian sign function.  Verifies pi(exp(i r a)) = exp(i r rho(a)) at a
-    few check angles.
+    Takes the principal logarithm of pi(exp(i r0 a)) at the first angle
+    r0 = 1/2 (safely off the branch cut for spectrum in {-1, +1}),
+    rescales, and snaps via the Hermitian sign function.  Verifies
+    pi(exp(i r a)) = exp(i r rho(a)) at the other angles.
     """
-    if not a.is_hermitian(1e-10):
-        raise PreconditionError("generator must be self-adjoint")
-    if (a * a - identity(a.shape)).norm() > 1e-10:
-        raise PreconditionError("generator must be a self-adjoint unitary (a^2 = 1)")
-    values = pi_block.batch(stack_elements([involution_exp(a, r) for r in (r0, *verify_at)]))
+    r0, *verify_at = STONE_ANGLES
     h = la.principal_log_unitary(values[0], branch_guard) / r0
     rho, _ = la.herm_sign_snap(h, snap_tol)
     for r, lhs in zip(verify_at, values[1:]):
-        rhs = np.cos(r) * np.eye(pi_block.dim) + 1j * np.sin(r) * rho
+        rhs = np.cos(r) * np.eye(len(rho)) + 1j * np.sin(r) * rho
         if la.op_norm(lhs - rhs) > verify_tol:
             raise SnapError(
                 f"one-parameter group check failed at r = {r:.4g} "
@@ -301,10 +305,8 @@ def stone_generator(pi_block: GroupMap, a: AlgebraElement, r0: float = 0.5,
     return rho
 
 
-def lift_projection(pi_block: GroupMap, p: AlgebraElement, **kwargs) -> np.ndarray:
-    """Lift a projection through (1 - rho(1 - 2p)) / 2."""
-    if (p * p - p).norm() > 1e-10 or not p.is_hermitian(1e-10):
-        raise PreconditionError("input must be a projection")
-    u = identity(p.shape) - 2.0 * p
-    rho = stone_generator(pi_block, u, **kwargs)
-    return la.herm(0.5 * (np.eye(pi_block.dim) - rho))
+def lift_projection(values: np.ndarray, **kwargs) -> np.ndarray:
+    """Lift a projection p through (1 - rho(1 - 2p)) / 2, from the values
+    at ``stone_points(1 - 2p)``."""
+    rho = stone_generator(values, **kwargs)
+    return la.herm(0.5 * (np.eye(len(rho)) - rho))

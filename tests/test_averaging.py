@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, HaarSampler, _derive_seed, stack_elements, stack_rows
-from starstab.averaging import (NUMERIC_FLOOR, AveragedGroupMap, GroupMap, average_once,
-                                measure_group_map, restrict_to_unitaries,
-                                schedule, stabilize)
+from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, stack_coeffs,
+                              stack_elements, stack_rows)
+from starstab.averaging import (NUMERIC_FLOOR, GroupMap, average_once, measure_group_map,
+                                restrict_to_unitaries, schedule, stabilize)
 from starstab.defects import ApproxMap
 from starstab.errors import EvaluationError, PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_additive, perturb_conjugate)
 from starstab.probes import unitary_pairs
+from starstab.reps import unitarize
 
 SHAPE2 = AlgebraShape([2])
 
@@ -203,36 +204,35 @@ def test_measurement_builds_one_stack_per_point(monkeypatch):
         calls.append(stack[0].shape[0])
         return batch(stack)
 
+    before = measure_group_map(rho, pairs)
     monkeypatch.setattr(rho, "batch", counted)
-    measure_group_map(new, pairs, against=rho)
-    assert calls == [16] * (3 * 5) + [3 * 5]
+    after = measure_group_map(new, pairs, against=before)
+    assert calls == [16] * (3 * 5)      # the parent's values come from ``before``
+    assert after.values.shape == (5, 3, 8, 8) and not after.values.flags.writeable
 
 
-def test_group_memo_is_bounded(monkeypatch):
-    psi = perturb_conjugate(embedding8(), near_identity(8, 1e-3, seed=37))
-    evals = []
+def test_handed_forward_values_are_not_evaluated_again():
+    # two averaging passes and a unitarization evaluate the level-0 map at
+    # no point twice: each measurement hands its values to the next
+    phi = perturb_additive(embedding8(), 2e-4, seed=43)
+    rho = restrict_to_unitaries(phi, seed=44)
+    rows = []
+    stack_fn = rho.stack_fn
 
-    def fn(u):
-        evals.append(1)
-        return psi(u)
+    def counted(stack):
+        rows.extend(row.tobytes() for row in stack_coeffs(stack))
+        return stack_fn(stack)
 
-    def tower(levels=3):
-        maps = [GroupMap(SHAPE2, 8, fn, seed=38)]
-        pairs = unitary_pairs(SHAPE2, 1, 39)
-        for _ in range(levels):
-            maps.append(average_once(maps[-1], 8, probe_pairs=pairs)[0])
-        return maps
-
-    us = [HaarSampler(SHAPE2, 40).unitary() for _ in range(2)]
-    free = [tower()[-1](u) for u in us]
-    monkeypatch.setattr(AveragedGroupMap, "_MEMO_CAP", 16)
-    evals.clear()
-    maps = tower()
-    capped = [maps[-1](u) for u in us]
-    assert len(evals) > 512         # a new level-3 point costs 8^3 level-0 calls
-    assert all(len(m._memo) <= 16 for m in maps[1:])
-    for a, b in zip(free, capped):
-        assert np.array_equal(a, b)
+    rho.stack_fn = counted
+    pairs = unitary_pairs(SHAPE2, 3, 45)
+    m0 = measure_group_map(rho, pairs)
+    res = stabilize(rho, eps1=2.0 ** -10, tol=0.0, width=24, max_levels=2,
+                    probe_pairs=pairs, initial=m0)
+    assert [p.level for p in res.levels] == [1, 2]
+    post = res.levels[-1].after
+    unitarize(res.final, 8, post.values[:, :2].reshape(-1, 8, 8))
+    assert len(rows) == 3 * 3 * (1 + 24 + 24 * 24) + 24 * (1 + 24) + 8 * 24 * 24
+    assert len(set(rows)) == len(rows)
 
 
 def test_non_finite_parent_value_aborts_averaging():

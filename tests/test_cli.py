@@ -120,9 +120,20 @@ def test_tower_command(fast_cfg, capsys):
     ["sweep", "--etas", "1e-3,big"],
     ["tower", "--steps", "2,x"],
     ["budget", "--eps", "1e-6", "--config", "MISSING"],
+    *(["recover", "--shape", "2", "--mult", "2", "--eta", "1e-3", "--config", f"CFG:{line}"]
+      for line in ("group_probes = 0", "unitarize_width = 0", "det_cap = 0",
+                   "max_levels = -1", "mc_width = 1", "generator_count = 1",
+                   "probes = 0", "mc_batches = 1")),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    argv = [str(tmp_path / "missing.cfg") if a == "MISSING" else a for a in argv]
+    def path(a):
+        if a == "MISSING":
+            return str(tmp_path / "missing.cfg")
+        if a.startswith("CFG:"):        # a config file holding this one line
+            (tmp_path / "c.cfg").write_text(a[4:] + "\n", encoding="utf-8")
+            return str(tmp_path / "c.cfg")
+        return a
+    argv = [path(a) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exc:       # argparse rejects a flag value this way

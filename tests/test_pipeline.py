@@ -10,7 +10,7 @@ import pytest
 
 import starstab
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, identity, matrix_unit, stack_rows
+from starstab.algebra import AlgebraShape, identity, matrix_unit, stack_elements, stack_rows
 from starstab.averaging import GroupMap
 from starstab.config import PipelineConfig, parse_config
 from starstab.defects import ApproxMap
@@ -19,9 +19,9 @@ from starstab.experiments import sweep_instances
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               haar_conjugator, near_identity, perturb_additive,
                               perturb_conjugate)
-from starstab.pipeline import _stone_block_map, compute_budget, run_pipeline
+from starstab.pipeline import _stone_block_map, _stone_elements, compute_budget, run_pipeline
 from starstab.probes import ball_probes
-from starstab.reps import lift_projection, stone_generator
+from starstab.reps import lift_projection, stone_generator, stone_points
 from starstab.synthesis import intertwiner
 
 FAST = PipelineConfig(probes=96, group_probes=6, mc_width=128,
@@ -294,12 +294,16 @@ def test_pipeline_measures_each_group_map_once(monkeypatch):
 
 
 def reference_stone_basis(pi, domain, **kw):
-    """The block-map loop that lifted every ordered swap, kept as the
-    reference."""
+    """The block-map loop that lifted every ordered swap, each from its own
+    evaluation of pi, kept as the reference."""
+    def at(a):
+        return pi.batch(stack_elements(stone_points(a)))
+
     one = identity(domain)
     units = []
     for b, n in enumerate(domain.blocks):
-        qs = [lift_projection(pi, matrix_unit(domain, b, i, i), **kw) for i in range(n)]
+        qs = [lift_projection(at(one - 2.0 * matrix_unit(domain, b, i, i)), **kw)
+              for i in range(n)]
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -307,7 +311,7 @@ def reference_stone_basis(pi, domain, **kw):
                     continue
                 swap = (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
                         + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j))
-                units.append(qs[i] @ stone_generator(pi, swap, **kw) @ qs[j])
+                units.append(qs[i] @ stone_generator(at(swap), **kw) @ qs[j])
     return np.stack(units)
 
 
@@ -319,14 +323,43 @@ def test_stone_block_map_lifts_each_swap_once(monkeypatch):
     pi = GroupMap(shape, 6, lambda u: w @ np.kron(u.blocks[0], np.eye(2)) @ w.conj().T)
     kw = dict(verify_tol=1e-6, snap_tol=1e-3)
     expect = reference_stone_basis(pi, shape, **kw)
+    gens = list(_stone_elements(shape))
+    values = pi.batch(stack_elements([x for a in gens for x in stone_points(a)]))
     lifted = []
 
-    def counting(pi_block, a, **kwargs):
-        lifted.append(a)
-        return stone_generator(pi_block, a, **kwargs)
+    def counting(values, **kwargs):
+        lifted.append(len(values))
+        return stone_generator(values, **kwargs)
 
     monkeypatch.setattr(starstab.pipeline, "stone_generator", counting)
     monkeypatch.setattr(starstab.reps, "stone_generator", counting)
-    got = _stone_block_map(pi, shape, **kw)
-    assert len(lifted) == 6         # 3 projections and 3 unordered swaps
+    got = _stone_block_map(values.reshape(len(gens), -1, 6, 6), shape, **kw)
+    assert len(gens) == 6
+    assert lifted == [4] * 6        # 3 projections and 3 unordered swaps
     assert np.array_equal(got.basis, expect)
+
+
+def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
+    # M_2 has 3 stone generators (two reflections and one swap), each read at
+    # 4 points; the 3 blocks of a multiplicity-3 map share that one stack
+    import starstab.pipeline
+    rows = []
+    unitarize = starstab.pipeline.unitarize
+
+    def counting(*args, **kwargs):
+        t, pi, info = unitarize(*args, **kwargs)
+        stack_fn = pi.stack_fn
+
+        def counted(stack):
+            rows.append(stack[0].shape[0])
+            return stack_fn(stack)
+        pi.stack_fn = counted
+        return t, pi, info
+
+    monkeypatch.setattr(starstab.pipeline, "unitarize", counting)
+    phi = perturb_additive(embedding(AlgebraShape([2]), (3,), seed=11), 1e-3, seed=12)
+    config = FAST.replace(path="stone")
+    _, rep = run_pipeline(phi, config)
+    assert rep.ok()
+    assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [2, 2, 2]
+    assert rows == [config.generator_count, 4 * 3]     # decompose's generators, then the lifts

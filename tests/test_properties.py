@@ -1,13 +1,20 @@
-"""Property tests over the embeddings the README promises: up to three blocks
-of size at most 3, any multiplicities, padding and conjugator."""
+"""Property tests over the embeddings the README promises (up to three
+blocks of size at most 3, any multiplicities, padding and conjugator) and
+over configuration text."""
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starstab._linalg as la
 from starstab.algebra import AlgebraShape
 from starstab.averaging import restrict_to_unitaries
+from starstab.config import MINIMUMS, PipelineConfig, parse_config
+from starstab.errors import ConfigError
 from starstab.factory import EmbeddingSpec, exact_homomorphism, haar_conjugator
+from starstab.pipeline import run_pipeline
 from starstab.reps import decompose
 from starstab.synthesis import TraceExpectation, relation_residual
 
@@ -56,3 +63,41 @@ def test_decompose_splits_every_isotypic_block(case):
     assert list(blocks.block_dims) == sorted(
         nb for nb, m in zip(spec.shape.blocks, spec.multiplicities) for _ in range(m))
     assert blocks.check_partition(1e-9)
+
+
+# the benchmark's recovery configuration (acceptance-4's FAST with probes = 96)
+RECOVERY = PipelineConfig(probes=96, group_probes=6, mc_width=128,
+                          unitarize_width=48, max_levels=1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(embeddings())
+def test_exact_input_is_a_fixed_point(case):
+    spec, seed = case
+    _, report = run_pipeline(exact_homomorphism(spec), RECOVERY.replace(seed=seed))
+    assert report.final_distance < 1e-8
+    assert report.ok()
+
+
+def _value(key, typ):
+    if key == "path":
+        return st.sampled_from(["units", "stone"])
+    if typ == "int":
+        return st.integers(MINIMUMS.get(key, -2 ** 63), 2 ** 63)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    fields = dataclasses.fields(PipelineConfig)
+    return PipelineConfig(**{f.name: draw(_value(f.name, f.type)) for f in fields})
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs(), st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True))
+def test_parse_config_round_trips_and_rejects_unknown_keys(config, key):
+    text = "".join(f"{k} = {v}\n" for k, v in config.to_dict().items())
+    assert parse_config(text) == config
+    if key not in config.to_dict():
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(text + f"{key} = 1\n")

@@ -5,14 +5,14 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
-                              identity, stack_rows, zeros)
+                              _derive_seed, identity, stack_elements, stack_rows, zeros)
 from starstab.averaging import GroupMap, restrict_to_unitaries
 from starstab.errors import PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_conjugate)
 from starstab.probes import random_unitaries, unitary_pairs
-from starstab.reps import (compress, decompose, lift_projection,
-                           stone_generator, unitarize)
+from starstab.reps import (compress, decompose, lift_projection, stone_generator,
+                           stone_points, unitarize)
 
 SHAPE2 = AlgebraShape([2])
 
@@ -25,9 +25,18 @@ def fundamental():
     return group_map(lambda u: u.blocks[0], 2)
 
 
+def at_probes(tau):
+    """tau at 8 seeded Haar unitaries, unitarize's Gram-deviation probes."""
+    return tau.batch(random_unitaries(tau.domain, 8, _derive_seed(tau.seed, "unit-probes")))
+
+
+def at_stone_points(pi, a):
+    return pi.batch(stack_elements(stone_points(a)))
+
+
 def test_unitarize_fixed_point():
     pi0 = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
-    unzr, pi, info = unitarize(pi0, 128)
+    unzr, pi, info = unitarize(pi0, 128, at_probes(pi0))
     assert unzr.deviation < 1e-12
     us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 6, 2))
     assert max(la.op_norm(pi(u) - pi0(u)) for u in us) < 1e-12
@@ -36,7 +45,7 @@ def test_unitarize_fixed_point():
 def test_unitarize_recovers_conjugated_rep():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (4,), 0))
     tau = restrict_to_unitaries(perturb_conjugate(psi, near_identity(8, 0.01, seed=3)), seed=4)
-    unzr, pi, info = unitarize(tau, 512)
+    unzr, pi, info = unitarize(tau, 512, at_probes(tau))
     us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 8, 5))
     for u in us:
         val = pi(u)
@@ -54,7 +63,7 @@ def test_unitarize_near_hypothesis_boundary():
         return s @ psi(u) @ np.linalg.inv(s)
 
     tau = group_map(fn, 4, seed=6)
-    unzr, pi, info = unitarize(tau, 256, snap_tol=0.5)
+    unzr, pi, info = unitarize(tau, 256, at_probes(tau), snap_tol=0.5)
     assert info["gram_deviation"] < 0.5
     u = HaarSampler(SHAPE2, 7).unitary()
     val = pi(u)
@@ -64,13 +73,13 @@ def test_unitarize_near_hypothesis_boundary():
 def test_unitarize_rejects_far_from_unitary():
     tau = group_map(lambda u: 2.0 * u.blocks[0], 2)
     with pytest.raises(PreconditionError):
-        unitarize(tau, 32)
+        unitarize(tau, 32, at_probes(tau))
 
 
 def test_unitarize_multiplicativity_transport():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (3,), 0))
     tau = restrict_to_unitaries(perturb_conjugate(psi, near_identity(6, 5e-3, seed=8)), seed=9)
-    unzr, pi, info = unitarize(tau, 256)
+    unzr, pi, info = unitarize(tau, 256, at_probes(tau))
     t_dev = unzr.deviation
     # input is exactly multiplicative; the defect of pi comes from the
     # conjugation transport plus the polar-snap residue it absorbed
@@ -127,44 +136,48 @@ def test_compress_block():
     pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4, seed=15)
     dec = decompose(pi, 4, tol=1e-10)
     v = dec.isometries()[0]
-    sub = compress(pi, v)
-    u = HaarSampler(SHAPE2, 16).unitary()
-    val = sub(u)
-    assert val.shape == (2, 2)
-    assert la.op_norm(val.conj().T @ val - np.eye(2)) < 1e-12
+    vals = compress(pi.batch(random_unitaries(SHAPE2, 3, 16)), v)
+    assert vals.shape == (3, 2, 2)
+    assert la.op_norm(la.adj(vals) @ vals - np.eye(2)) < 1e-12
 
 
 def test_stone_generator_identity_rep():
     a = AlgebraElement(SHAPE2, [np.diag([1.0, -1.0])])
-    rho = stone_generator(fundamental(), a)
+    rho = stone_generator(at_stone_points(fundamental(), a))
     assert la.op_norm(rho - a.blocks[0]) < 1e-12
 
 
 def test_stone_generator_unit():
     one = identity(SHAPE2)
-    rho = stone_generator(fundamental(), one)
+    rho = stone_generator(at_stone_points(fundamental(), one))
     assert la.op_norm(rho - np.eye(2)) < 1e-12
 
 
 def test_stone_generator_amplified():
     pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4, seed=17)
     a = AlgebraElement(SHAPE2, [np.diag([1.0, -1.0])])
-    rho = stone_generator(pi, a)
+    rho = stone_generator(at_stone_points(pi, a))
     assert la.op_norm(rho - np.kron(a.blocks[0], np.eye(2))) < 1e-12
 
 
 def test_stone_generator_validates_input():
     x = AlgebraElement(SHAPE2, [np.diag([1.0, 0.5])])
     with pytest.raises(PreconditionError):
-        stone_generator(fundamental(), x)
+        stone_points(x)
+    with pytest.raises(PreconditionError):
+        stone_points(identity(SHAPE2) - 2.0 * x)    # x is not a projection either
+
+
+def lift(pi, p):
+    return lift_projection(at_stone_points(pi, identity(p.shape) - 2.0 * p))
 
 
 def test_lift_projection_cases():
     pi = fundamental()
-    assert la.op_norm(lift_projection(pi, zeros(SHAPE2))) < 1e-12
-    assert la.op_norm(lift_projection(pi, identity(SHAPE2)) - np.eye(2)) < 1e-12
+    assert la.op_norm(lift(pi, zeros(SHAPE2))) < 1e-12
+    assert la.op_norm(lift(pi, identity(SHAPE2)) - np.eye(2)) < 1e-12
     e11 = AlgebraElement(SHAPE2, [np.diag([1.0, 0.0])])
-    out = lift_projection(pi, e11)
+    out = lift(pi, e11)
     assert la.op_norm(out - np.diag([1.0, 0.0])) < 1e-12
     assert la.op_norm(out @ out - out) < 1e-10
 
@@ -174,7 +187,7 @@ def test_lift_projection_order_preserving():
     pi = GroupMap(shape, 3, lambda u: u.blocks[0], seed=18)
     p = AlgebraElement(shape, [np.diag([1.0, 0.0, 0.0])])
     q = AlgebraElement(shape, [np.diag([1.0, 1.0, 0.0])])
-    diff = lift_projection(pi, q) - lift_projection(pi, p)
+    diff = lift(pi, q) - lift(pi, p)
     assert np.linalg.eigvalsh(la.herm(diff)).min() >= -1e-8
 
 

@@ -328,7 +328,8 @@ def test_stacked_defects_match_the_per_pair_loop(shape, mults):
 
 def reference_measurement(rho, pairs, batches=8, against=None):
     """The per-point loop that measured group maps before their points were
-    stacked, kept as the reference; ``pairs`` is a list of element pairs."""
+    stacked, kept as the reference; ``pairs`` is a list of element pairs and
+    ``against`` a parent map evaluated point by point."""
     points = [w for u, v in pairs for w in (u, v, u * v)]
     f = np.stack([rho(w) for w in points]).reshape(len(pairs), 3, rho.dim, rho.dim)
     s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
@@ -347,7 +348,7 @@ def reference_measurement(rho, pairs, batches=8, against=None):
                                                      g.reshape(-1, rho.dim, rho.dim)))
         if averaged:
             close_mc = _spread(b[:, :2] - g[:, :2, None])
-    return GroupMeasurement(kappa, delta, mc, close, close_mc, len(pairs))
+    return GroupMeasurement(kappa, delta, mc, close, close_mc, len(pairs), f)
 
 
 def test_stacked_group_measurement_matches_the_per_point_loop():
@@ -358,12 +359,14 @@ def test_stacked_group_measurement_matches_the_per_point_loop():
     rho2, _ = average_once(rho1, 24, probe_pairs=pairs)
     for rho, parent in ((rho1, rho0), (rho2, rho1)):
         for against in (None, parent):
-            got = measure_group_map(rho, pairs, against=against)
+            before = None if against is None else measure_group_map(against, pairs)
+            got = measure_group_map(rho, pairs, against=before)
             ref = reference_measurement(rho, pair_list, against=against)
             if against is rho0:     # level-0 values: stacked and single-point agree to rounding
                 assert abs(got.closeness - ref.closeness) <= 1e-12
                 ref = dataclasses.replace(ref, closeness=got.closeness)
             assert got == ref
+            assert np.array_equal(got.values, ref.values)
     got, ref = measure_group_map(rho0, pairs), reference_measurement(rho0, pair_list)
     assert abs(got.kappa - ref.kappa) <= 1e-12 and abs(got.delta - ref.delta) <= 1e-12
     assert (got.mc, got.closeness, got.pairs) == (0.0, 0.0, ref.pairs)
