@@ -12,6 +12,12 @@ import scipy.linalg as sla
 from .errors import BranchCutError, GapError, SingularMapError, SnapError
 
 COND_MAX = 1e8
+# op_norm skips a matrix only when its Frobenius norm undercuts the best
+# sigma_1 found by this relative margin, far above the ~n eps rounding of
+# either bound; below the floor, squared entries can underflow and make a
+# Frobenius norm too small, so nothing is skipped
+_FRO_MARGIN = 1e-8
+_FRO_FLOOR = 1e-150
 
 
 def herm(x: np.ndarray) -> np.ndarray:
@@ -30,14 +36,31 @@ def compress(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def op_norm(x: np.ndarray) -> float:
-    """Largest singular value; on a stack, the largest over its matrices
-    (the same float as the max of the per-matrix norms); 0 when empty."""
+    """Largest singular value; on a stack, the largest over its matrices;
+    0 when empty.  A matrix is a one-matrix stack.
+
+    Only the matrices that can attain the maximum are decomposed.  The
+    Frobenius norms of the whole stack bound each sigma_1 from above; the
+    matrix with the largest one is decomposed first, and its sigma_1 bounds
+    the answer from below.  One batched SVD then covers every other matrix
+    whose Frobenius norm is not below that bound by the margin, including
+    every non-finite one, so NaN still reaches LAPACK (and every matrix when
+    the bound is below the underflow floor).  A skipped matrix's
+    sigma_1 is below the bound, and every candidate goes through the same
+    ``np.linalg.svd`` as before, so the float returned is the max of the
+    per-matrix norms, bit for bit.
+    """
     if x.size == 0:
         return 0.0
-    s = np.linalg.svd(x, compute_uv=False)
-    if x.ndim == 2:
-        return float(s[0])
-    return float(s[..., 0].max())
+    stack = x.reshape(-1, *x.shape[-2:])
+    fro = np.linalg.norm(stack, axis=(-2, -1))
+    top = int(np.argmax(fro))
+    best = np.linalg.svd(stack[top], compute_uv=False)[0]
+    rest = (best < _FRO_FLOOR) | ~(fro * (1.0 + _FRO_MARGIN) < best)
+    rest[top] = False
+    if rest.any():
+        best = np.maximum(best, np.linalg.svd(stack[rest], compute_uv=False)[:, 0].max())
+    return float(best)
 
 
 def op_norms(x: np.ndarray) -> np.ndarray:

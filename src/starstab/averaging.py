@@ -155,6 +155,13 @@ def _batch_means(stack: np.ndarray, batches: int) -> np.ndarray:
     return stack[:cut].reshape(b, cut // b, *stack.shape[1:]).mean(axis=1)
 
 
+def _require_batches(batches: int) -> None:
+    """A 3-sigma batch error needs two batches; one gives a spread of 0,
+    which would drop the Monte-Carlo slack from every bound."""
+    if batches < 2:
+        raise PreconditionError(f"Monte-Carlo error needs batches >= 2, got {batches}")
+
+
 def _spread(mats: np.ndarray) -> float:
     """3 x standard error (Frobenius spread) of a batch of matrices along
     axis -3; the largest over any leading axes."""
@@ -172,6 +179,7 @@ def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
     v and uv of all pairs as one stack, and each supremum is one batched
     norm.  The closeness is taken against the values of ``against``, the
     parent's measurement on the same pairs."""
+    _require_batches(batches)
     us, vs = pairs
     count = len(us[0])
     points = tuple(np.stack([u, v, u @ v], axis=1).reshape(-1, *u.shape[1:])
@@ -237,6 +245,7 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
     """
     if width < 2:
         raise PreconditionError("averaging width must be >= 2")
+    _require_batches(batches)
     if probe_pairs is None:
         probe_pairs = unitary_pairs(rho.domain, 8, _derive_seed(rho.seed, "probes", probe_seed))
     if before is None:
@@ -307,6 +316,7 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
     delta < kappa^-2 is still required but the global claims are only
     recorded, not asserted.
     """
+    _require_batches(batches)
     if strict is None:
         strict = eps1 <= SCHEDULE_EPS_MAX
     sched = schedule(eps1, max_levels + 1) if strict else None

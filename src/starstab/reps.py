@@ -19,7 +19,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
                       unitary_stack)
-from .averaging import GroupMap, HaarSampler, _batch_means, _spread
+from .averaging import GroupMap, HaarSampler, _batch_means, _require_batches, _spread
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
 
@@ -49,6 +49,7 @@ def unitarize(tau: GroupMap, width: int, tau_us: np.ndarray, batches: int = 8,
     sup ||tau(u)* tau(u) - 1|| to be < 1/2 over probe unitaries u, whose
     values ``tau_us`` the caller gives as a (K, N, N) stack.
     """
+    _require_batches(batches)
     eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
     if not eps3 < 0.5:
         raise PreconditionError(

@@ -252,3 +252,21 @@ def test_non_finite_parent_value_aborts_averaging():
     with pytest.raises(EvaluationError) as err:
         average_once(rho, 16, probe_pairs=pairs)
     assert la.op_norm(err.value.offending.blocks[0] - target) <= 1e-12
+
+
+def test_measurement_needs_two_batches():
+    rho = restrict_to_unitaries(embedding8(), seed=1)
+    with pytest.raises(PreconditionError, match="batches >= 2"):
+        measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3), batches=1)
+
+
+def test_average_once_needs_two_batches():
+    rho = restrict_to_unitaries(perturb_additive(embedding8(), 2e-4, seed=4), seed=5)
+    with pytest.raises(PreconditionError, match="batches >= 2"):
+        average_once(rho, 16, batches=1)
+
+
+def test_stabilize_needs_two_batches():
+    rho = restrict_to_unitaries(perturb_additive(embedding8(), 2e-4, seed=4), seed=5)
+    with pytest.raises(PreconditionError, match="batches >= 2"):
+        stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=16, batches=1)

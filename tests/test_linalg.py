@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starstab._linalg as la
 from starstab.errors import BranchCutError, GapError, SingularMapError, SnapError
@@ -119,3 +121,76 @@ def test_op_norm_equals_spectral_norm():
                 + 1j * rng(100 + 10 * n + seed).standard_normal((n, n))
             assert la.op_norm(a) == np.linalg.norm(a, 2)
     assert la.op_norm(np.zeros((0, 3))) == 0.0
+
+
+@st.composite
+def norm_stacks(draw):
+    """Stacks of 1-40 real or complex n x m matrices (n, m <= 8), under
+    one or two leading axes, each scaled by 1e-12..1e3 or zero, some of
+    them rank one (sigma_1 equals the Frobenius norm), with near copies of
+    the dominant matrix."""
+    lead = draw(st.one_of(st.tuples(st.integers(1, 40)),
+                          st.tuples(st.integers(1, 13), st.just(3))))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cplx = draw(st.booleans())
+    r = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = int(np.prod(lead))
+
+    def gaussian(*shape):
+        g = r.standard_normal(shape)
+        return g + 1j * r.standard_normal(shape) if cplx else g
+
+    mats = gaussian(count, n, m)
+    rank_one = r.random(count) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    mats[rank_one] = gaussian(rank_one.sum(), n, 1) @ gaussian(rank_one.sum(), 1, m)
+    scales = 10.0 ** r.uniform(-12, 3, count)
+    scales[r.random(count) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    mats *= scales[:, None, None]
+    top = mats[int(np.argmax([np.linalg.norm(a, 2) for a in mats]))].copy()
+    for k in r.integers(0, count, draw(st.integers(0, 4))):
+        # an exact copy, a rescaled one or a rotated one: the same sigma_1
+        # up to a few ulps, so it ties with the dominant matrix
+        q, _ = np.linalg.qr(gaussian(n, n))
+        mats[k] = [top, top * (1.0 + r.choice([-1e-9, -1e-14, 1e-14, 1e-9])),
+                   q @ top][r.integers(3)]
+    return mats.reshape(*lead, n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(norm_stacks())
+def test_op_norm_is_the_max_of_the_matrix_norms(x):
+    expected = max(np.linalg.norm(a, 2) for a in x.reshape(-1, *x.shape[-2:]))
+    assert la.op_norm(x) == expected
+
+
+def test_op_norm_decomposes_only_candidates(monkeypatch):
+    a = rng(20).standard_normal((24, 4, 4))
+    a[1:] *= 1e-3
+    a[5] = 0.999 * a[0]    # its Frobenius norm is above sigma_1 of a[0]: decomposed
+    svd, seen = np.linalg.svd, []
+
+    def counting(x, *args, **kwargs):
+        seen.append(1 if x.ndim == 2 else len(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert la.op_norm(a) == max(svd(b, compute_uv=False)[0] for b in a)
+    assert seen == [1, 1]
+
+
+def test_op_norm_edge_cases():
+    assert la.op_norm(np.zeros((0, 3, 3))) == 0.0
+    assert la.op_norm(np.zeros((4, 0, 3))) == 0.0
+    assert la.op_norm(np.zeros((5, 3, 3))) == 0.0
+    nan = np.ones((3, 2, 2))
+    nan[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        la.op_norm(nan)
+    inf = np.ones((3, 2, 2))
+    inf[1, 0, 0] = np.inf
+    assert np.isnan(la.op_norm(inf))
+    assert np.isnan(la.op_norm(inf[1]))
+    # both squares underflow to 0, so the first matrix passes for the
+    # largest; below the floor no matrix is skipped
+    tiny = np.array([[[1e-170]], [[1e-165]]])
+    assert la.op_norm(tiny) == np.linalg.norm(tiny[1], 2)

@@ -274,6 +274,35 @@ def test_level_zero_measurement_runs_inside_its_stage(monkeypatch):
     assert isinstance(err.value.cause, np.linalg.LinAlgError)
 
 
+def test_single_batch_config_aborts_at_the_first_measurement():
+    # one batch gives a Monte-Carlo spread of 0; the group measurement
+    # refuses it instead of a later stage failing an unrelated bound
+    phi = perturb_additive(embedding(AlgebraShape([2]), (2,), seed=17), 1e-3, seed=18)
+    with pytest.raises(StageAbort) as err:
+        run_pipeline(phi, FAST.replace(mc_batches=1))
+    assert err.value.stage == "unitary-restriction"
+    assert isinstance(err.value.cause, PreconditionError)
+
+
+def test_pruned_suprema_leave_the_report_unchanged(monkeypatch):
+    # op_norm decomposes only the matrices of a stack that can attain its
+    # maximum; the plain max over every matrix gives the same report
+    def instance():
+        psi0 = embedding(AlgebraShape([1, 2]), (1, 1), pad=1, seed=21)
+        return perturb_additive(psi0, 1e-3, seed=22)
+
+    def plain(x):
+        if x.size == 0:
+            return 0.0
+        return float(max(np.linalg.norm(a, 2) for a in x.reshape(-1, *x.shape[-2:])))
+
+    _, rep = run_pipeline(instance(), FAST)
+    monkeypatch.setattr(la, "op_norm", plain)
+    _, ref = run_pipeline(instance(), FAST)
+    assert rep.ok()
+    assert rep.canonical_json() == ref.canonical_json()
+
+
 def test_pipeline_measures_each_group_map_once(monkeypatch):
     import starstab.averaging
     import starstab.pipeline

@@ -197,3 +197,9 @@ def test_unitarizer_records_deviation():
     with pytest.raises(PreconditionError):
         Unitarizer(t, 0.5, 0.0)
     Unitarizer(t, la.op_norm(t - np.eye(3)), 0.0)
+
+
+def test_unitarize_needs_two_batches():
+    tau = fundamental()
+    with pytest.raises(PreconditionError, match="batches >= 2"):
+        unitarize(tau, 32, at_probes(tau), batches=1)
