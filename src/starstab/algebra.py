@@ -138,7 +138,8 @@ class AlgebraElement:
         return all(la.is_hermitian(a, tol) for a in self.blocks)
 
     def key(self) -> bytes:
-        """Canonical bytes, usable as a memoization key."""
+        """Canonical bytes of the blocks: equal for two elements of one
+        shape exactly when their entries agree bit for bit."""
         return b"".join(a.tobytes() for a in self.blocks)
 
     def as_blockdiag(self) -> np.ndarray:

@@ -45,6 +45,16 @@ _ints = _converter(lambda text: tuple(int(t) for t in text.split(",") if t), "a 
 _floats = _converter(lambda text: tuple(float(t) for t in text.split(",")), "a list of numbers")
 
 
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+_count = _converter(_at_least_one, "a positive integer")
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="key = value config file")
     p.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
@@ -212,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="recovery sweep over shapes and etas")
     p.add_argument("--etas", type=_floats, default="1e-3,1e-2")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_count, default=5)
     _add_common(p)
     p.set_defaults(fn=cmd_sweep)
 

@@ -39,9 +39,10 @@ class PipelineConfig:
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 # the smallest value each count's consumer accepts; a 3-sigma error needs
-# two batches (one gives a spread of 0, so every Monte-Carlo bound drops it)
+# two batches and two draws per Gram average (one gives a spread of 0, so
+# every Monte-Carlo bound drops it)
 MINIMUMS = {"probes": 1, "group_probes": 1, "det_cap": 1, "mc_width": 2,
-            "unitarize_width": 1, "mc_batches": 2, "max_levels": 0,
+            "unitarize_width": 2, "mc_batches": 2, "max_levels": 0,
             "generator_count": 2}
 
 

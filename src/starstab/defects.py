@@ -17,33 +17,23 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, coeff_vector,
-                      identity, stack_coeffs, stack_norms, stack_row)
+from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
+                      stack_coeffs, stack_elements, stack_norms, stack_row)
 from .errors import EvaluationError, PreconditionError
 from .probes import constant, defect_triples, forked_spheres, sphere_probes
-
-
-def remember(cache: dict, key: bytes, value: np.ndarray, cap: int) -> np.ndarray:
-    """Store a read-only value under ``key``, clearing the cache first when
-    it holds ``cap`` entries, so a miss always changes its length (cap >= 2)."""
-    value.setflags(write=False)
-    if len(cache) >= cap:
-        cache.clear()
-    cache[key] = value
-    return value
 
 
 @dataclass(eq=False)
 class ApproxMap:
     """An evaluable, deterministic map from an algebra into N x N matrices.
 
-    The evaluator must be total on the ball of radius 2 and bit-reproducible;
-    values are cached by the canonical bytes of the input.  Linear maps may
-    carry a precomputed basis tensor (one N x N matrix per entry coordinate)
-    which makes evaluation a single tensor contraction.  A map may instead
-    carry ``stack_fn``, which evaluates a per-block stack of inputs (one
-    (K, n_b, n_b) array per block) to a (K, N, N) array; its single-point
-    calls then go through the same function.
+    The evaluator must be total on the ball of radius 2 and bit-reproducible.
+    Linear maps may carry a precomputed basis tensor (one N x N matrix per
+    entry coordinate) which makes evaluation a single tensor contraction.  A
+    map may instead carry ``stack_fn``, which evaluates a per-block stack of
+    inputs (one (K, n_b, n_b) array per block) to a (K, N, N) array, or an
+    opaque per-element ``fn``.  ``batch`` is the one evaluation path; a
+    single-point call is a one-row batch.  No values are cached.
     """
 
     domain: AlgebraShape
@@ -53,10 +43,7 @@ class ApproxMap:
     basis: np.ndarray | None = None
     stack_fn: Callable[[tuple], np.ndarray] | None = None
 
-    _CACHE_CAP = 8192
-
     def __post_init__(self):
-        self._cache: dict[bytes, np.ndarray] = {}
         if self.fn is None and self.basis is None and self.stack_fn is None:
             raise PreconditionError("map needs an evaluator or a linear basis")
         self._flat_basis = None
@@ -68,33 +55,16 @@ class ApproxMap:
             self._flat_basis = np.ascontiguousarray(self.basis.reshape(expect[0], -1))
 
     def __call__(self, x: AlgebraElement) -> np.ndarray:
-        key = x.key()
-        out = self._cache.get(key)
-        if out is None:
-            if self._flat_basis is not None:
-                out = (coeff_vector(x) @ self._flat_basis).reshape(self.dim, self.dim)
-            elif self.stack_fn is not None:
-                out = self.batch(tuple(a[None] for a in x.blocks))[0]
-            else:
-                out = np.ascontiguousarray(self.fn(x), dtype=complex)
-                if out.shape != (self.dim, self.dim):
-                    raise PreconditionError(
-                        f"evaluator returned shape {out.shape}, "
-                        f"expected ({self.dim}, {self.dim})")
-                if not np.isfinite(out).all():
-                    raise EvaluationError("map value is not finite", offending=x)
-            out = remember(self._cache, key, out, self._CACHE_CAP)
-        return out
+        return self.batch(tuple(a[None] for a in x.blocks))[0]
 
     def batch(self, stack) -> np.ndarray:
         """Values at the K elements of a per-block stack, as (K, N, N).
 
         Linear maps contract all coefficient rows at once and maps with a
-        ``stack_fn`` call it; both skip the per-element cache.  Any other
-        evaluator is called element by element.  Values agree with
-        single-point calls to rounding.  Raises EvaluationError, carrying
-        the offending element, when an image is not finite or when an
-        element-by-element evaluator raises (the first failing row).
+        ``stack_fn`` call it; an opaque ``fn`` is called element by element.
+        Raises EvaluationError, carrying the offending element, when an image
+        is not finite or when an element-by-element evaluator raises or
+        returns the wrong shape (the first failing row).
         """
         if self._flat_basis is not None:
             out = (stack_coeffs(stack) @ self._flat_basis).reshape(-1, self.dim, self.dim)
@@ -111,10 +81,14 @@ class ApproxMap:
     def _call_row(self, stack, k: int) -> np.ndarray:
         x = stack_row(self.domain, stack, k)
         try:
-            return self(x)
+            out = np.asarray(self.fn(x), dtype=complex)
+            if out.shape != (self.dim, self.dim):
+                raise PreconditionError(f"evaluator returned shape {out.shape}, "
+                                        f"expected ({self.dim}, {self.dim})")
         except Exception as exc:
             raise EvaluationError(f"evaluator failed on stack row {k}: {exc}",
                                   offending=x) from exc
+        return out
 
     @classmethod
     def linear(cls, domain: AlgebraShape, dim: int, basis: np.ndarray,
@@ -126,7 +100,7 @@ class ApproxMap:
                       domain: AlgebraShape | None = None, **meta) -> "ApproxMap":
         """x -> self(pre(x)) on ``domain`` (default: this map's), where ``pre``
         maps a per-block stack on ``domain`` row by row to one on this map's
-        domain; single points are evaluated as one-row stacks."""
+        domain."""
         return ApproxMap(domain or self.domain, self.dim, None, {**self.meta, **meta},
                          stack_fn=lambda stack: self.batch(pre(stack)))
 
@@ -224,8 +198,10 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
     """Rescale a map to be contractive and snap its value at 1 to a projection.
 
     ``defect`` is the caller's measured report of ``m``, kept in the metadata
-    as ``defect_before``.  Refuses when that defect is not < 0.1 or when the
-    value at 1 has an eigenvalue inside ``band`` (no spectral gap).
+    as ``defect_before``; the snapped projection, the new map's value at 1,
+    is kept as ``unit_projection``.  Refuses when that defect is not < 0.1
+    or when the value at 1 has an eigenvalue inside ``band`` (no spectral
+    gap).
     """
     if not defect.epsilon < 0.1:
         raise PreconditionError(
@@ -233,7 +209,9 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
     one = identity(m.domain)
     probes = constant(sphere_probes, m.domain, max(samples, 16), 7)
     scale = max(1.0, map_norm(m, probes))
-    p, moved = la.spectral_round_projection(la.herm(m(one)), band=band)
+    p, moved = la.spectral_round_projection(la.herm(m.batch(stack_elements([one]))[0]),
+                                            band=band)
+    p.setflags(write=False)
     one_bits = [a.view(np.int64).ravel() for a in one.blocks]
 
     def stack_fn(stack) -> np.ndarray:
@@ -251,7 +229,7 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
 
     return ApproxMap(m.domain, m.dim, None,
                      {**m.meta, "normalized": True, "scale": scale,
-                      "unit_rounding_moved": moved,
+                      "unit_rounding_moved": moved, "unit_projection": p,
                       "defect_before": defect.to_dict()}, stack_fn=stack_fn)
 
 
@@ -350,17 +328,19 @@ def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
         return IsometryReport("isometric", thr, trials)
     bad, checked = stack_row(m.domain, xs, low[0]), int(low[0]) + 1
 
-    steps = [("violating probe image norm", la.op_norm(m(bad)))]
-    y = bad
+    witness = la.op_norm(m(bad))
+    steps = [("violating probe image norm", witness)]
+    y, y_image = bad, witness
     cap = induction_window(eps).k_max + 2
     n = 0
-    while la.op_norm(m(y)) > thr and n < cap:
+    while y_image > thr and n < cap:
         y = s_iterate(y, 1)
         nrm = y.norm()
         if nrm > 0.0:        # squaring preserves unit norm; undo float drift
             y = y / nrm
         n += 1
-        steps.append((f"descent step {n} image norm", la.op_norm(m(y))))
+        y_image = la.op_norm(m(y))
+        steps.append((f"descent step {n} image norm", y_image))
     # rank-one projection onto the top eigenspace of the positive iterate
     w, v = np.linalg.eigh(la.herm(y.blocks[0]))
     order = np.argsort(w)[::-1]
@@ -378,4 +358,4 @@ def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
         bound = la.op_norm(m(q1)) + la.op_norm(m(q2)) + eps
         steps.append((f"split bound at rank {j_big} (should contradict >= 1/2)", bound))
     return IsometryReport("violation", thr, checked,
-                          witness_norm=la.op_norm(m(bad)), steps=tuple(steps))
+                          witness_norm=witness, steps=tuple(steps))

@@ -251,7 +251,8 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     rec.info = {"grid": h, "distance_bound": phi2.meta["distance_bound"]}
 
     # 3. corner restriction (non-unital inputs) ------------------------------
-    p_one = phi2(identity(shape))
+    # phi2(1): 1 is a lattice point, and phi1 matches it by bytes
+    p_one = phi1.meta["unit_projection"]
     rank = int(round(float(np.real(np.trace(p_one)))))
     if la.op_norm(p_one - np.eye(phi.dim)) > 1e-9:
         q_iso, rec = clock.run("corner", lambda: la.orthonormal_range(p_one, rank))

@@ -47,9 +47,12 @@ def unitarize(tau: GroupMap, width: int, tau_us: np.ndarray, batches: int = 8,
 
     Returns (Unitarizer, pi, info).  Requires the measured Gram deviation
     sup ||tau(u)* tau(u) - 1|| to be < 1/2 over probe unitaries u, whose
-    values ``tau_us`` the caller gives as a (K, N, N) stack.
+    values ``tau_us`` the caller gives as a (K, N, N) stack, and ``width``
+    >= 2 draws (one draw is one batch, with no Monte-Carlo spread).
     """
     _require_batches(batches)
+    if width < 2:
+        raise PreconditionError(f"Gram average needs width >= 2 draws, got {width}")
     eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
     if not eps3 < 0.5:
         raise PreconditionError(

@@ -152,11 +152,14 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
     eps_eff = max(eps, 2e-3)
     band = (0.5 - 5.0 * eps_eff - 1e-12, 0.5 + 5.0 * eps_eff + 1e-12)
 
-    corners = []
-    for b in range(len(shape.blocks)):
-        q_raw, _ = la.spectral_round_projection(
-            la.herm(phi(matrix_unit(shape, b, 0, 0))), band=band)
-        corners.append(q_raw)
+    def at_unit(b, i):
+        # a one-row batch per unit: a row's value may depend on the rows
+        # batched with it (the kk nearest-point map projects a batch with
+        # one matrix product), and these values decide the multiplicities
+        return phi.batch(stack_elements([matrix_unit(shape, b, i, 0)]))[0]
+
+    corners = [la.spectral_round_projection(la.herm(at_unit(b, 0)), band=band)[0]
+               for b in range(len(shape.blocks))]
     mults = [int(round(float(np.real(np.trace(q))))) for q in corners]
     order = sorted(range(len(shape.blocks)),
                    key=lambda b: (-mults[b] * shape.blocks[b], b))
@@ -173,7 +176,7 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
         accepted = q if accepted is None else accepted + q
         cols = [q_basis]
         for i in range(1, n):
-            x = phi(matrix_unit(shape, b, i, 0)) @ q
+            x = at_unit(b, i) @ q
             w = la.isometry_factor(x @ q_basis)
             r = _round_orthogonal(w @ w.conj().T, accepted, m, band)
             w = la.isometry_factor(r @ w)
@@ -204,7 +207,8 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
 
 
 def _multiplicity_profile(psi: ApproxMap, tol: float = 1e-6):
-    """(multiplicity per block, padding rank) of an exact embedding."""
+    """(multiplicity per block, padding rank, image of 1) of an exact
+    embedding."""
     shape = psi.domain
     corners = [matrix_unit(shape, b, 0, 0) for b in range(len(shape.blocks))]
     p = psi.batch(stack_elements(corners + [identity(shape)]))
@@ -212,7 +216,7 @@ def _multiplicity_profile(psi: ApproxMap, tol: float = 1e-6):
         raise PreconditionError("map is not an exact homomorphism "
                                 "(corner or unit image is not a projection)")
     ranks = [int(round(float(t))) for t in np.trace(p, axis1=1, axis2=2).real]
-    return tuple(ranks[:-1]), psi.dim - ranks[-1]
+    return tuple(ranks[:-1]), psi.dim - ranks[-1], p[-1]
 
 
 def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarray:
@@ -222,16 +226,14 @@ def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarr
         raise PreconditionError("maps must share domain shape and codomain size")
     shape = psi.domain
     n = psi.dim
-    m1, d1 = _multiplicity_profile(psi)
-    m2, d2 = _multiplicity_profile(psi2)
+    m1, d1, p1 = _multiplicity_profile(psi)
+    m2, d2, p2 = _multiplicity_profile(psi2)
     if m1 != m2 or d1 != d2:
         raise MultiplicityMismatch((m1, d1), (m2, d2))
     column = stack_elements(matrix_unit(shape, b, i, 0)
                             for b, nb in enumerate(shape.blocks) for i in range(nb))
     x = (psi2.batch(column) @ psi.batch(tuple(la.adj(c) for c in column))).sum(axis=0)
     if d1 > 0:
-        p1 = psi(identity(shape))
-        p2 = psi2(identity(shape))
         z = (np.eye(n) - p2) @ (np.eye(n) - p1)
         u, s, vh = np.linalg.svd(z)
         if s[d1 - 1] < 1e-8:

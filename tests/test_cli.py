@@ -119,10 +119,12 @@ def test_tower_command(fast_cfg, capsys):
     ["recover", "--mult", "two"],
     ["sweep", "--etas", "1e-3,big"],
     ["tower", "--steps", "2,x"],
+    ["sweep", "--repeats", "0"],
+    ["sweep", "--repeats", "-2"],
     ["budget", "--eps", "1e-6", "--config", "MISSING"],
     *(["recover", "--shape", "2", "--mult", "2", "--eta", "1e-3", "--config", f"CFG:{line}"]
-      for line in ("group_probes = 0", "unitarize_width = 0", "det_cap = 0",
-                   "max_levels = -1", "mc_width = 1", "generator_count = 1",
+      for line in ("group_probes = 0", "unitarize_width = 0", "unitarize_width = 1",
+                   "det_cap = 0", "max_levels = -1", "mc_width = 1", "generator_count = 1",
                    "probes = 0", "mc_batches = 1")),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):

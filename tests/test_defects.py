@@ -26,13 +26,15 @@ def embedding(mult=2, shape=SHAPE2, pad=0, seed=None):
     return exact_homomorphism(EmbeddingSpec(shape, mults, pad, w))
 
 
-def test_approxmap_determinism_and_cache():
+def test_single_point_call_is_a_one_row_batch():
     psi = embedding()
     x = HaarSampler(SHAPE2, 1).contraction()
-    a = psi(x)
-    b = psi(x)
-    assert a is b  # cached, hence bit-identical
-    assert not a.flags.writeable
+    row = stack_elements([x])
+    for m in (psi, perturb_additive(psi, 1e-3, seed=2),
+              ApproxMap(SHAPE2, psi.dim, lambda y: psi.basis[1] * y.blocks[0][0, 1])):
+        a, b = m(x), m(x)
+        assert a.shape == (psi.dim, psi.dim)
+        assert a.tobytes() == b.tobytes() == m.batch(row)[0].tobytes()
 
 
 def test_defect_report_json_roundtrip_and_merge():

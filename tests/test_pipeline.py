@@ -322,6 +322,30 @@ def test_pipeline_measures_each_group_map_once(monkeypatch):
     assert measured == [0, 1]       # level 0 once, then the averaged map once
 
 
+def test_a_run_makes_no_single_point_map_call(monkeypatch):
+    # batch is the one evaluation path of every map: a pipeline run, with or
+    # without a target, on either path, and intertwiner only evaluate stacks
+    def refuse(m, x):
+        raise AssertionError(f"single-point call of a {type(m).__name__}")
+
+    monkeypatch.setattr(ApproxMap, "__call__", refuse)
+    monkeypatch.setattr(GroupMap, "__call__", refuse)
+    shape = AlgebraShape([1, 2])
+    phi = perturb_additive(embedding(shape, (2, 1), seed=21), 1e-3, seed=22)
+    padded = perturb_additive(embedding(shape, (2, 1), pad=1, seed=9), 1e-3, seed=10)
+    spec = EmbeddingSpec(shape, (1, 1), 0, haar_conjugator(3, 23))
+    near = perturb_additive(exact_homomorphism(spec), 1e-3, seed=24)
+    for m, config, target in ((phi, FAST, None), (phi, FAST.replace(path="stone"), None),
+                              (near, FAST, spec), (padded, FAST, None)):
+        _, rep = run_pipeline(m, config, target=target)
+        assert rep.ok()
+    psi_a, psi_b = (embedding(shape, (1, 1), pad=2, seed=s) for s in (25, 26))
+    v = intertwiner(psi_a, psi_b)
+    units = stack_elements(matrix_unit(shape, b, i, j) for b, n in enumerate(shape.blocks)
+                           for i in range(n) for j in range(n))
+    assert la.op_norm(v @ psi_a.batch(units) @ v.conj().T - psi_b.batch(units)) < 1e-10
+
+
 def reference_stone_basis(pi, domain, **kw):
     """The block-map loop that lifted every ordered swap, each from its own
     evaluation of pi, kept as the reference."""

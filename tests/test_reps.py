@@ -203,3 +203,10 @@ def test_unitarize_needs_two_batches():
     tau = fundamental()
     with pytest.raises(PreconditionError, match="batches >= 2"):
         unitarize(tau, 32, at_probes(tau), batches=1)
+
+
+def test_unitarize_needs_two_draws():
+    # one draw is one batch, whose Monte-Carlo spread would read 0
+    tau = fundamental()
+    with pytest.raises(PreconditionError, match="width >= 2"):
+        unitarize(tau, 1, at_probes(tau))
