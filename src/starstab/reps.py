@@ -167,12 +167,22 @@ def _commutant_basis(mats, hint: float):
 
 
 def _fixed_hermitians(n: int) -> np.ndarray:
-    """The split's two fixed Hermitian n x n probes: distinct diagonal
-    entries and off-diagonal coupling (real, then imaginary)."""
+    """The split's three fixed Hermitian n x n probes: distinct diagonal
+    entries and off-diagonal coupling (real, then imaginary), then the real
+    coupling on the diagonal exp(k / n).
+
+    The first two share the diagonal 1..n, so on blocks spanned by
+    coordinate vectors they are scalar whenever the blocks' diagonal means
+    agree (the middle coordinate of three against the outer two).  Means
+    of disjoint sets of powers of the transcendental exp(1 / n) never
+    agree, so the third probe splits such blocks.
+    """
     i, j = np.indices((n, n))
+    coupling = 1.0 / (1.0 + np.abs(i - j) + i + j) * (i != j)
     diag = np.diag(np.arange(1.0, n + 1.0))
-    return np.stack([diag + 1.0 / (1.0 + np.abs(i - j) + i + j) * (i != j),
-                     diag + 1j * np.sign(j - i) / (2.0 + np.abs(i - j))])
+    return np.stack([diag + coupling,
+                     diag + 1j * np.sign(j - i) / (2.0 + np.abs(i - j)),
+                     np.diag(np.exp(np.arange(n) / n)) + coupling])
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float):
@@ -190,8 +200,8 @@ def _split_once(mats, hint: float, hs):
     The split element is the orthogonal projection B B* H of a fixed
     Hermitian H onto the commutant (B an orthonormal basis of it), less its
     trace part and scaled to norm one.  B B* does not depend on how the
-    solver rotates B.  The second H is the fallback when the first gives
-    one eigenvalue cluster.
+    solver rotates B.  Each further H is a fallback, tried only when the
+    ones before it give one eigenvalue cluster.
     """
     basis = _commutant_basis(mats, hint)
     if len(basis) == 1:
@@ -211,7 +221,7 @@ def _split_once(mats, hint: float, hs):
         if len(groups) > 1:
             return [np.ascontiguousarray(v[:, g]) for g in groups]
     raise SingularMapError(
-        f"eigenvalue clustering degenerate twice (residual {resid})")
+        f"eigenvalue clustering degenerate for every probe (residual {resid})")
 
 
 def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
