@@ -3,9 +3,8 @@ and their stabilization to exact ones with quantitative certificates."""
 
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, four_unitaries,
                       identity, matrix_unit, matrix_units, zeros)
-from .averaging import (AveragedGroupMap, GroupMap, IterationSchedule,
-                        average_once, measure_group_map, restrict_to_unitaries,
-                        schedule, stabilize)
+from .averaging import (AveragedGroupMap, IterationSchedule, average_once,
+                        measure_group_map, schedule, stabilize)
 from .config import PipelineConfig, load_config, parse_config
 from .defects import (ApproxMap, DefectReport, estimate_defect, induction_window,
                       is_eps_nonzero, isometry_diagnostic, normalize, s_iterate)

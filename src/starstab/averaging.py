@@ -13,13 +13,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, _derive_seed,
-                      stack_row, unitary_stack)
+from .algebra import AlgebraElement, HaarSampler, _derive_seed, unitary_stack
 from .defects import ApproxMap
 from .errors import ContractionError, PreconditionError
 from .probes import unitary_pairs
@@ -71,44 +69,25 @@ def schedule(eps1: float, n_max: int) -> IterationSchedule:
     return IterationSchedule(eps1, tuple(kappas), tuple(deltas))
 
 
-@dataclass(eq=False)
-class GroupMap:
-    """Deterministic map from the unitary group of an algebra into invertible
-    N x N matrices, evaluated as an ``ApproxMap`` is: by an opaque per-element
-    ``fn`` or a ``stack_fn`` of a per-block stack.  ``batch`` is the one
-    evaluation path; a single point is a one-row stack."""
-
-    domain: AlgebraShape
-    dim: int
-    fn: Callable[[AlgebraElement], np.ndarray] | None = None
-    level: int = 0
-    seed: int = 0
-    meta: dict = field(default_factory=dict)
-    stack_fn: Callable[[tuple], np.ndarray] | None = None
-
-    def __call__(self, u: AlgebraElement) -> np.ndarray:
-        return self.batch(tuple(a[None] for a in u.blocks))[0]
-
-    def batch(self, stack) -> np.ndarray:
-        """Values at the K points of a per-block stack, as (K, N, N)."""
-        if self.stack_fn is not None:
-            return self.stack_fn(stack)
-        return np.stack([self.fn(stack_row(self.domain, stack, k))
-                         for k in range(stack[0].shape[0])]).astype(complex, copy=False)
+# perfbench/tracer.py reads ``averaging.GroupMap.__call__`` when it installs;
+# a map on the unitary group is an ``ApproxMap``, and this name is kept only
+# for that hook until the benchmark stops wrapping ``__call__``.
+GroupMap = ApproxMap
 
 
-class AveragedGroupMap(GroupMap):
-    """One averaging pass over a fixed sample set of the parent map; the
-    samples are held as a per-block stack with their parent values'
-    inverses alongside.  A value costs one parent row per sample and is not
-    cached: measurements carry the values they took forward."""
+class AveragedGroupMap(ApproxMap):
+    """Level ``level`` of the averaging: one pass over a fixed sample set of
+    the parent map; the samples are held as a per-block stack with their
+    parent values' inverses alongside.  A value costs one parent row per
+    sample and is not cached: measurements carry the values they took
+    forward."""
 
-    def __init__(self, parent: GroupMap, samples: tuple, inverses: np.ndarray, seed: int):
+    def __init__(self, parent: ApproxMap, samples: tuple, inverses: np.ndarray, level: int):
         self.parent = parent
         self.samples = samples
         self.inverses = inverses
-        super().__init__(parent.domain, parent.dim, level=parent.level + 1, seed=seed,
-                         meta={**parent.meta, "width": len(inverses)},
+        self.level = level
+        super().__init__(parent.domain, parent.dim, None,
                          stack_fn=lambda stack: np.stack([t.mean(axis=0)
                                                           for t in self._terms(stack)]))
 
@@ -124,12 +103,6 @@ class AveragedGroupMap(GroupMap):
         """The terms at the K points of a stack, as (K, M, N, N); a value is
         the mean of its terms."""
         return np.stack(list(self._terms(stack)))
-
-
-def restrict_to_unitaries(m: ApproxMap, seed: int = 0) -> GroupMap:
-    """Level-0 group map: the approximate homomorphism on the unitary group."""
-    return GroupMap(m.domain, m.dim, level=0, seed=seed, meta=dict(m.meta),
-                    stack_fn=m.batch)
 
 
 @dataclass(frozen=True)
@@ -172,7 +145,7 @@ def _spread(mats: np.ndarray) -> float:
     return 3.0 * float(np.sqrt((np.abs(dev) ** 2).sum(axis=(-2, -1)).mean(axis=-1) / b).max())
 
 
-def measure_group_map(rho: GroupMap, pairs, batches: int = 8,
+def measure_group_map(rho: ApproxMap, pairs, batches: int = 8,
                       against: GroupMeasurement | None = None) -> GroupMeasurement:
     """Measure kappa, the defect and their Monte-Carlo error over probe pairs,
     given as two per-block stacks (us, vs): ``rho`` evaluates the points u,
@@ -229,11 +202,16 @@ class AveragingPass:
         return self.after.kappa <= self.kappa_bound
 
 
-def average_once(rho: GroupMap, width: int, probe_pairs=None,
-                 batches: int = 8, probe_seed: int = 17,
+def average_once(rho: ApproxMap, width: int, probe_pairs=None,
+                 batches: int = 8, seed: int = 0,
                  translate_by: AlgebraElement | None = None,
-                 before: GroupMeasurement | None = None) -> tuple[GroupMap, AveragingPass]:
+                 before: GroupMeasurement | None = None
+                 ) -> tuple[AveragedGroupMap, AveragingPass]:
     """One averaging pass with ``width`` common Haar samples.
+
+    The pass is level ``rho.level + 1`` of an averaged ``rho`` and level 1
+    otherwise; ``seed`` seeds its sample draw (with the level) and the
+    default probe pairs.
 
     ``before``, when given, is the caller's measurement of ``rho`` on the
     same pairs and batches (the closing one is compared with its values).
@@ -247,24 +225,25 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
         raise PreconditionError("averaging width must be >= 2")
     _require_batches(batches)
     if probe_pairs is None:
-        probe_pairs = unitary_pairs(rho.domain, 8, _derive_seed(rho.seed, "probes", probe_seed))
+        probe_pairs = unitary_pairs(rho.domain, 8, _derive_seed(seed, "probes", 17))
     if before is None:
         before = measure_group_map(rho, probe_pairs, batches)
     if not before.delta < 1.0 / before.kappa ** 2:
         raise PreconditionError(
             f"averaging hypothesis violated: defect {before.delta:.3g} "
             f">= kappa^-2 = {1.0 / before.kappa ** 2:.3g}")
-    sampler = HaarSampler(rho.domain, _derive_seed(rho.seed, "level", rho.level + 1))
+    level = rho.level + 1 if isinstance(rho, AveragedGroupMap) else 1
+    sampler = HaarSampler(rho.domain, _derive_seed(seed, "level", level))
     samples = unitary_stack(rho.domain, sampler.generators(width))
     if translate_by is not None:
         samples = tuple(t @ s for t, s in zip(translate_by.blocks, samples))
     inverses = la.batched_inv_cond(rho.batch(samples))
-    new = AveragedGroupMap(rho, samples, inverses, seed=rho.seed)
+    new = AveragedGroupMap(rho, samples, inverses, level)
     after = measure_group_map(new, probe_pairs, batches, against=before)
     floor = NUMERIC_FLOOR * max(1.0, before.kappa)
     k, d = before.kappa, before.delta
     rec = AveragingPass(
-        level=new.level,
+        level=level,
         before=before,
         after=after,
         contraction_bound=2.0 * k * k * d * d + after.mc + floor,
@@ -276,7 +255,7 @@ def average_once(rho: GroupMap, width: int, probe_pairs=None,
 
 @dataclass
 class StabilizeResult:
-    final: GroupMap
+    final: ApproxMap
     levels: list  # AveragingPass per executed level
     initial: GroupMeasurement
     movement: float
@@ -300,12 +279,15 @@ class StabilizeResult:
         return buf.getvalue()
 
 
-def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
+def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int,
               max_levels: int = 4, probe_pairs=None, batches: int = 8,
               strict: bool | None = None,
-              initial: GroupMeasurement | None = None) -> StabilizeResult:
+              initial: GroupMeasurement | None = None, seed: int = 0) -> StabilizeResult:
     """Iterate averaging passes until the measured defect (or the analytic
     schedule) falls below ``tol``.
+
+    ``seed`` seeds the default probe pairs and every pass's sample draw
+    (``average_once(seed=)``).
 
     ``initial``, when given, is the caller's measurement of ``rho0`` on the
     same pairs and batches; each pass's closing measurement opens the next.
@@ -321,7 +303,7 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
         strict = eps1 <= SCHEDULE_EPS_MAX
     sched = schedule(eps1, max_levels + 1) if strict else None
     if probe_pairs is None:
-        probe_pairs = unitary_pairs(rho0.domain, 8, _derive_seed(rho0.seed, "stab"))
+        probe_pairs = unitary_pairs(rho0.domain, 8, _derive_seed(seed, "stab"))
     if initial is None:
         initial = measure_group_map(rho0, probe_pairs, batches)
     if sched is not None:
@@ -359,7 +341,7 @@ def stabilize(rho0: GroupMap, eps1: float, tol: float, width: int,
         if level >= max_levels:
             stopped = "level-cap"
             break
-        rho, rec = average_once(rho, width, probe_pairs, batches, before=measured)
+        rho, rec = average_once(rho, width, probe_pairs, batches, seed, before=measured)
         passes.append(rec)
         if not rec.contraction_ok:
             raise ContractionError(

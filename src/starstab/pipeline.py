@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit, stack_elements
-from .averaging import (measure_group_map, restrict_to_unitaries, stabilize)
+from .averaging import measure_group_map, stabilize
 from .config import PipelineConfig
 from .defects import ApproxMap, estimate_defect, normalize
 from .errors import PreconditionError, StabilityError, StageAbort
@@ -266,24 +266,25 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
         stages.append(StageRecord("corner", 0.0, info={"rank": rank, "skipped": True}))
     work_dim = phi3.dim
 
-    # 4. restrict to the unitary group ---------------------------------------
-    def make_group():
-        rho = restrict_to_unitaries(phi3, seed=_derive_seed(seed, "group"))
-        m = measure_group_map(rho, pairs, config.mc_batches)
+    # 4. restrict to the unitary group: phi3 there is the level-0 group map ---
+    group_seed = _derive_seed(seed, "group")
+
+    def measure_level_zero():
+        m = measure_group_map(phi3, pairs, config.mc_batches)
         if m.kappa > 2.0 + 1e-6:
             raise PreconditionError(
                 f"inverse bound {m.kappa:.3g} exceeds 2 on unitary probes")
-        return rho, m
-    ((rho0, m0), rec) = clock.run("unitary-restriction", make_group)
+        return m
+    (m0, rec) = clock.run("unitary-restriction", measure_level_zero)
     rec.in_triangle = False
     rec.info = {"kappa0": m0.kappa}
 
     # 5. averaging -----------------------------------------------------------
     eps1 = max(4.0 * eps_in, m0.delta + m0.mc, 1e-13)
     (stab, rec) = clock.run("stabilize", lambda: stabilize(
-        rho0, eps1, config.tol, config.mc_width,
+        phi3, eps1, config.tol, config.mc_width,
         max_levels=config.max_levels, probe_pairs=pairs,
-        batches=config.mc_batches, initial=m0))
+        batches=config.mc_batches, initial=m0, seed=group_seed))
     rec.movement = stab.movement
     rec.in_triangle = False
     eps2_meas = stab.movement + sum(p.after.closeness_mc for p in stab.levels)
@@ -298,7 +299,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     (unit_out, rec) = clock.run("unitarize", lambda: unitarize(
         stab.final, config.unitarize_width, post.values[:, :2].reshape(-1, work_dim, work_dim),
         batches=config.mc_batches, eps2=eps2_meas, snap_tol=snap_tol,
-        seed=seed))
+        seed=_derive_seed(group_seed, "unitarize", seed)))
     unitarizer, pi, unit_info = unit_out
     rec.movement = unit_info["movement"]
     rec.in_triangle = False

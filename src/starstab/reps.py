@@ -19,7 +19,8 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
                       unitary_stack)
-from .averaging import GroupMap, HaarSampler, _batch_means, _require_batches, _spread
+from .averaging import HaarSampler, _batch_means, _require_batches, _spread
+from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
 
@@ -39,16 +40,16 @@ class Unitarizer:
             raise PreconditionError("recorded deviation does not match T")
 
 
-def unitarize(tau: GroupMap, width: int, tau_us: np.ndarray, batches: int = 8,
-              eps2: float | None = None, snap_tol: float = 1e-3,
-              seed: int | None = None):
-    """Average tau(u)* tau(u) over Haar samples, conjugate by the square root
-    and snap to unitaries.
+def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray, batches: int = 8,
+              eps2: float | None = None, snap_tol: float = 1e-3, seed: int = 0):
+    """Average tau(u)* tau(u) over ``width`` Haar draws, conjugate by the
+    square root and snap to unitaries; ``seed`` seeds the draws.
 
-    Returns (Unitarizer, pi, info).  Requires the measured Gram deviation
-    sup ||tau(u)* tau(u) - 1|| to be < 1/2 over probe unitaries u, whose
-    values ``tau_us`` the caller gives as a (K, N, N) stack, and ``width``
-    >= 2 draws (one draw is one batch, with no Monte-Carlo spread).
+    Returns (Unitarizer, pi, info), pi a map on tau's domain.  Requires the
+    measured Gram deviation sup ||tau(u)* tau(u) - 1|| to be < 1/2 over
+    probe unitaries u, whose values ``tau_us`` the caller gives as a
+    (K, N, N) stack, and ``width`` >= 2 draws (one draw is one batch, with
+    no Monte-Carlo spread).
     """
     _require_batches(batches)
     if width < 2:
@@ -57,8 +58,7 @@ def unitarize(tau: GroupMap, width: int, tau_us: np.ndarray, batches: int = 8,
     if not eps3 < 0.5:
         raise PreconditionError(
             f"Gram deviation {eps3:.3g} >= 1/2: too far from unitary to unitarize")
-    sampler = HaarSampler(tau.domain, _derive_seed(tau.seed, "unitarize",
-                                                   seed if seed is not None else 0))
+    sampler = HaarSampler(tau.domain, seed)
     draws = tau.batch(unitary_stack(tau.domain, sampler.generators(width)))
     grams = la.adj(draws) @ draws
     mean = la.herm(grams.mean(axis=0))
@@ -69,10 +69,9 @@ def unitarize(tau: GroupMap, width: int, tau_us: np.ndarray, batches: int = 8,
     t = la.herm_fun(mean, np.sqrt)
     t_inv = la.herm_fun(mean, lambda x: 1.0 / np.sqrt(x))
     deviation = la.op_norm(t - np.eye(tau.dim))
-    pi = GroupMap(tau.domain, tau.dim, level=tau.level, seed=tau.seed,
-                  meta={**tau.meta, "unitarized": True},
-                  stack_fn=lambda stack: la.snap_unitary(t @ tau.batch(stack) @ t_inv,
-                                                         snap_tol)[0])
+    pi = ApproxMap(tau.domain, tau.dim, None,
+                   stack_fn=lambda stack: la.snap_unitary(t @ tau.batch(stack) @ t_inv,
+                                                          snap_tol)[0])
     if eps2 is None:
         eps2 = max(la.op_norm(tau_us) - 1.0, 0.0)
     pi_us, max_snap = la.snap_unitary(t @ tau_us @ t_inv, snap_tol)
@@ -237,9 +236,12 @@ def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
         la.compress(v, mats), hint, la.compress(v, hs), depth + 1, ambient)]
 
 
-def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
-              seed: int | None = None, defect_hint: float = 0.0) -> BlockDecomposition:
+def decompose(pi: ApproxMap, generator_count: int = 4, tol: float = 1e-8,
+              seed: int = 0, defect_hint: float = 0.0) -> BlockDecomposition:
     """Split a (near-)unitary representation into irreducible invariant blocks.
+
+    ``seed`` seeds the ``generator_count`` Haar unitaries at which ``pi`` is
+    evaluated.
 
     ``tol`` bounds the commutation residual of the returned projections;
     ``defect_hint`` tells the commutant solve how multiplicative the input
@@ -249,7 +251,6 @@ def decompose(pi: GroupMap, generator_count: int = 4, tol: float = 1e-8,
     """
     if generator_count < 2:
         raise PreconditionError("need at least two generators")
-    seed = _derive_seed(pi.seed, "decompose") if seed is None else seed
     gens = random_unitaries(pi.domain, generator_count, _derive_seed(seed, "gens"))
     mats = pi.batch(gens)
     unit_dev = la.op_norm(la.adj(mats) @ mats - np.eye(pi.dim))

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import (AlgebraShape, HaarSampler, four_unitaries,
+from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, four_unitaries,
                               reconstruct, stack_rows)
-from starstab.averaging import (NUMERIC_FLOOR, GroupMap, average_once,
-                                restrict_to_unitaries, schedule)
+from starstab.averaging import NUMERIC_FLOOR, average_once, schedule
 from starstab.config import PipelineConfig
 from starstab.defects import ApproxMap, induction_window, isometry_diagnostic
 from starstab.errors import MultiplicityMismatch, PreconditionError
@@ -69,9 +68,8 @@ def test_acceptance_2_averaging_contraction():
         base = embedding(shape, (4,))    # M_2 -> M_8
         for i in range(20):
             phi = perturb_conjugate(base, near_identity(8, 1e-2, seed=300 + i))
-            rho = restrict_to_unitaries(phi, seed=i)
             pairs = unitary_pairs(shape, 4, 400 + i)
-            _, rec = average_once(rho, 256, probe_pairs=pairs)
+            _, rec = average_once(phi, 256, probe_pairs=pairs, seed=i)
             k, d = rec.before.kappa, rec.before.delta
             floor = 2 * NUMERIC_FLOOR
             assert rec.after.delta <= 2 * k * k * d * d + rec.after.mc + floor
@@ -145,14 +143,14 @@ def test_acceptance_6_peter_weyl():
             m[4, 4] = 1.0
             return m
 
-        dec_a = decompose(GroupMap(shape, 5, rep_a, seed=5), 4, tol=1e-10)
+        dec_a = decompose(ApproxMap(shape, 5, rep_a), 4, tol=1e-10,
+                          seed=_derive_seed(5, "decompose"))
         assert sorted(dec_a.block_dims) == [1, 2, 2]
         assert dec_a.residual < 1e-10
         assert dec_a.check_partition(1e-10)
 
-        dec_b = decompose(GroupMap(shape, 6,
-                                   lambda u: np.kron(u.blocks[0], np.eye(3)),
-                                   seed=6), 4, tol=1e-10)
+        dec_b = decompose(ApproxMap(shape, 6, lambda u: np.kron(u.blocks[0], np.eye(3))),
+                          4, tol=1e-10, seed=_derive_seed(6, "decompose"))
         assert dec_b.block_dims == (2, 2, 2)
         assert dec_b.residual < 1e-10
 

@@ -4,14 +4,14 @@ import pytest
 import starstab._linalg as la
 from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, stack_coeffs,
                               stack_elements, stack_rows)
-from starstab.averaging import (NUMERIC_FLOOR, GroupMap, average_once, measure_group_map,
-                                restrict_to_unitaries, schedule, stabilize)
+from starstab.averaging import (NUMERIC_FLOOR, average_once, measure_group_map, schedule,
+                                stabilize)
 from starstab.defects import ApproxMap
 from starstab.errors import EvaluationError, PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_additive, perturb_conjugate)
 from starstab.probes import unitary_pairs
-from starstab.reps import unitarize
+from starstab.reps import decompose, unitarize
 
 SHAPE2 = AlgebraShape([2])
 
@@ -58,10 +58,9 @@ def test_schedule_refuses_large_eps1():
 def test_multiplicative_fixed_point_any_samples():
     # conjugate perturbations are exactly multiplicative: every averaging
     # term equals rho(u), so one pass reproduces the map pointwise
-    phi = perturb_conjugate(embedding8(), near_identity(8, 0.01, seed=1))
-    rho = restrict_to_unitaries(phi, seed=2)
+    rho = perturb_conjugate(embedding8(), near_identity(8, 0.01, seed=1))
     pairs = unitary_pairs(SHAPE2, 6, 3)
-    out, rec = average_once(rho, 64, probe_pairs=pairs)
+    out, rec = average_once(rho, 64, probe_pairs=pairs, seed=2)
     for u, v in pair_rows(pairs):
         assert la.op_norm(out(u) - rho(u)) < 1e-12
     assert rec.after.closeness < 1e-12
@@ -71,10 +70,9 @@ def test_multiplicative_fixed_point_any_samples():
 def test_average_once_acceptance_bounds():
     # one pass on a conjugate-perturbed instance obeys the quadratic bound
     # and the closeness bound up to reported Monte-Carlo error + float floor
-    phi = perturb_conjugate(embedding8(), near_identity(8, 1e-2, seed=7))
-    rho = restrict_to_unitaries(phi, seed=8)
+    rho = perturb_conjugate(embedding8(), near_identity(8, 1e-2, seed=7))
     pairs = unitary_pairs(SHAPE2, 8, 9)
-    out, rec = average_once(rho, 256, probe_pairs=pairs)
+    out, rec = average_once(rho, 256, probe_pairs=pairs, seed=8)
     assert rec.before.kappa <= 2.1
     assert rec.after.delta <= 2 * rec.before.kappa ** 2 * rec.before.delta ** 2 \
         + rec.after.mc + NUMERIC_FLOOR * 2
@@ -83,11 +81,10 @@ def test_average_once_acceptance_bounds():
 
 
 def test_average_once_contracts_additive():
-    phi = perturb_additive(embedding8(), 2e-4, seed=4)
-    rho = restrict_to_unitaries(phi, seed=5)
+    rho = perturb_additive(embedding8(), 2e-4, seed=4)
     pairs = unitary_pairs(SHAPE2, 6, 6)
     before = measure_group_map(rho, pairs)
-    out, rec = average_once(rho, 192, probe_pairs=pairs)
+    out, rec = average_once(rho, 192, probe_pairs=pairs, seed=5)
     assert rec.contraction_ok and rec.closeness_ok and rec.kappa_ok
     assert rec.after.delta < before.delta
 
@@ -96,18 +93,17 @@ def test_average_once_rejects_bad_hypothesis():
     # defect >= kappa^-2 violates the averaging hypothesis
     def fn(u):
         return 0.4 * np.eye(3, dtype=complex)
-    rho = GroupMap(AlgebraShape([3]), 3, fn, seed=1)
+    rho = ApproxMap(AlgebraShape([3]), 3, fn)
     with pytest.raises(PreconditionError):
-        average_once(rho, 16)
+        average_once(rho, 16, seed=1)
 
 
 def test_translation_invariance_of_estimator():
-    phi = perturb_additive(embedding8(), 2e-4, seed=10)
-    rho = restrict_to_unitaries(phi, seed=11)
+    rho = perturb_additive(embedding8(), 2e-4, seed=10)
     pairs = unitary_pairs(SHAPE2, 4, 12)
     g = HaarSampler(SHAPE2, 99).unitary()
-    out_a, rec_a = average_once(rho, 192, probe_pairs=pairs)
-    out_b, rec_b = average_once(rho, 192, probe_pairs=pairs, translate_by=g)
+    out_a, rec_a = average_once(rho, 192, probe_pairs=pairs, seed=11)
+    out_b, rec_b = average_once(rho, 192, probe_pairs=pairs, seed=11, translate_by=g)
     budget = rec_a.after.closeness_mc + rec_b.after.closeness_mc \
         + rec_a.after.mc + rec_b.after.mc + NUMERIC_FLOOR
     for u, v in pair_rows(pairs):
@@ -116,20 +112,19 @@ def test_translation_invariance_of_estimator():
 
 
 def test_stabilize_exact_is_level_zero():
-    rho = restrict_to_unitaries(embedding8(), seed=1)
-    res = stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=64)
+    rho = embedding8()
+    res = stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=64, seed=1)
     assert res.final is rho
     assert res.levels == []
     assert res.movement == 0.0
 
 
 def test_stabilize_strict_regime():
-    phi = perturb_additive(embedding8(), 2e-4, seed=13)
-    rho = restrict_to_unitaries(phi, seed=14)
+    rho = perturb_additive(embedding8(), 2e-4, seed=13)
     pairs = unitary_pairs(SHAPE2, 6, 15)
     # tol above the schedule's delta_1 stops after one pass (schedule rule)
     res = stabilize(rho, eps1=2.0 ** -10, tol=1e-5, width=192,
-                    max_levels=3, probe_pairs=pairs)
+                    max_levels=3, probe_pairs=pairs, seed=14)
     assert res.strict
     assert res.stopped_by in ("schedule", "tolerance")
     assert res.movement <= res.movement_bound
@@ -141,11 +136,10 @@ def test_stabilize_strict_regime():
 
 
 def test_stabilize_two_levels_movement():
-    phi = perturb_additive(embedding8(), 2e-4, seed=21)
-    rho = restrict_to_unitaries(phi, seed=22)
+    rho = perturb_additive(embedding8(), 2e-4, seed=21)
     pairs = unitary_pairs(SHAPE2, 4, 23)
     res = stabilize(rho, eps1=2.0 ** -10, tol=1e-9, width=64,
-                    max_levels=2, probe_pairs=pairs)
+                    max_levels=2, probe_pairs=pairs, seed=22)
     assert len(res.levels) == 2
     for p in res.levels:
         assert p.contraction_ok
@@ -154,29 +148,26 @@ def test_stabilize_two_levels_movement():
 
 
 def test_stabilize_rejects_large_initial_defect():
-    phi = perturb_additive(embedding8(), 5e-3, seed=16)
-    rho = restrict_to_unitaries(phi, seed=17)
+    rho = perturb_additive(embedding8(), 5e-3, seed=16)
     with pytest.raises(PreconditionError):
-        stabilize(rho, eps1=2.0 ** -12, tol=1e-9, width=64)
+        stabilize(rho, eps1=2.0 ** -12, tol=1e-9, width=64, seed=17)
 
 
 def test_quadratic_contraction_sweep():
     # conjugate-perturbed instances are fixed points: the measured defect
     # after one pass stays below the quadratic bound (floor-dominated)
     for i in range(20):
-        phi = perturb_conjugate(embedding8(), near_identity(8, 1e-2, seed=100 + i))
-        rho = restrict_to_unitaries(phi, seed=i)
+        rho = perturb_conjugate(embedding8(), near_identity(8, 1e-2, seed=100 + i))
         pairs = unitary_pairs(SHAPE2, 4, 200 + i)
-        _, rec = average_once(rho, 64, probe_pairs=pairs)
+        _, rec = average_once(rho, 64, probe_pairs=pairs, seed=i)
         assert rec.after.delta <= 2 * rec.before.kappa ** 2 * rec.before.delta ** 2 \
             + rec.after.mc + NUMERIC_FLOOR * 2
 
 
 def test_trace_csv_shape():
-    phi = perturb_additive(embedding8(), 2e-4, seed=18)
-    rho = restrict_to_unitaries(phi, seed=19)
+    rho = perturb_additive(embedding8(), 2e-4, seed=18)
     res = stabilize(rho, eps1=2.0 ** -10, tol=1e-9, width=48,
-                    max_levels=2, probe_pairs=unitary_pairs(SHAPE2, 3, 20))
+                    max_levels=2, probe_pairs=unitary_pairs(SHAPE2, 3, 20), seed=19)
     text = res.trace_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "level,kappa,delta,mc,movement"
@@ -185,18 +176,17 @@ def test_trace_csv_shape():
 
 
 def test_averaged_value_is_the_mean_of_its_terms():
-    phi = perturb_additive(embedding8(), 2e-4, seed=30)
-    rho = restrict_to_unitaries(phi, seed=31)
-    new, _ = average_once(rho, 32, probe_pairs=unitary_pairs(SHAPE2, 2, 32))
+    rho = perturb_additive(embedding8(), 2e-4, seed=30)
+    new, _ = average_once(rho, 32, probe_pairs=unitary_pairs(SHAPE2, 2, 32), seed=31)
     u = HaarSampler(SHAPE2, 33).unitary()
     assert np.array_equal(new(u), new.terms(stack_elements([u]))[0].mean(axis=0))
 
 
 def test_measurement_builds_one_stack_per_point(monkeypatch):
-    phi = perturb_additive(embedding8(), 2e-4, seed=34)
-    rho = restrict_to_unitaries(phi, seed=35)
+    rho = perturb_additive(embedding8(), 2e-4, seed=34)
     pairs = unitary_pairs(SHAPE2, 5, 36)
-    new, _ = average_once(rho, 16, probe_pairs=tuple(tuple(s[:1] for s in p) for p in pairs))
+    new, _ = average_once(rho, 16, probe_pairs=tuple(tuple(s[:1] for s in p) for p in pairs),
+                          seed=35)
     calls = []
     batch = rho.batch
 
@@ -214,8 +204,7 @@ def test_measurement_builds_one_stack_per_point(monkeypatch):
 def test_handed_forward_values_are_not_evaluated_again():
     # two averaging passes and a unitarization evaluate the level-0 map at
     # no point twice: each measurement hands its values to the next
-    phi = perturb_additive(embedding8(), 2e-4, seed=43)
-    rho = restrict_to_unitaries(phi, seed=44)
+    rho = perturb_additive(embedding8(), 2e-4, seed=43)
     rows = []
     stack_fn = rho.stack_fn
 
@@ -227,10 +216,11 @@ def test_handed_forward_values_are_not_evaluated_again():
     pairs = unitary_pairs(SHAPE2, 3, 45)
     m0 = measure_group_map(rho, pairs)
     res = stabilize(rho, eps1=2.0 ** -10, tol=0.0, width=24, max_levels=2,
-                    probe_pairs=pairs, initial=m0)
+                    probe_pairs=pairs, initial=m0, seed=44)
     assert [p.level for p in res.levels] == [1, 2]
     post = res.levels[-1].after
-    unitarize(res.final, 8, post.values[:, :2].reshape(-1, 8, 8))
+    unitarize(res.final, 8, post.values[:, :2].reshape(-1, 8, 8),
+              seed=_derive_seed(44, "unitarize", 0))
     assert len(rows) == 3 * 3 * (1 + 24 + 24 * 24) + 24 * (1 + 24) + 8 * 24 * 24
     assert len(set(rows)) == len(rows)
 
@@ -248,25 +238,54 @@ def test_non_finite_parent_value_aborts_averaging():
             return np.full((8, 8), np.nan, dtype=complex)
         return psi(x)
 
-    rho = restrict_to_unitaries(ApproxMap(SHAPE2, 8, fn), seed=rho_seed)
+    rho = ApproxMap(SHAPE2, 8, fn)
     with pytest.raises(EvaluationError) as err:
-        average_once(rho, 16, probe_pairs=pairs)
+        average_once(rho, 16, probe_pairs=pairs, seed=rho_seed)
     assert la.op_norm(err.value.offending.blocks[0] - target) <= 1e-12
 
 
 def test_measurement_needs_two_batches():
-    rho = restrict_to_unitaries(embedding8(), seed=1)
+    rho = embedding8()
     with pytest.raises(PreconditionError, match="batches >= 2"):
         measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3), batches=1)
 
 
 def test_average_once_needs_two_batches():
-    rho = restrict_to_unitaries(perturb_additive(embedding8(), 2e-4, seed=4), seed=5)
+    rho = perturb_additive(embedding8(), 2e-4, seed=4)
     with pytest.raises(PreconditionError, match="batches >= 2"):
-        average_once(rho, 16, batches=1)
+        average_once(rho, 16, batches=1, seed=5)
 
 
 def test_stabilize_needs_two_batches():
-    rho = restrict_to_unitaries(perturb_additive(embedding8(), 2e-4, seed=4), seed=5)
+    rho = perturb_additive(embedding8(), 2e-4, seed=4)
     with pytest.raises(PreconditionError, match="batches >= 2"):
-        stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=16, batches=1)
+        stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=16, batches=1, seed=5)
+
+
+def failing_group_map(result):
+    """An opaque map on the unitary group of M_2 into M_4 whose evaluator
+    fails at every point: a NaN value, a 3 x 3 value or a raise."""
+    def fn(u):
+        if result == "nan":
+            return np.full((4, 4), np.nan, dtype=complex)
+        if result == "shape":
+            return np.eye(3, dtype=complex)
+        raise RuntimeError("evaluator failed")
+    return ApproxMap(SHAPE2, 4, fn)
+
+
+GROUP_MAP_CALLERS = {
+    "measure_group_map": lambda rho: measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3)),
+    "decompose": lambda rho: decompose(rho, 4),
+    "unitarize": lambda rho: unitarize(rho, 8, np.broadcast_to(np.eye(4), (8, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(GROUP_MAP_CALLERS))
+@pytest.mark.parametrize("result", ["nan", "shape", "raise"])
+def test_failing_group_map_evaluator_raises_evaluation_error(result, caller):
+    with pytest.raises(EvaluationError) as err:
+        GROUP_MAP_CALLERS[caller](failing_group_map(result))
+    u = err.value.offending
+    assert u is not None and u.shape == SHAPE2
+    assert la.op_norm(la.adj(u.blocks[0]) @ u.blocks[0] - np.eye(2)) < 1e-12

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape
-from starstab.averaging import restrict_to_unitaries
+from starstab.algebra import AlgebraShape, _derive_seed
 from starstab.config import MINIMUMS, PipelineConfig, parse_config
 from starstab.errors import ConfigError
 from starstab.factory import EmbeddingSpec, exact_homomorphism, haar_conjugator
@@ -59,7 +58,7 @@ def isotypic_embeddings(draw):
 def test_decompose_splits_every_isotypic_block(case):
     # multiplicities 2 and 3: the commutant split must find each copy
     spec, seed = case
-    blocks = decompose(restrict_to_unitaries(exact_homomorphism(spec), seed=seed))
+    blocks = decompose(exact_homomorphism(spec), seed=_derive_seed(seed, "decompose"))
     assert list(blocks.block_dims) == sorted(
         nb for nb, m in zip(spec.shape.blocks, spec.multiplicities) for _ in range(m))
     assert blocks.check_partition(1e-9)

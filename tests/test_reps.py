@@ -6,7 +6,7 @@ import pytest
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               _derive_seed, identity, stack_elements, stack_rows, zeros)
-from starstab.averaging import GroupMap, restrict_to_unitaries
+from starstab.defects import ApproxMap
 from starstab.errors import PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_conjugate)
@@ -17,17 +17,25 @@ from starstab.reps import (compress, decompose, lift_projection, stone_generator
 SHAPE2 = AlgebraShape([2])
 
 
-def group_map(fn, dim, seed=1, shape=SHAPE2):
-    return GroupMap(shape, dim, fn, seed=seed)
+def group_map(fn, dim, shape=SHAPE2):
+    return ApproxMap(shape, dim, fn)
 
 
 def fundamental():
     return group_map(lambda u: u.blocks[0], 2)
 
 
-def at_probes(tau):
+def at_probes(tau, seed=1):
     """tau at 8 seeded Haar unitaries, unitarize's Gram-deviation probes."""
-    return tau.batch(random_unitaries(tau.domain, 8, _derive_seed(tau.seed, "unit-probes")))
+    return tau.batch(random_unitaries(tau.domain, 8, _derive_seed(seed, "unit-probes")))
+
+
+def unitarize_seed(seed=1):
+    return _derive_seed(seed, "unitarize", 0)
+
+
+def decompose_seed(seed=1):
+    return _derive_seed(seed, "decompose")
 
 
 def at_stone_points(pi, a):
@@ -36,7 +44,7 @@ def at_stone_points(pi, a):
 
 def test_unitarize_fixed_point():
     pi0 = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
-    unzr, pi, info = unitarize(pi0, 128, at_probes(pi0))
+    unzr, pi, info = unitarize(pi0, 128, at_probes(pi0), seed=unitarize_seed())
     assert unzr.deviation < 1e-12
     us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 6, 2))
     assert max(la.op_norm(pi(u) - pi0(u)) for u in us) < 1e-12
@@ -44,8 +52,8 @@ def test_unitarize_fixed_point():
 
 def test_unitarize_recovers_conjugated_rep():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (4,), 0))
-    tau = restrict_to_unitaries(perturb_conjugate(psi, near_identity(8, 0.01, seed=3)), seed=4)
-    unzr, pi, info = unitarize(tau, 512, at_probes(tau))
+    tau = perturb_conjugate(psi, near_identity(8, 0.01, seed=3))
+    unzr, pi, info = unitarize(tau, 512, at_probes(tau, 4), seed=unitarize_seed(4))
     us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 8, 5))
     for u in us:
         val = pi(u)
@@ -62,8 +70,9 @@ def test_unitarize_near_hypothesis_boundary():
     def fn(u):
         return s @ psi(u) @ np.linalg.inv(s)
 
-    tau = group_map(fn, 4, seed=6)
-    unzr, pi, info = unitarize(tau, 256, at_probes(tau), snap_tol=0.5)
+    tau = group_map(fn, 4)
+    unzr, pi, info = unitarize(tau, 256, at_probes(tau, 6), snap_tol=0.5,
+                               seed=unitarize_seed(6))
     assert info["gram_deviation"] < 0.5
     u = HaarSampler(SHAPE2, 7).unitary()
     val = pi(u)
@@ -73,13 +82,13 @@ def test_unitarize_near_hypothesis_boundary():
 def test_unitarize_rejects_far_from_unitary():
     tau = group_map(lambda u: 2.0 * u.blocks[0], 2)
     with pytest.raises(PreconditionError):
-        unitarize(tau, 32, at_probes(tau))
+        unitarize(tau, 32, at_probes(tau), seed=unitarize_seed())
 
 
 def test_unitarize_multiplicativity_transport():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (3,), 0))
-    tau = restrict_to_unitaries(perturb_conjugate(psi, near_identity(6, 5e-3, seed=8)), seed=9)
-    unzr, pi, info = unitarize(tau, 256, at_probes(tau))
+    tau = perturb_conjugate(psi, near_identity(6, 5e-3, seed=8))
+    unzr, pi, info = unitarize(tau, 256, at_probes(tau, 9), seed=unitarize_seed(9))
     t_dev = unzr.deviation
     # input is exactly multiplicative; the defect of pi comes from the
     # conjugation transport plus the polar-snap residue it absorbed
@@ -96,21 +105,21 @@ def test_decompose_direct_sum_with_trivial_line():
         m[4, 4] = 1.0
         return m
 
-    dec = decompose(group_map(rep, 5, seed=11), 4, tol=1e-10)
+    dec = decompose(group_map(rep, 5), 4, tol=1e-10, seed=decompose_seed(11))
     assert sorted(dec.block_dims) == [1, 2, 2]
     assert dec.residual < 1e-10
     assert dec.check_partition(1e-10)
 
 
 def test_decompose_triple_multiplicity():
-    dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(3)), 6, seed=12),
-                    4, tol=1e-10)
+    dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(3)), 6),
+                    4, tol=1e-10, seed=decompose_seed(12))
     assert dec.block_dims == (2, 2, 2)
     assert dec.residual < 1e-10
 
 
 def test_decompose_fundamental_is_irreducible():
-    dec = decompose(fundamental(), 4, tol=1e-10)
+    dec = decompose(fundamental(), 4, tol=1e-10, seed=decompose_seed())
     assert dec.block_dims == (2,)
     assert la.op_norm(dec.projections[0] - np.eye(2)) < 1e-12
 
@@ -119,13 +128,13 @@ def test_decompose_mixed_shape():
     shape = AlgebraShape([1, 2])
     spec = EmbeddingSpec(shape, (2, 1), 0)
     psi = exact_homomorphism(spec)
-    dec = decompose(GroupMap(shape, 4, psi, seed=13), 4, tol=1e-10)
+    dec = decompose(group_map(psi, 4, shape), 4, tol=1e-10, seed=decompose_seed(13))
     assert sorted(dec.block_dims) == [1, 1, 2]
 
 
 def test_decompose_sorted_and_json():
-    dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4, seed=14),
-                    4, tol=1e-10)
+    dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4),
+                    4, tol=1e-10, seed=decompose_seed(14))
     assert list(dec.block_dims) == sorted(dec.block_dims)
     d = json.loads(dec.to_json())
     assert d["dim"] == 4 and d["block_dims"] == [2, 2]
@@ -133,8 +142,8 @@ def test_decompose_sorted_and_json():
 
 
 def test_compress_block():
-    pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4, seed=15)
-    dec = decompose(pi, 4, tol=1e-10)
+    pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
+    dec = decompose(pi, 4, tol=1e-10, seed=decompose_seed(15))
     v = dec.isometries()[0]
     vals = compress(pi.batch(random_unitaries(SHAPE2, 3, 16)), v)
     assert vals.shape == (3, 2, 2)
@@ -154,7 +163,7 @@ def test_stone_generator_unit():
 
 
 def test_stone_generator_amplified():
-    pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4, seed=17)
+    pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
     a = AlgebraElement(SHAPE2, [np.diag([1.0, -1.0])])
     rho = stone_generator(at_stone_points(pi, a))
     assert la.op_norm(rho - np.kron(a.blocks[0], np.eye(2))) < 1e-12
@@ -184,7 +193,7 @@ def test_lift_projection_cases():
 
 def test_lift_projection_order_preserving():
     shape = AlgebraShape([3])
-    pi = GroupMap(shape, 3, lambda u: u.blocks[0], seed=18)
+    pi = group_map(lambda u: u.blocks[0], 3, shape)
     p = AlgebraElement(shape, [np.diag([1.0, 0.0, 0.0])])
     q = AlgebraElement(shape, [np.diag([1.0, 1.0, 0.0])])
     diff = lift(pi, q) - lift(pi, p)
@@ -202,11 +211,11 @@ def test_unitarizer_records_deviation():
 def test_unitarize_needs_two_batches():
     tau = fundamental()
     with pytest.raises(PreconditionError, match="batches >= 2"):
-        unitarize(tau, 32, at_probes(tau), batches=1)
+        unitarize(tau, 32, at_probes(tau), batches=1, seed=unitarize_seed())
 
 
 def test_unitarize_needs_two_draws():
     # one draw is one batch, whose Monte-Carlo spread would read 0
     tau = fundamental()
     with pytest.raises(PreconditionError, match="width >= 2"):
-        unitarize(tau, 1, at_probes(tau))
+        unitarize(tau, 1, at_probes(tau), seed=unitarize_seed())
