@@ -101,8 +101,12 @@ class AveragedGroupMap(ApproxMap):
 
     def terms(self, stack) -> np.ndarray:
         """The terms at the K points of a stack, as (K, M, N, N); a value is
-        the mean of its terms."""
-        return np.stack(list(self._terms(stack)))
+        the mean of its terms.  Each point's terms are written into the
+        result as they come, so no second copy of them is held."""
+        out = np.empty((len(stack[0]), len(self.inverses), self.dim, self.dim), dtype=complex)
+        for k, t in enumerate(self._terms(stack)):
+            out[k] = t
+        return out
 
 
 @dataclass(frozen=True)

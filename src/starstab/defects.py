@@ -164,17 +164,43 @@ class DefectReport:
             self.sample_count + other.sample_count)
 
 
+def _defect_values(evaluate, x, y, lams: np.ndarray):
+    """Yield ``evaluate(stack)`` at each of the six per-block stacks that the
+    defects over the triples (x_k, y_k, lambda_k) read, in order: x, y,
+    x + y, lambda x, x y and x*.  A stack is built when its value is asked
+    for and dropped once it is evaluated."""
+    lam = lams[:, None, None]
+    yield evaluate(x)
+    yield evaluate(y)
+    yield evaluate(tuple(a + b for a, b in zip(x, y)))
+    yield evaluate(tuple(lam * a for a in x))
+    yield evaluate(tuple(a @ b for a, b in zip(x, y)))
+    yield evaluate(tuple(la.adj(a) for a in x))
+
+
+def _defect_suprema(values, lams: np.ndarray) -> list[DefectReport]:
+    """The five suprema over the triples for each of several maps.
+
+    ``values`` yields, for each of the six stacks of ``_defect_values`` in
+    order, a list with every map's (K, N, N) values there.  It is read one
+    stack at a time, and only the values at x and y are held across stacks.
+    """
+    lam = lams[:, None, None]
+    values = iter(values)
+    fx, fy = next(values), next(values)
+    add = [la.op_norm(s - a - b) for s, a, b in zip(next(values), fx, fy)]
+    scal = [la.op_norm(s - lam * a) for s, a in zip(next(values), fx)]
+    mult = [la.op_norm(s - a @ b) for s, a, b in zip(next(values), fx, fy)]
+    adj = [la.op_norm(s - la.adj(a)) for s, a in zip(next(values), fx)]
+    excess = [max(la.op_norm(a), la.op_norm(b)) - 1.0 for a, b in zip(fx, fy)]
+    return [DefectReport(*sups, max(e, 0.0), len(lams))
+            for *sups, e in zip(add, scal, mult, adj, excess)]
+
+
 def _defects_on_pairs(m: ApproxMap, x, y, lams: np.ndarray) -> DefectReport:
     """The five suprema over the triples (x_k, y_k, lambda_k) given as per-block
     stacks x and y and a (K,) array of scalars."""
-    lam = lams[:, None, None]
-    fx, fy = m.batch(x), m.batch(y)
-    add = la.op_norm(m.batch(tuple(a + b for a, b in zip(x, y))) - fx - fy)
-    scal = la.op_norm(m.batch(tuple(lam * a for a in x)) - lam * fx)
-    mult = la.op_norm(m.batch(tuple(a @ b for a, b in zip(x, y))) - fx @ fy)
-    adj = la.op_norm(m.batch(tuple(la.adj(a) for a in x)) - la.adj(fx))
-    excess = max(la.op_norm(fx), la.op_norm(fy)) - 1.0
-    return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(lams))
+    return _defect_suprema(_defect_values(lambda s: [m.batch(s)], x, y, lams), lams)[0]
 
 
 def estimate_defect(m: ApproxMap, samples: int,
@@ -186,6 +212,27 @@ def estimate_defect(m: ApproxMap, samples: int,
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     return _defects_on_pairs(m, *defect_triples(m.domain, samples, det_cap, det_pair_cap))
+
+
+def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
+                                det_cap: int = 12,
+                                det_pair_cap: int = 256) -> list[DefectReport]:
+    """``estimate_defect`` of each compression x -> v* m(x) v, one report per
+    isometry v of ``isometries``, with m evaluated once per probe stack.
+
+    The value stack at each probe stack is compressed to every v before the
+    next stack is evaluated.  Each report equals, bit for bit, the
+    ``estimate_defect`` of ``m.compose_output(partial(la.compress, v), d)``
+    when m has no basis tensor (``compose_output`` compresses a basis tensor
+    itself, which rounds differently).
+    """
+    if samples < 1:
+        raise PreconditionError("samples must be >= 1")
+    x, y, lams = defect_triples(m.domain, samples, det_cap, det_pair_cap)
+
+    def evaluate(stack):
+        return [la.compress(v, f) for f in (m.batch(stack),) for v in isometries]
+    return _defect_suprema(_defect_values(evaluate, x, y, lams), lams)
 
 
 def map_norm(m: ApproxMap, probes) -> float:

@@ -118,8 +118,8 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
     sphere = sphere_probes(shape, count, _derive_seed(config.seed, "kk-sphere"))
     radius = stack_norms(sphere)
     x1, x2 = psi1.batch(sphere), psi2.batch(sphere)
-    upper = max(_nearest(x1, radius, u, exp2)[1].max(),
-                _nearest(x2, radius, u.conj().T, exp1)[1].max())
+    near1, dist1 = _nearest(x1, radius, u, exp2)
+    upper = max(dist1.max(), _nearest(x2, radius, u.conj().T, exp1)[1].max())
     lower = max(np.linalg.norm(x1 - exp2.project(x1), axis=(1, 2)).max(),
                 np.linalg.norm(x2 - exp1.project(x2), axis=(1, 2)).max()) / math.sqrt(n)
     estimate = KKEstimate(float(lower), float(upper), 2 * len(radius))
@@ -128,8 +128,9 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
                     stack_fn=partial(_nearest_point, psi1, u, exp2))
     ball = ball_probes(shape, min(config.probes, 96), _derive_seed(config.seed, "kk-ball"))
     # distances to the identity are homogeneous, so the sphere probes used
-    # for the bracket are the right comparison set
-    phi_dist = la.op_norm(phi.batch(sphere) - x1)
+    # for the bracket are the right comparison set; phi's values there are
+    # the nearest points that the upper bound measured
+    phi_dist = la.op_norm(near1 - x1)
 
     psi, rep = run_pipeline(phi, config, target=spec2)
     phi_defect = rep.input_defect

@@ -12,7 +12,9 @@ maps are held as basis tensors, so the recovered map is one contraction.
 
 Stage movements measured over a common unit-ball probe set telescope, so
 the final distance obeys the triangle inequality against their sum; group
-stages additionally report their own unitary-probe diagnostics.
+stages additionally report their own unitary-probe diagnostics.  The input
+map and its normalized, discretized and corner forms are each evaluated once
+on that set, and every movement takes their values from there.
 """
 from __future__ import annotations
 
@@ -28,12 +30,12 @@ from . import _linalg as la
 from .algebra import AlgebraShape, _derive_seed, identity, matrix_unit, stack_elements
 from .averaging import measure_group_map, stabilize
 from .config import PipelineConfig
-from .defects import ApproxMap, estimate_defect, normalize
+from .defects import ApproxMap, estimate_compressed_defects, estimate_defect, normalize
 from .errors import PreconditionError, StabilityError, StageAbort
 from .factory import EmbeddingSpec, discretize, mesh_constant
 from .probes import ball_probes, unitary_pairs
 from .reps import compress, decompose, lift_projection, stone_generator, stone_points, unitarize
-from .synthesis import matrix_unit_correction, near_inclusion_fix
+from .synthesis import correction_probes, matrix_unit_correction, near_inclusion_fix
 
 BUDGET_EPS_MAX = 2.0 ** -12
 
@@ -161,10 +163,10 @@ def _auto_grid(eps: float, shape: AlgebraShape) -> float:
     return 2.0 ** -min(48, max(10, k))
 
 
-def _sup_dist(f: ApproxMap, g: ApproxMap, stack, q=None) -> float:
-    """sup ||f(x) - g(x)|| over a probe stack; with an isometry q, of the
-    differences re-embedded as q (f(x) - g(x)) q*."""
-    diff = f.batch(stack) - g.batch(stack)
+def _sup_dist(f_values: np.ndarray, g_values: np.ndarray, q=None) -> float:
+    """sup ||f(x) - g(x)|| from two maps' values at one probe stack; with an
+    isometry q, of the differences re-embedded as q (f(x) - g(x)) q*."""
+    diff = f_values - g_values
     return la.op_norm(diff if q is None else q @ diff @ q.conj().T)
 
 
@@ -239,15 +241,20 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     budget = compute_budget(eps_in, config.K) if eps_in < BUDGET_EPS_MAX else None
 
     # 1. normalize -----------------------------------------------------------
+    # phi, phi1, phi2 and phi3 are each evaluated once on the ball probes;
+    # a value stack is dropped after the last movement that reads it
     (phi1, rec) = clock.run("normalize", lambda: normalize(phi, report_in, min(64, config.probes)))
-    rec.movement = _sup_dist(phi1, phi, ball)
+    phi_ball, phi1_ball = phi.batch(ball), phi1.batch(ball)
+    rec.movement = _sup_dist(phi1_ball, phi_ball)
     rec.info = {"scale": phi1.meta.get("scale", 1.0),
                 "unit_rounding_moved": phi1.meta.get("unit_rounding_moved", 0.0)}
 
     # 2. discretize ----------------------------------------------------------
     h = _auto_grid(eps_in, shape)
     (phi2, rec) = clock.run("discretize", lambda: discretize(phi1, h))
-    rec.movement = _sup_dist(phi2, phi1, ball)
+    phi2_ball = phi2.batch(ball)
+    rec.movement = _sup_dist(phi2_ball, phi1_ball)
+    del phi1_ball
     rec.info = {"grid": h, "distance_bound": phi2.meta["distance_bound"]}
 
     # 3. corner restriction (non-unital inputs) ------------------------------
@@ -257,13 +264,13 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     if la.op_norm(p_one - np.eye(phi.dim)) > 1e-9:
         q_iso, rec = clock.run("corner", lambda: la.orthonormal_range(p_one, rank))
         phi3 = phi2.compose_output(partial(la.compress, q_iso), rank, corner_rank=rank)
-        values = phi2.batch(ball)
-        rec.movement = la.op_norm(q_iso @ la.compress(q_iso, values) @ q_iso.conj().T
-                                  - values)
+        phi3_ball = la.compress(q_iso, phi2_ball)
+        rec.movement = la.op_norm(q_iso @ phi3_ball @ q_iso.conj().T - phi2_ball)
         rec.info = {"rank": rank}
     else:
-        q_iso, phi3 = None, phi2
+        q_iso, phi3, phi3_ball = None, phi2, phi2_ball
         stages.append(StageRecord("corner", 0.0, info={"rank": rank, "skipped": True}))
+    del phi2_ball
     work_dim = phi3.dim
 
     # 4. restrict to the unitary group: phi3 there is the level-0 group map ---
@@ -328,27 +335,38 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # 8. per-block correction --------------------------------------------------
     # Both routes build an approximate block map and end in the same
     # matrix-unit correction; only the source of the block map differs.  The
-    # stone route evaluates pi once and compresses its values to each block.
+    # stone route evaluates pi once and compresses its values to each block;
+    # the units route evaluates phi3 once on each probe stack of the block
+    # defects and of the correction's distance check, and compresses those
+    # values to each block.
     def correct_blocks():
         basis = np.zeros((shape.linear_dim, work_dim, work_dim), dtype=complex)
         residual = 0.0
         mult_total = [0] * len(shape.blocks)
+        isoms = blocks.isometries()
         if config.path == "stone":
             gens = list(_stone_elements(shape))
             pi_stone = pi.batch(stack_elements([w for a in gens for w in stone_points(a)]))
             pi_stone = pi_stone.reshape(len(gens), -1, work_dim, work_dim)
             verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
-        for v_k in blocks.isometries():
+        else:
+            block_defects = estimate_compressed_defects(phi3, isoms, 24, det_cap=8)
+            probes = correction_probes(shape)
+            at_probes = [la.compress(v_k, f) for f in (phi3.batch(probes),) for v_k in isoms]
+        for k, v_k in enumerate(isoms):
             if config.path == "stone":
                 phi_k = _stone_block_map(
                     compress(pi_stone, v_k, snap_tol=max(1e-6, 4.0 * dec_tol)), shape,
                     verify, snap_tol=max(1e-3, verify))
+                eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
+                check = {}
             else:
                 phi_k = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
-            eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
+                eps5_k = block_defects[k].epsilon
+                check = {"probes": probes, "phi_values": at_probes[k]}
             _, psi_k, info_k = matrix_unit_correction(
                 phi_k, tol=1e-9, eps=eps5_k, admissible=max(1e-2, 2.0 * eps5_k),
-                assert_factor=config.correction_factor)
+                assert_factor=config.correction_factor, **check)
             residual = max(residual, info_k["relation_residual"])
             mult_total = [a + b for a, b in zip(mult_total, info_k["multiplicities"])]
             basis += v_k @ psi_k.basis @ v_k.conj().T
@@ -356,7 +374,8 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             residual, mult_total
 
     ((psi_blocks, corr_residual, mults), rec) = clock.run("block-correction", correct_blocks)
-    rec.movement = _sup_dist(psi_blocks, phi3, ball, q_iso)
+    rec.movement = _sup_dist(psi_blocks.batch(ball), phi3_ball, q_iso)
+    del phi3_ball
     rec.info = {"path": config.path, "relation_residual": corr_residual,
                 "multiplicities": mults}
 
@@ -377,7 +396,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             psi_blocks, target, tol=1e-9, probes=tuple(s[:48] for s in ball),
             correction_kwargs=kw))
         _, psi_work, ni_info = ni_out
-        rec.movement = _sup_dist(psi_work, psi_blocks, ball, q_iso)
+        rec.movement = _sup_dist(psi_work.batch(ball), psi_blocks.batch(ball), q_iso)
         rec.info = {k: ni_info[k] for k in
                     ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
                      "movement_bound", "movement_ok")}
@@ -392,7 +411,8 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     basis = psi_work.basis if q_iso is None else q_iso @ psi_work.basis @ q_iso.conj().T
     psi = ApproxMap.linear(shape, phi.dim, basis, {"kind": "recovered"})
 
-    final_distance = _sup_dist(psi, phi, ball)
+    final_distance = _sup_dist(psi.batch(ball), phi_ball)
+    del phi_ball
     out_defect = estimate_defect(psi, min(config.probes, 64), det_cap=config.det_cap)
 
     l_used = 25.0 if budget is None else budget.final_bound / math.sqrt(eps_in)

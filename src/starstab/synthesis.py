@@ -128,19 +128,28 @@ def _round_orthogonal(candidate: np.ndarray, accepted: np.ndarray | None,
     return p
 
 
+def correction_probes(shape: AlgebraShape):
+    """The 48 fixed unit-ball probes over which ``matrix_unit_correction``
+    measures its distance by default."""
+    return constant(ball_probes, shape, 48, 23)
+
+
 def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
                            eps: float | None = None,
                            admissible: float = 1e-2,
                            assert_factor: float = 50.0,
                            probes=None,
-                           samples: int = 48):
+                           samples: int = 48,
+                           phi_values: np.ndarray | None = None):
     """Correct an approximate homomorphism to an exact one nearby.
 
     Returns (MatrixUnitSystem, psi, info).  Aborts with GapError when a
     rounded element has an eigenvalue inside [1/2 - 5 eps, 1/2 + 5 eps].
     The measured distance ||psi - phi|| over ``probes`` (a per-block stack;
     by default 48 fixed unit-ball probes) is asserted to stay
-    below ``assert_factor * eps`` (plus a small absolute floor).
+    below ``assert_factor * eps`` (plus a small absolute floor).  A caller
+    that holds phi's values at ``probes`` hands them in as ``phi_values``,
+    a (K, N, N) stack, and phi is not evaluated there again.
     """
     shape = phi.domain
     n_amb = phi.dim
@@ -194,8 +203,10 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
             f"matrix-unit relations only hold to {resid:.3g} (tolerance {tol:.3g})")
     psi = system.as_map()
     if probes is None:
-        probes = constant(ball_probes, shape, 48, 23)
-    dist = la.op_norm(psi.batch(probes) - phi.batch(probes))
+        probes = correction_probes(shape)
+    if phi_values is None:
+        phi_values = phi.batch(probes)
+    dist = la.op_norm(psi.batch(probes) - phi_values)
     bound = assert_factor * eps + 1e-9
     info = {"distance": dist, "distance_bound": bound, "distance_ok": dist <= bound,
             "relation_residual": resid, "epsilon": eps,

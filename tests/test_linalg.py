@@ -126,9 +126,13 @@ def test_op_norm_equals_spectral_norm():
 @st.composite
 def norm_stacks(draw):
     """Stacks of 1-40 real or complex n x m matrices (n, m <= 8), under
-    one or two leading axes, each scaled by 1e-12..1e3 or zero, some of
-    them rank one (sigma_1 equals the Frobenius norm), with near copies of
-    the dominant matrix."""
+    one or two leading axes, each scaled by 1e-12..1e3 (or within a band
+    of 1e-3) or zero, some of them rank one (sigma_1 equals the Frobenius
+    norm), some flat-spectrum noise (every singular value within 1e-12..1e-2
+    of the others, so both upper bounds sit far above sigma_1), with near
+    copies of the dominant matrix; the whole stack is then scaled by 1, by
+    1e-80..1e-55 (fourth powers of the entries underflow) or by 1e150 (they
+    overflow, and so do some Frobenius norms)."""
     lead = draw(st.one_of(st.tuples(st.integers(1, 40)),
                           st.tuples(st.integers(1, 13), st.just(3))))
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -143,7 +147,12 @@ def norm_stacks(draw):
     mats = gaussian(count, n, m)
     rank_one = r.random(count) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     mats[rank_one] = gaussian(rank_one.sum(), n, 1) @ gaussian(rank_one.sum(), 1, m)
-    scales = 10.0 ** r.uniform(-12, 3, count)
+    flat = r.random(count) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    noise = draw(st.sampled_from([1e-12, 1e-6, 1e-2]))
+    for k in np.flatnonzero(flat):
+        q, _ = np.linalg.qr(gaussian(max(n, m), min(n, m)))
+        mats[k] = (q if n >= m else q.T) + noise * gaussian(n, m)
+    scales = 10.0 ** (3.0 - draw(st.sampled_from([15.0, 1e-3])) * r.random(count))
     scales[r.random(count) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
     mats *= scales[:, None, None]
     top = mats[int(np.argmax([np.linalg.norm(a, 2) for a in mats]))].copy()
@@ -153,6 +162,8 @@ def norm_stacks(draw):
         q, _ = np.linalg.qr(gaussian(n, n))
         mats[k] = [top, top * (1.0 + r.choice([-1e-9, -1e-14, 1e-14, 1e-9])),
                    q @ top][r.integers(3)]
+    overall = draw(st.sampled_from(["one", "tiny", "huge"]))
+    mats *= {"one": 1.0, "tiny": 10.0 ** r.uniform(-80, -55), "huge": 1e150}[overall]
     return mats.reshape(*lead, n, m)
 
 
@@ -166,7 +177,7 @@ def test_op_norm_is_the_max_of_the_matrix_norms(x):
 def test_op_norm_decomposes_only_candidates(monkeypatch):
     a = rng(20).standard_normal((24, 4, 4))
     a[1:] *= 1e-3
-    a[5] = 0.999 * a[0]    # its Frobenius norm is above sigma_1 of a[0]: decomposed
+    a[5] = 0.9999 * a[0]   # both of its bounds are above sigma_1 of a[0]: decomposed
     svd, seen = np.linalg.svd, []
 
     def counting(x, *args, **kwargs):
@@ -177,6 +188,25 @@ def test_op_norm_decomposes_only_candidates(monkeypatch):
     assert la.op_norm(a) == max(svd(b, compute_uv=False)[0] for b in a)
     assert seen == [1, 1]
 
+
+def test_op_norm_skips_what_the_quartic_bound_rules_out(monkeypatch):
+    a = rng(20).standard_normal((24, 4, 4))
+    a[1:] *= 1e-3
+    q, _ = np.linalg.qr(rng(21).standard_normal((4, 4)))
+    best = np.linalg.svd(a[0], compute_uv=False)[0]
+    # a flat spectrum: Frobenius norm 1.06 sigma_1 of a[0] (below a[0]'s
+    # own), so that bound keeps it; its quartic bound is 4^(1/8) 0.53 < 0.64
+    a[7] = 0.53 * best * q
+    assert best < np.linalg.norm(a[7]) < np.linalg.norm(a[0])
+    svd, seen = np.linalg.svd, []
+
+    def counting(x, *args, **kwargs):
+        seen.append(1 if x.ndim == 2 else len(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert la.op_norm(a) == best
+    assert seen == [1]
 
 def test_op_norm_edge_cases():
     assert la.op_norm(np.zeros((0, 3, 3))) == 0.0

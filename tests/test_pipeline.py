@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import starstab._linalg as la
 from starstab.algebra import AlgebraShape, identity, matrix_unit, stack_elements, stack_rows
 from starstab.averaging import AveragedGroupMap
 from starstab.config import PipelineConfig, parse_config
-from starstab.defects import ApproxMap
+from starstab.defects import ApproxMap, estimate_defect
 from starstab.errors import ConfigError, PreconditionError, StageAbort
 from starstab.experiments import sweep_instances
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
@@ -414,3 +416,66 @@ def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
     assert rep.ok()
     assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [2, 2, 2]
     assert rows == [config.generator_count, 4 * 3]     # decompose's generators, then the lifts
+
+
+def recorded_stacks(phi):
+    """Wrap an input map's stack_fn; the returned list collects a key per
+    evaluated stack (its row count and the bytes of its blocks)."""
+    keys = []
+    stack_fn = phi.stack_fn
+
+    def recording(stack):
+        keys.append((len(stack[0]), b"".join(np.ascontiguousarray(s).tobytes() for s in stack)))
+        return stack_fn(stack)
+    phi.stack_fn = recording
+    return keys
+
+
+@pytest.mark.parametrize("blocks, mults, pad, seed", [((2,), (3,), 0, 4), ((1, 2), (2, 1), 1, 9)])
+def test_a_run_evaluates_each_input_stack_once(blocks, mults, pad, seed):
+    # every probe stack reaches the input map once per run; only the one-row
+    # unit batches of the per-block corrections repeat across blocks
+    phi = perturb_additive(embedding(AlgebraShape(list(blocks)), mults, pad=pad, seed=seed),
+                           1e-3, seed=seed + 1)
+    keys = recorded_stacks(phi)
+    _, rep = run_pipeline(phi, FAST)
+    assert rep.ok()
+    assert len([s for s in rep.stages if s.name == "decompose"][0].info["block_dims"]) == 3
+    assert pad == 0 or not [s for s in rep.stages if s.name == "corner"][0].info.get("skipped")
+    repeated = sorted(rows for (rows, _), n in Counter(keys).items() if n > 1)
+    assert repeated and set(repeated) == {1}
+
+
+def test_shared_block_values_match_the_per_block_path(monkeypatch):
+    # block-correction evaluates phi3 once per probe stack and compresses the
+    # values to each block: every block's defects and correction come out
+    # as if its own block map had been evaluated
+    import starstab.pipeline
+    defects = starstab.pipeline.estimate_compressed_defects
+    correct = starstab.pipeline.matrix_unit_correction
+    shared, corrected = [], []
+
+    def recording_defects(m, isoms, *args, **kwargs):
+        reports = defects(m, isoms, *args, **kwargs)
+        shared.append((m, isoms, reports))
+        return reports
+
+    def recording_correction(phi_k, **kwargs):
+        out = correct(phi_k, **kwargs)
+        corrected.append((phi_k, kwargs, out[2]))
+        return out
+
+    monkeypatch.setattr(starstab.pipeline, "estimate_compressed_defects", recording_defects)
+    monkeypatch.setattr(starstab.pipeline, "matrix_unit_correction", recording_correction)
+    phi = perturb_additive(embedding(AlgebraShape([2]), (3,), seed=4), 1e-3, seed=5)
+    _, rep = run_pipeline(phi, FAST)
+    assert rep.ok()
+    [(phi3, isoms, reports)] = shared
+    assert len(isoms) == len(reports) == len(corrected) == 3
+    for v_k, report in zip(isoms, reports):
+        alone = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
+        assert report == estimate_defect(alone, 24, det_cap=8)
+    for phi_k, kwargs, info in corrected:
+        assert kwargs["phi_values"].shape == (48, 2, 2)
+        own = {k: v for k, v in kwargs.items() if k not in ("probes", "phi_values")}
+        assert correct(phi_k, **own)[2] == info
