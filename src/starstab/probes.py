@@ -13,7 +13,7 @@ seeded per run are built fresh on every call.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .algebra import (AlgebraShape, HaarSampler, contraction_stack,
                       sphere_stack, stack_elements, unitary_stack, zeros)
 
 CACHE_CAP = 64
-_cache: OrderedDict = OrderedDict()
 
 
 def _freeze(value):
@@ -34,33 +33,16 @@ def _freeze(value):
     return value
 
 
-def _cached(key):
-    value = _cache.get(key)
-    if value is not None:
-        _cache.move_to_end(key)
-    return value
-
-
-def _store(key, value):
-    _cache[key] = _freeze(value)
-    _cache.move_to_end(key)
-    while len(_cache) > CACHE_CAP:
-        _cache.popitem(last=False)
-    return value
-
-
-def clear_cache() -> None:
-    """Drop every cached probe set; later calls build them again."""
-    _cache.clear()
-
-
+@lru_cache(maxsize=CACHE_CAP)
 def constant(builder, shape: AlgebraShape, *args):
     """``builder(shape, *args)`` for arguments that are constants of the
     code: built on the first call, then returned from the cache, read-only
     (writing to it raises ValueError)."""
-    key = (builder, shape, *args)
-    value = _cached(key)
-    return _store(key, builder(shape, *args)) if value is None else value
+    return _freeze(builder(shape, *args))
+
+
+# drop every cached probe set; later calls build them again
+clear_cache = constant.cache_clear
 
 
 def _concat(*stacks) -> tuple[np.ndarray, ...]:
@@ -110,37 +92,28 @@ def deterministic_pairs(shape: AlgebraShape, cap_elems: int = 12, cap_pairs: int
             lams[k % len(lams)])
 
 
-def _random_triples(shape: AlgebraShape, start: int, stop: int):
-    """Random defect triples start..stop-1: triple i is two contractions and
+def _random_triples(shape: AlgebraShape, samples: int):
+    """Random defect triples 0..samples-1: triple i is two contractions and
     a disc scalar, drawn in that order by the fork ("defect", i) of the
     seed-0 sampler."""
     sampler = HaarSampler(shape, seed=0)
-    gens = [sampler.fork(("defect", i)).generators(3) for i in range(start, stop)]
+    gens = [sampler.fork(("defect", i)).generators(3) for i in range(samples)]
     xs, ys, lams = zip(*gens)
     return contraction_stack(shape, xs), contraction_stack(shape, ys), disc_scalars(lams)
+
+
+def _defect_triples(shape: AlgebraShape, samples: int, det_cap: int, det_pair_cap: int):
+    x, y, lam = _random_triples(shape, samples)
+    dx, dy, dlam = deterministic_pairs(shape, det_cap, det_pair_cap)
+    return _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
 
 
 def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12,
                    det_pair_cap: int = 256):
     """``estimate_defect``'s probe triples (x, y, lambda): the first
-    ``samples`` random unit-ball triples, then the deterministic pairs.
-
-    Triple i depends on i alone, so the cache keeps one entry of random
-    triples per shape, the longest prefix built so far, and a shorter set is
-    a slice of it; a longer one extends it.
-    """
-    key = ("defect-triples", shape)
-    have = _cached(key)
-    built = 0 if have is None else len(have[2])
-    if built < samples:
-        more = _random_triples(shape, built, samples)
-        have = _store(key, more if have is None else (
-            _concat(have[0], more[0]), _concat(have[1], more[1]),
-            np.concatenate([have[2], more[2]])))
-    x, y, lam = (tuple(s[:samples] for s in have[0]), tuple(s[:samples] for s in have[1]),
-                 have[2][:samples])
-    dx, dy, dlam = constant(deterministic_pairs, shape, det_cap, det_pair_cap)
-    return _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
+    ``samples`` random unit-ball triples, then the deterministic pairs;
+    each whole set is one cache entry."""
+    return constant(_defect_triples, shape, samples, det_cap, det_pair_cap)
 
 
 def random_unitaries(shape: AlgebraShape, count: int, seed: int):

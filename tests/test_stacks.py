@@ -23,7 +23,7 @@ from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, perturb_additive)
 from starstab.pipeline import run_pipeline
-from starstab.probes import (ball_probes, deterministic_elements,
+from starstab.probes import (ball_probes, deterministic_elements, deterministic_stack,
                              deterministic_pairs, forked_spheres,
                              random_unitaries, sphere_probes, unitary_pairs)
 
@@ -299,7 +299,7 @@ def test_estimate_defect_is_bit_identical_to_the_per_call_reference(shape):
         yield perturb_additive(psi, 1e-3, seed=3)
 
     probes.clear_cache()
-    # cold, a slice of a longer set, an extension, a slice again
+    # four sample counts, each set built whole
     for samples in (96, 24, 200, 64):
         for det_cap in (8, 12):
             triples = stacked(ref_defect_triples(shape, samples, det_cap))
@@ -388,7 +388,6 @@ def test_a_repeated_defect_estimate_draws_nothing(monkeypatch):
     assert len(draws) == 3 * 96
     draws.clear()
     assert estimate_defect(m, 96, det_cap=12) == first
-    estimate_defect(m, 64, det_cap=12)      # a prefix of the cached set
     assert draws == []
 
 
@@ -404,9 +403,11 @@ def test_cached_probe_sets_are_read_only():
             return [value]
         return [a for v in value for a in arrays(v)]
 
-    cached = [a for v in probes._cache.values() for a in arrays(v)]
-    # random triples, deterministic pairs, the ball set and its deterministic part
-    assert len(probes._cache) == 4 and cached
+    # the defect triples, the ball set and the ball set's deterministic part
+    assert probes.constant.cache_info().currsize == 3
+    cached = arrays(probes.defect_triples(SHAPE, 24)) + arrays(ball) \
+        + arrays(probes.constant(deterministic_stack, SHAPE, 24))
+    assert probes.constant.cache_info().currsize == 3
     assert not any(a.flags.writeable for a in cached)
 
 
@@ -417,10 +418,13 @@ def test_probe_cache_is_bounded():
         probes.constant(sphere_probes, SHAPE, count, 7)
     probes.constant(sphere_probes, SHAPE, 6, 7)     # a hit makes 6 the most recent
     probes.constant(sphere_probes, SHAPE, cap + 6, 7)
-    assert len(probes._cache) == cap
-    assert (sphere_probes, SHAPE, 6, 7) in probes._cache
-    assert (sphere_probes, SHAPE, 7, 7) not in probes._cache
-    assert (sphere_probes, SHAPE, cap + 6, 7) in probes._cache
+    info = probes.constant.cache_info()
+    assert info.currsize == cap and (info.hits, info.misses) == (1, cap + 6)
+    probes.constant(sphere_probes, SHAPE, 6, 7)
+    probes.constant(sphere_probes, SHAPE, cap + 6, 7)
+    assert probes.constant.cache_info().hits == 3
+    probes.constant(sphere_probes, SHAPE, 7, 7)     # the least recent, evicted
+    assert probes.constant.cache_info().misses == cap + 7
 
 
 def test_sweep_report_does_not_depend_on_the_cache():
@@ -433,5 +437,5 @@ def test_sweep_report_does_not_depend_on_the_cache():
 
     probes.clear_cache()
     cold = report()
-    assert probes._cache
+    assert probes.constant.cache_info().currsize
     assert report() == cold
