@@ -55,7 +55,8 @@ def op_norm(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     stack = x.reshape(-1, *x.shape[-2:])
-    fro = np.linalg.norm(stack, axis=(-2, -1))
+    with np.errstate(over="ignore"):    # an infinite norm keeps its matrix
+        fro = np.linalg.norm(stack, axis=(-2, -1))
     top = int(np.argmax(fro))
     best = np.linalg.svd(stack[top], compute_uv=False)[0]
     rest = (best < _FRO_FLOOR) | ~(fro * (1.0 + _FRO_MARGIN) < best)

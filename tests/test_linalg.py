@@ -131,8 +131,8 @@ def norm_stacks(draw):
     norm), some flat-spectrum noise (every singular value within 1e-12..1e-2
     of the others, so both upper bounds sit far above sigma_1), with near
     copies of the dominant matrix; the whole stack is then scaled by 1, by
-    1e-80..1e-55 (fourth powers of the entries underflow) or by 1e150 (they
-    overflow, and so do some Frobenius norms)."""
+    1e-80..1e-55 (fourth powers of the entries underflow) or by 1e160 (they
+    overflow, and so do the squares behind some Frobenius norms)."""
     lead = draw(st.one_of(st.tuples(st.integers(1, 40)),
                           st.tuples(st.integers(1, 13), st.just(3))))
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -163,7 +163,7 @@ def norm_stacks(draw):
         mats[k] = [top, top * (1.0 + r.choice([-1e-9, -1e-14, 1e-14, 1e-9])),
                    q @ top][r.integers(3)]
     overall = draw(st.sampled_from(["one", "tiny", "huge"]))
-    mats *= {"one": 1.0, "tiny": 10.0 ** r.uniform(-80, -55), "huge": 1e150}[overall]
+    mats *= {"one": 1.0, "tiny": 10.0 ** r.uniform(-80, -55), "huge": 1e160}[overall]
     return mats.reshape(*lead, n, m)
 
 
