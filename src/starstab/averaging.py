@@ -296,6 +296,10 @@ def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int,
     ``initial``, when given, is the caller's measurement of ``rho0`` on the
     same pairs and batches; each pass's closing measurement opens the next.
 
+    Every pass must keep its defect, its closeness to the previous level
+    and its inverse bound within the bounds it records (``AveragingPass``);
+    the first that does not raises ContractionError.
+
     In the strict regime (eps1 <= 2^-10) the schedule claims are enforced
     and the cumulative movement is checked against 8 eps1 (plus reported
     Monte-Carlo error).  For larger eps1 the per-pass hypothesis
@@ -347,12 +351,16 @@ def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int,
             break
         rho, rec = average_once(rho, width, probe_pairs, batches, seed, before=measured)
         passes.append(rec)
-        if not rec.contraction_ok:
-            raise ContractionError(
-                f"defect {rec.after.delta:.3g} exceeded the quadratic bound "
-                f"{rec.contraction_bound:.3g} at level {rec.level} "
-                "(Monte-Carlo width too small?)",
-                trace=passes)
+        for ok, value, bound in (
+                (rec.contraction_ok, f"defect {rec.after.delta:.3g}",
+                 f"quadratic bound {rec.contraction_bound:.3g}"),
+                (rec.closeness_ok, f"closeness {rec.after.closeness:.3g}",
+                 f"closeness bound {rec.closeness_bound:.3g}"),
+                (rec.kappa_ok, f"inverse bound {rec.after.kappa:.3g}",
+                 f"kappa bound {rec.kappa_bound:.3g}")):
+            if not ok:
+                raise ContractionError(f"{value} exceeded the {bound} at level {rec.level} "
+                                       "(Monte-Carlo width too small?)", trace=passes)
         movement += rec.after.closeness
         measured = rec.after
         level += 1

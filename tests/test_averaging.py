@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, stack_coeffs,
                               stack_elements, stack_rows)
+import starstab.averaging
 from starstab.averaging import (NUMERIC_FLOOR, average_once, measure_group_map, schedule,
                                 stabilize)
 from starstab.defects import ApproxMap
-from starstab.errors import EvaluationError, PreconditionError
+from starstab.config import PipelineConfig
+from starstab.errors import (ContractionError, EvaluationError, PreconditionError,
+                             StageAbort)
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_additive, perturb_conjugate)
 from starstab.probes import unitary_pairs
+from starstab.pipeline import run_pipeline
 from starstab.reps import decompose, unitarize
 
 SHAPE2 = AlgebraShape([2])
@@ -145,6 +151,30 @@ def test_stabilize_two_levels_movement():
         assert p.contraction_ok
     assert res.movement <= 8.0 * 2.0 ** -10 + \
         sum(p.after.closeness_mc + p.after.mc for p in res.levels) + NUMERIC_FLOOR
+
+
+def test_a_pass_beyond_its_closeness_bound_aborts(monkeypatch):
+    # each pass's recorded closeness bound is cut to half of what it
+    # measured: stabilize stops at the first pass, and the pipeline aborts
+    # in the stabilize stage
+    one_pass = starstab.averaging.average_once
+
+    def tightened(*args, **kwargs):
+        new, rec = one_pass(*args, **kwargs)
+        assert rec.contraction_ok and rec.closeness_ok and rec.kappa_ok
+        return new, dataclasses.replace(rec, closeness_bound=rec.after.closeness / 2)
+
+    monkeypatch.setattr(starstab.averaging, "average_once", tightened)
+    rho = perturb_additive(embedding8(), 2e-4, seed=21)
+    with pytest.raises(ContractionError, match="exceeded the closeness bound") as err:
+        stabilize(rho, eps1=2.0 ** -10, tol=1e-9, width=64, max_levels=2,
+                  probe_pairs=unitary_pairs(SHAPE2, 4, 23), seed=22)
+    assert len(err.value.trace) == 1
+    config = PipelineConfig(probes=96, group_probes=6, mc_width=128,
+                            unitarize_width=48, max_levels=1, seed=1)
+    with pytest.raises(StageAbort) as err:
+        run_pipeline(perturb_additive(embedding8(), 1e-3, seed=3), config)
+    assert err.value.stage == "stabilize" and isinstance(err.value.cause, ContractionError)
 
 
 def test_stabilize_rejects_large_initial_defect():
