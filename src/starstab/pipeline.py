@@ -13,8 +13,9 @@ maps are held as basis tensors, so the recovered map is one contraction.
 Stage movements measured over a common unit-ball probe set telescope, so
 the final distance obeys the triangle inequality against their sum; group
 stages additionally report their own unitary-probe diagnostics.  The input
-map and its normalized, discretized and corner forms are each evaluated once
-on that set, and every movement takes their values from there.
+map, its normalized, discretized and corner forms and the block-corrected
+map are each evaluated once on that set, and every movement takes their
+values from there.
 """
 from __future__ import annotations
 
@@ -374,7 +375,8 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             residual, mult_total
 
     ((psi_blocks, corr_residual, mults), rec) = clock.run("block-correction", correct_blocks)
-    rec.movement = _sup_dist(psi_blocks.batch(ball), phi3_ball, q_iso)
+    psi_blocks_ball = psi_blocks.batch(ball)
+    rec.movement = _sup_dist(psi_blocks_ball, phi3_ball, q_iso)
     del phi3_ball
     rec.info = {"path": config.path, "relation_residual": corr_residual,
                 "multiplicities": mults}
@@ -396,7 +398,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             psi_blocks, target, tol=1e-9, probes=tuple(s[:48] for s in ball),
             correction_kwargs=kw))
         _, psi_work, ni_info = ni_out
-        rec.movement = _sup_dist(psi_work.batch(ball), psi_blocks.batch(ball), q_iso)
+        rec.movement = _sup_dist(psi_work.batch(ball), psi_blocks_ball, q_iso)
         rec.info = {k: ni_info[k] for k in
                     ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
                      "movement_bound", "movement_ok")}
