@@ -22,9 +22,8 @@ class PipelineConfig:
     max_levels: int = 3            # averaging level cap
     tol: float = 1e-8              # averaging stop tolerance
     admissible_eps: float = 0.05   # largest defect the pipeline accepts
-    correction_factor: float = 50.0      # asserted ||psi - phi|| / eps bound
     generator_count: int = 4       # generators for the commutant solve
-    K: float = 50.0                # correction-step constant in the budget
+    K: float = 50.0                # correction constant: budget factor, asserted ||psi-phi||/eps
     path: str = "units"            # per-block route: "units" or "stone"
     seed: int = 0
     tower_slack: float = 3.0       # allowed growth of per-stage recovery ratios

@@ -367,7 +367,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                 check = {"probes": probes, "phi_values": at_probes[k]}
             _, psi_k, info_k = matrix_unit_correction(
                 phi_k, tol=1e-9, eps=eps5_k, admissible=max(1e-2, 2.0 * eps5_k),
-                assert_factor=config.correction_factor, **check)
+                assert_factor=config.K, **check)
             residual = max(residual, info_k["relation_residual"])
             mult_total = [a + b for a, b in zip(mult_total, info_k["multiplicities"])]
             basis += v_k @ psi_k.basis @ v_k.conj().T
@@ -393,7 +393,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                                                f"({target.dim} vs {work_dim})"),
                              report=stages)
         kw = {"admissible": max(1e-2, 4.0 * eps_in, 4.0 * corr_residual),
-              "assert_factor": config.correction_factor}
+              "assert_factor": config.K}
         (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
             psi_blocks, target, tol=1e-9, probes=tuple(s[:48] for s in ball),
             correction_kwargs=kw))

@@ -103,3 +103,9 @@ def test_parse_config_round_trips_and_rejects_unknown_keys(config, key):
     if key not in config.to_dict():
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text + f"{key} = 1\n")
+
+
+@pytest.mark.parametrize("key", ["correction_factor", "grid_h", "decompose_tol", "L"])
+def test_retired_config_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"{key} = 1\n")
