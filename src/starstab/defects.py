@@ -27,7 +27,9 @@ from .probes import constant, defect_triples, forked_spheres, sphere_probes
 class ApproxMap:
     """An evaluable, deterministic map from an algebra into N x N matrices.
 
-    The evaluator must be total on the ball of radius 2 and bit-reproducible.
+    The evaluator must be total on the ball of radius 2 and bit-reproducible:
+    its value at a point depends on that point alone, not on the other
+    points of a batch.
     Linear maps may carry a precomputed basis tensor (one N x N matrix per
     entry coordinate) which makes evaluation a single tensor contraction.  A
     map may instead carry ``stack_fn``, which evaluates a per-block stack of
@@ -60,14 +62,18 @@ class ApproxMap:
     def batch(self, stack) -> np.ndarray:
         """Values at the K elements of a per-block stack, as (K, N, N).
 
-        Linear maps contract all coefficient rows at once and maps with a
-        ``stack_fn`` call it; an opaque ``fn`` is called element by element.
+        Linear maps contract each coefficient row with the basis tensor on
+        its own, one (1, d) @ (d, N^2) product per row, so a row's value
+        does not depend on the rows batched with it; maps with a
+        ``stack_fn`` call it, and an opaque ``fn`` is called element by
+        element.
         Raises EvaluationError, carrying the offending element, when an image
         is not finite or when an element-by-element evaluator raises or
         returns the wrong shape (the first failing row).
         """
         if self._flat_basis is not None:
-            out = (stack_coeffs(stack) @ self._flat_basis).reshape(-1, self.dim, self.dim)
+            out = (stack_coeffs(stack)[:, None] @ self._flat_basis).reshape(
+                -1, self.dim, self.dim)
         elif self.stack_fn is not None:
             out = self.stack_fn(stack)
         else:

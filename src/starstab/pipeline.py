@@ -326,8 +326,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # commutator transport diagnostics (m0 holds phi3 at the unitary probes)
     p = np.stack(blocks.projections)[:, None]
     comm_u, comm_a = (la.op_norm(f @ p - p @ f) for f in
-                      (m0.values[:, :2].reshape(-1, work_dim, work_dim),
-                       phi3.batch(tuple(s[:24] for s in ball))))
+                      (m0.values[:, :2].reshape(-1, work_dim, work_dim), phi3_ball[:24]))
     comm_bound = 2.0 * (eps4_meas + eps2_meas) + 2.0 * blocks.residual \
         + post.mc + 1e-9
     comm_a_bound = 8.0 * (eps4_meas + eps2_meas) + 8.0 * eps1 \

@@ -128,6 +128,12 @@ def _round_orthogonal(candidate: np.ndarray, accepted: np.ndarray | None,
     return p
 
 
+def _first_column(shape: AlgebraShape):
+    """The units e^b_{i0} of every block, in (block, i) order, as one stack."""
+    return stack_elements(matrix_unit(shape, b, i, 0)
+                          for b, n in enumerate(shape.blocks) for i in range(n))
+
+
 def correction_probes(shape: AlgebraShape):
     """The 48 fixed unit-ball probes over which ``matrix_unit_correction``
     measures its distance by default."""
@@ -161,13 +167,9 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
     eps_eff = max(eps, 2e-3)
     band = (0.5 - 5.0 * eps_eff - 1e-12, 0.5 + 5.0 * eps_eff + 1e-12)
 
-    def at_unit(b, i):
-        # a one-row batch per unit: a row's value may depend on the rows
-        # batched with it (the kk nearest-point map projects a batch with
-        # one matrix product), and these values decide the multiplicities
-        return phi.batch(stack_elements([matrix_unit(shape, b, i, 0)]))[0]
-
-    corners = [la.spectral_round_projection(la.herm(at_unit(b, 0)), band=band)[0]
+    column = phi.batch(_first_column(shape))       # e^b_{i0} at row starts[b] + i
+    starts = np.cumsum([0, *shape.blocks])
+    corners = [la.spectral_round_projection(la.herm(column[starts[b]]), band=band)[0]
                for b in range(len(shape.blocks))]
     mults = [int(round(float(np.real(np.trace(q))))) for q in corners]
     order = sorted(range(len(shape.blocks)),
@@ -185,7 +187,7 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
         accepted = q if accepted is None else accepted + q
         cols = [q_basis]
         for i in range(1, n):
-            x = at_unit(b, i) @ q
+            x = column[starts[b] + i] @ q
             w = la.isometry_factor(x @ q_basis)
             r = _round_orthogonal(w @ w.conj().T, accepted, m, band)
             w = la.isometry_factor(r @ w)
@@ -241,8 +243,7 @@ def intertwiner(psi: ApproxMap, psi2: ApproxMap, tol: float = 1e-10) -> np.ndarr
     m2, d2, p2 = _multiplicity_profile(psi2)
     if m1 != m2 or d1 != d2:
         raise MultiplicityMismatch((m1, d1), (m2, d2))
-    column = stack_elements(matrix_unit(shape, b, i, 0)
-                            for b, nb in enumerate(shape.blocks) for i in range(nb))
+    column = _first_column(shape)
     x = (psi2.batch(column) @ psi.batch(tuple(la.adj(c) for c in column))).sum(axis=0)
     if d1 > 0:
         z = (np.eye(n) - p2) @ (np.eye(n) - p1)
@@ -268,7 +269,8 @@ class TraceExpectation:
     Held as the embedding's basis tensor g^b_{ij} and one weight per unit,
     1/m_b (0 for a block of multiplicity 0, whose units are zero): E(y) has
     the coefficients (1/m_b) tr(g^b_{ij}* y) in that basis.  Every method
-    takes a matrix or a (K, N, N) stack.
+    takes a matrix or a (K, N, N) stack, and maps each matrix of a stack
+    with its own row products, so its image does not depend on the stack.
     """
 
     def __init__(self, spec: EmbeddingSpec):
@@ -283,7 +285,8 @@ class TraceExpectation:
                                     for *_, e in matrix_units(spec.shape)])
 
     def _coefficients(self, y: np.ndarray) -> np.ndarray:
-        return (y.reshape(*y.shape[:-2], -1) @ self._flat_conj_t) * self._weights
+        """(..., 1, linear_dim) coefficient rows of E(y)."""
+        return (y.reshape(*y.shape[:-2], 1, -1) @ self._flat_conj_t) * self._weights
 
     def project(self, y: np.ndarray) -> np.ndarray:
         return (self._coefficients(y) @ self._flat).reshape(y.shape)

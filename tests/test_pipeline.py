@@ -418,14 +418,19 @@ def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
     assert rows == [config.generator_count, 4 * 3]     # decompose's generators, then the lifts
 
 
+def stack_key(stack):
+    """A stack's row count and the bytes of its blocks."""
+    return len(stack[0]), b"".join(np.ascontiguousarray(s).tobytes() for s in stack)
+
+
 def recorded_stacks(phi):
-    """Wrap an input map's stack_fn; the returned list collects a key per
-    evaluated stack (its row count and the bytes of its blocks)."""
+    """Wrap an input map's stack_fn; the returned list collects the
+    ``stack_key`` of every evaluated stack."""
     keys = []
     stack_fn = phi.stack_fn
 
     def recording(stack):
-        keys.append((len(stack[0]), b"".join(np.ascontiguousarray(s).tobytes() for s in stack)))
+        keys.append(stack_key(stack))
         return stack_fn(stack)
     phi.stack_fn = recording
     return keys
@@ -433,17 +438,20 @@ def recorded_stacks(phi):
 
 @pytest.mark.parametrize("blocks, mults, pad, seed", [((2,), (3,), 0, 4), ((1, 2), (2, 1), 1, 9)])
 def test_a_run_evaluates_each_input_stack_once(blocks, mults, pad, seed):
-    # every probe stack reaches the input map once per run; only the one-row
-    # unit batches of the per-block corrections repeat across blocks
-    phi = perturb_additive(embedding(AlgebraShape(list(blocks)), mults, pad=pad, seed=seed),
-                           1e-3, seed=seed + 1)
+    # every probe stack reaches the input map once per run; only the
+    # first-column units e_i0 (sum n_b rows), which each of the three
+    # per-block corrections evaluates as one stack, repeat
+    shape = AlgebraShape(list(blocks))
+    phi = perturb_additive(embedding(shape, mults, pad=pad, seed=seed), 1e-3, seed=seed + 1)
     keys = recorded_stacks(phi)
     _, rep = run_pipeline(phi, FAST)
     assert rep.ok()
     assert len([s for s in rep.stages if s.name == "decompose"][0].info["block_dims"]) == 3
     assert pad == 0 or not [s for s in rep.stages if s.name == "corner"][0].info.get("skipped")
-    repeated = sorted(rows for (rows, _), n in Counter(keys).items() if n > 1)
-    assert repeated and set(repeated) == {1}
+    column = stack_elements(matrix_unit(shape, b, i, 0)
+                            for b, n in enumerate(blocks) for i in range(n))
+    repeated = {key: n for key, n in Counter(keys).items() if n > 1}
+    assert repeated == {stack_key(column): 3}
 
 
 def test_shared_block_values_match_the_per_block_path(monkeypatch):
