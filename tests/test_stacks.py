@@ -25,11 +25,11 @@ from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, near_identity_unitary, perturb_additive)
 from starstab.pipeline import run_pipeline
+from starstab.probes import (ball_probes, deterministic_elements, deterministic_pairs,
+                             deterministic_stack, forked_spheres,
+                             random_unitaries, sphere_probes, unitary_pairs)
 from starstab.reps import unitarize
 from starstab.synthesis import TraceExpectation
-from starstab.probes import (ball_probes, deterministic_elements, deterministic_stack,
-                             deterministic_pairs, forked_spheres,
-                             random_unitaries, sphere_probes, unitary_pairs)
 
 SHAPE = AlgebraShape([1, 2])
 
