@@ -85,15 +85,57 @@ def _quartic_bounds(stack: np.ndarray, fro: np.ndarray) -> np.ndarray:
     Hermitian H = (B* B)^2, which unlike ``np.linalg.norm`` makes no
     conjugated copy of H.
     """
-    b = stack / fro[:, None, None]
-    g = b @ adj(b) if b.shape[-2] < b.shape[-1] else adj(b) @ b
+    g = _scaled_gram(stack, fro)
     h = g @ g
     return fro * np.sqrt(np.sqrt(np.sqrt(np.abs(np.einsum("kij,kji->k", h, h)))))
+
+
+def _scaled_gram(stack: np.ndarray, fro: np.ndarray) -> np.ndarray:
+    """B* B, or B B* when that is smaller, for B = A / f, each matrix A of a
+    stack with its finite, nonzero Frobenius norm f."""
+    b = stack / fro[:, None, None]
+    return b @ adj(b) if b.shape[-2] < b.shape[-1] else adj(b) @ b
 
 
 def op_norms(x: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack."""
     return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def argmin_op_norms(x: np.ndarray, excluded: np.ndarray | None = None) -> np.ndarray:
+    """For a (C, K, n, m) stack, the index c of the smallest sigma_1 of
+    x[c, k] for each k, with the candidates of the (C, K) mask ``excluded``
+    left out: ``np.argmin(np.where(excluded, inf, op_norms(x)), axis=0)``,
+    bit for bit (the first index on ties).
+
+    Each sigma_1 is estimated as f sqrt(lambda_max) of the Gram matrix of
+    B = A / f, f the Frobenius norm of A, in one batched ``eigvalsh``.  As
+    in ``_quartic_bounds``, the entries of B are at most 1 and lambda_max
+    lies in [1/r, 1], so the estimate is within a few hundred ulps of
+    sigma_1, and so is the SVD's.  A row is decided by the estimates only
+    when its smallest one undercuts every other by ``_FRO_MARGIN``; then
+    the SVD orders the candidates the same way.  Every other row (ties and
+    near-ties, a non-finite f anywhere in the row, a candidate's f below
+    ``_FRO_FLOOR``) takes the SVD of all of its C matrices, as the
+    reference does, so NaN still reaches LAPACK.
+    """
+    c, k = x.shape[:2]
+    excluded = np.zeros((c, k), dtype=bool) if excluded is None else excluded
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm sends
+        fro = np.linalg.norm(x, axis=(-2, -1))          # its row to the SVD
+    sure = np.isfinite(fro).all(axis=0) & ~((fro < _FRO_FLOOR) & ~excluded).any(axis=0)
+    live = sure & ~excluded
+    est = np.full((c, k), np.inf)
+    if live.any():
+        g = _scaled_gram(x[live], fro[live])
+        est[live] = fro[live] * np.sqrt(np.linalg.eigvalsh(g)[:, -1])
+    pick = np.argmin(est, axis=0)
+    sure &= (est <= est[pick, np.arange(k)] * (1.0 + _FRO_MARGIN)).sum(axis=0) == 1
+    rest = ~sure
+    if rest.any():
+        pick[rest] = np.argmin(np.where(excluded[:, rest], np.inf, op_norms(x[:, rest])),
+                               axis=0)
+    return pick
 
 
 def is_hermitian(x: np.ndarray, tol: float = 1e-10) -> bool:

@@ -20,7 +20,8 @@ from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
                       stack_coeffs, stack_elements, stack_norms, stack_row)
 from .errors import EvaluationError, PreconditionError
-from .probes import constant, defect_triples, forked_spheres, sphere_probes
+from .probes import (constant, defect_stacks, defect_triples, distinct_rows,
+                     forked_spheres, sphere_probes)
 
 
 @dataclass(eq=False)
@@ -170,18 +171,15 @@ class DefectReport:
             self.sample_count + other.sample_count)
 
 
-def _defect_values(evaluate, x, y, lams: np.ndarray):
-    """Yield ``evaluate(stack)`` at each of the six per-block stacks that the
-    defects over the triples (x_k, y_k, lambda_k) read, in order: x, y,
-    x + y, lambda x, x y and x*.  A stack is built when its value is asked
-    for and dropped once it is evaluated."""
-    lam = lams[:, None, None]
-    yield evaluate(x)
-    yield evaluate(y)
-    yield evaluate(tuple(a + b for a, b in zip(x, y)))
-    yield evaluate(tuple(lam * a for a in x))
-    yield evaluate(tuple(a @ b for a, b in zip(x, y)))
-    yield evaluate(tuple(la.adj(a) for a in x))
+def _defect_values(m: ApproxMap, x, y, lams: np.ndarray, index):
+    """Yield m's values at each of the six ``probes.defect_stacks`` of the
+    triples, in order, given each stack's ``probes.distinct_rows`` in
+    ``index``.  Each distinct row is evaluated once and its value scattered
+    back to every row that holds its point; a value depends on its point
+    alone, so this equals evaluating every row.  A stack is built when its
+    value is asked for and dropped once it is evaluated."""
+    for stack, (rows, inverse) in zip(defect_stacks(x, y, lams), index):
+        yield m.batch(tuple(s[rows] for s in stack))[inverse]
 
 
 def _defect_suprema(values, lams: np.ndarray) -> list[DefectReport]:
@@ -206,18 +204,20 @@ def _defect_suprema(values, lams: np.ndarray) -> list[DefectReport]:
 def _defects_on_pairs(m: ApproxMap, x, y, lams: np.ndarray) -> DefectReport:
     """The five suprema over the triples (x_k, y_k, lambda_k) given as per-block
     stacks x and y and a (K,) array of scalars."""
-    return _defect_suprema(_defect_values(lambda s: [m.batch(s)], x, y, lams), lams)[0]
+    index = tuple(distinct_rows(s) for s in defect_stacks(x, y, lams))
+    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)), lams)[0]
 
 
 def estimate_defect(m: ApproxMap, samples: int,
                     det_cap: int = 12, det_pair_cap: int = 256) -> DefectReport:
     """Evaluate the five defects on random unit-ball pairs plus the
     deterministic probe grid; per-probe seeds derive from the probe index, so
-    the probe set is a constant of (shape, samples, det_cap, det_pair_cap)
-    (``probes.defect_triples``)."""
+    the probe set, and the distinct rows of its stacks, are a constant of
+    (shape, samples, det_cap, det_pair_cap) (``probes.defect_triples``)."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    return _defects_on_pairs(m, *defect_triples(m.domain, samples, det_cap, det_pair_cap))
+    x, y, lams, index = defect_triples(m.domain, samples, det_cap, det_pair_cap)
+    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)), lams)[0]
 
 
 def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
@@ -234,11 +234,9 @@ def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    x, y, lams = defect_triples(m.domain, samples, det_cap, det_pair_cap)
-
-    def evaluate(stack):
-        return [la.compress(v, f) for f in (m.batch(stack),) for v in isometries]
-    return _defect_suprema(_defect_values(evaluate, x, y, lams), lams)
+    x, y, lams, index = defect_triples(m.domain, samples, det_cap, det_pair_cap)
+    return _defect_suprema(([la.compress(v, f) for v in isometries]
+                            for f in _defect_values(m, x, y, lams, index)), lams)
 
 
 def map_norm(m: ApproxMap, probes) -> float:

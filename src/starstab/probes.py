@@ -8,7 +8,9 @@ Every probe set is a fixed function of (shape, count, seed) and is built
 directly as per-block stacks, one ``(K, n_b, n_b)`` array per block.  The
 sets whose seed is a constant of the code repeat within and across runs, so
 they are built once per process and kept, read-only, in one LRU cache of at
-most ``CACHE_CAP`` entries (``constant`` and ``defect_triples``).  Sets
+most ``CACHE_CAP`` entries (``constant`` and ``defect_triples``; the
+defect set keeps the index of the distinct rows of its six stacks with
+it).  Sets
 seeded per run are built fresh on every call.
 """
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._linalg import adj
 from .algebra import (AlgebraShape, HaarSampler, contraction_stack,
                       disc_scalars, identity, matrix_unit, matrix_units,
                       sphere_stack, stack_elements, unitary_stack, zeros)
@@ -102,17 +105,46 @@ def _random_triples(shape: AlgebraShape, samples: int):
     return contraction_stack(shape, xs), contraction_stack(shape, ys), disc_scalars(lams)
 
 
+def distinct_rows(stack):
+    """The rows of a per-block stack that hold its distinct points, in the
+    order the points first appear, and the (K,) index of each row's point
+    among them.  Rows are compared by their bytes, so -0.0 and 0.0 differ."""
+    flat = np.ascontiguousarray(np.concatenate([s.reshape(len(s), -1) for s in stack], axis=1))
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def defect_stacks(x, y, lams: np.ndarray):
+    """Yield the six per-block stacks that the defects over the triples
+    (x_k, y_k, lambda_k) read, in order: x, y, x + y, lambda x, x y and x*.
+    A stack is built when it is asked for."""
+    lam = lams[:, None, None]
+    yield x
+    yield y
+    yield tuple(a + b for a, b in zip(x, y))
+    yield tuple(lam * a for a in x)
+    yield tuple(a @ b for a, b in zip(x, y))
+    yield tuple(adj(a) for a in x)
+
+
 def _defect_triples(shape: AlgebraShape, samples: int, det_cap: int, det_pair_cap: int):
     x, y, lam = _random_triples(shape, samples)
     dx, dy, dlam = deterministic_pairs(shape, det_cap, det_pair_cap)
-    return _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
+    x, y, lam = _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
+    return x, y, lam, tuple(distinct_rows(s) for s in defect_stacks(x, y, lam))
 
 
 def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12,
                    det_pair_cap: int = 256):
     """``estimate_defect``'s probe triples (x, y, lambda): the first
     ``samples`` random unit-ball triples, then the deterministic pairs;
-    each whole set is one cache entry."""
+    then the ``distinct_rows`` of each of their six ``defect_stacks``.  Each
+    whole set is one cache entry, so the distinct rows are found once per
+    set."""
     return constant(_defect_triples, shape, samples, det_cap, det_pair_cap)
 
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from starstab.algebra import AlgebraShape
+import starstab._linalg as la
+from starstab.algebra import AlgebraShape, HaarSampler, contraction_stack, stack_norms
 from starstab.config import PipelineConfig
 from starstab.errors import PreconditionError
-from starstab.experiments import (SWEEP_COLUMNS, kk_experiment, run_sweep,
-                                  sweep_csv, tower_experiment)
-from starstab.factory import EmbeddingSpec, InclusionSpec
+from starstab.experiments import (SWEEP_COLUMNS, _candidates, _nearest_point,
+                                  kk_experiment, run_sweep, sweep_csv, tower_experiment)
+from starstab.factory import (EmbeddingSpec, InclusionSpec, exact_homomorphism,
+                              haar_conjugator, near_identity_unitary)
+from starstab.synthesis import TraceExpectation
 
 FAST = PipelineConfig(probes=96, group_probes=6, mc_width=128,
                       unitarize_width=48, max_levels=1, seed=2)
@@ -108,3 +111,82 @@ def test_kk_measures_phi_once(monkeypatch):
     rep = kk_experiment(M2_IN_M4, 1e-3, FAST)
     assert measured.count("kk-nearest-point") == 1
     assert rep.phi_defect == rep.pipeline.input_defect
+
+
+# -- the nearest-point map ------------------------------------------------------------
+
+def nearest_point_setting():
+    """``kk_experiment``'s nearest-point map between two copies of M_2 in M_6
+    at eta = 1e-2, as the arguments of ``_nearest_point``."""
+    spec = EmbeddingSpec(AlgebraShape([2]), (3,), 0, haar_conjugator(6, 7))
+    u = near_identity_unitary(6, 1e-2, seed=8)
+    near = TraceExpectation(EmbeddingSpec(spec.shape, (3,), 0, u @ spec.conjugator))
+    return exact_homomorphism(spec), u, near
+
+
+def three_svd_pick(psi, conj, exp, stack):
+    """The nearest-point map as it picked before ``la.argmin_op_norms``: the
+    SVD of both candidates' distances, then their argmin; the reference."""
+    y, radius = psi.batch(stack), stack_norms(stack)
+    p = exp.project(y)
+    nrm = la.op_norms(p)
+    scale = np.where(radius == 0.0, 0.0, radius / np.where(nrm > 1e-14, nrm, 1.0))
+    cands = np.stack([conj @ y @ conj.conj().T, p * scale[:, None, None]])
+    dist = la.op_norms(y - cands)
+    dist[1, (nrm <= 1e-14) & (radius > 0.0)] = np.inf
+    return cands[np.argmin(dist, axis=0), np.arange(len(y))]
+
+
+def contractions(count):
+    shape = AlgebraShape([2])
+    return contraction_stack(shape, HaarSampler(shape, 3).generators(count))
+
+
+def test_nearest_point_takes_one_svd_per_row(monkeypatch):
+    # 32 contractions whose two candidate distances are far apart: the only
+    # 6 x 6 SVDs left are sigma_1 of the trace-expectation images
+    setting, stack = nearest_point_setting(), contractions(32)
+    expected = three_svd_pick(*setting, stack)
+    svd, seen = np.linalg.svd, []
+
+    def counting(x, *args, **kwargs):
+        if x.shape[-2:] == (6, 6):
+            seen.append(int(np.prod(x.shape[:-2])))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    got = _nearest_point(*setting, stack)
+    assert seen == [32]
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_nearest_point_equals_the_three_svd_pick_on_near_ties():
+    setting = psi, conj, exp = nearest_point_setting()
+    (ends,) = contractions(32)
+    y = psi.batch((ends,))
+    cands, _ = _candidates(y, stack_norms((ends,)), conj, exp)
+    picks = np.argmin(la.op_norms(y - cands), axis=0)
+
+    def gap(a, b, t):   # distance to the conjugation candidate minus the other's
+        stack = (((1.0 - t) * a + t * b)[None],)
+        y = psi.batch(stack)
+        cands, _ = _candidates(y, stack_norms(stack), conj, exp)
+        d = la.op_norms(y - cands)[:, 0]
+        return (d[0] - d[1]) / d[0]
+
+    ties = []
+    for j in np.flatnonzero(picks[:-1] != picks[1:]):
+        # bisect the segment between two rows that pick different candidates
+        a, b = ends[j], ends[j + 1]
+        sign = np.sign(gap(a, b, 0.0))
+        lo, hi = 0.0, 1.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(gap(a, b, mid)) == sign else (lo, mid)
+        assert abs(gap(a, b, lo)) <= 1e-12     # a tie to within rounding
+        ties += [(1.0 - t) * a + t * b for t in [lo, hi] + [
+            lo * (1.0 + d) for d in (-1e-6, -1e-9, -1e-14, 1e-14, 1e-9, 1e-6)]]
+    assert len(ties) >= 8 * 8
+    stack = (np.stack(ties + [np.zeros((2, 2), dtype=complex)]),)      # and 0
+    assert _nearest_point(*setting, stack).tobytes() == \
+        three_svd_pick(*setting, stack).tobytes()

@@ -124,17 +124,20 @@ def test_op_norm_equals_spectral_norm():
 
 
 @st.composite
-def norm_stacks(draw):
+def norm_stacks(draw, leads=None):
     """Stacks of 1-40 real or complex n x m matrices (n, m <= 8), under
-    one or two leading axes, each scaled by 1e-12..1e3 (or within a band
-    of 1e-3) or zero, some of them rank one (sigma_1 equals the Frobenius
-    norm), some flat-spectrum noise (every singular value within 1e-12..1e-2
-    of the others, so both upper bounds sit far above sigma_1), with near
-    copies of the dominant matrix; the whole stack is then scaled by 1, by
-    1e-80..1e-55 (fourth powers of the entries underflow) or by 1e160 (they
-    overflow, and so do the squares behind some Frobenius norms)."""
-    lead = draw(st.one_of(st.tuples(st.integers(1, 40)),
-                          st.tuples(st.integers(1, 13), st.just(3))))
+    one or two leading axes (drawn from ``leads`` when given), each scaled
+    by 1e-12..1e3 (or within a band of 1e-3) or zero, some of them rank one
+    (sigma_1 equals the Frobenius norm), some flat-spectrum noise (every
+    singular value within 1e-12..1e-2 of the others, so both upper bounds
+    sit far above sigma_1), with near copies of the dominant matrix; the
+    whole stack is then scaled by 1, by 1e-80..1e-55 (fourth powers of the
+    entries underflow) or by 1e160 (they overflow, and so do the squares
+    behind some Frobenius norms)."""
+    if leads is None:
+        leads = st.one_of(st.tuples(st.integers(1, 40)),
+                          st.tuples(st.integers(1, 13), st.just(3)))
+    lead = draw(leads)
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     cplx = draw(st.booleans())
     r = rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -172,6 +175,61 @@ def norm_stacks(draw):
 def test_op_norm_is_the_max_of_the_matrix_norms(x):
     expected = max(np.linalg.norm(a, 2) for a in x.reshape(-1, *x.shape[-2:]))
     assert la.op_norm(x) == expected
+
+
+@st.composite
+def candidate_stacks(draw):
+    """(2, K) stacks of ``norm_stacks`` matrices, with exact, rescaled
+    (1 +- 1e-14, 1 +- 1e-9) and rotated copies of the first candidate as the
+    second in some rows, zero matrices, NaN and inf entries in a few; and a
+    (2, K) mask of excluded candidates, or None."""
+    x = draw(norm_stacks(st.tuples(st.just(2), st.integers(1, 20)))).copy()
+    r = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k, n = x.shape[1], x.shape[2]
+    for j in r.integers(0, k, draw(st.integers(0, k))):
+        g = r.standard_normal((n, n))
+        q, _ = np.linalg.qr(g + 1j * r.standard_normal((n, n)) if np.iscomplexobj(x) else g)
+        a = x[0, j]
+        x[1, j] = [a, a * (1.0 + r.choice([-1e-9, -1e-14, 1e-14, 1e-9])), q @ a][r.integers(3)]
+    for _ in range(draw(st.integers(0, 2))):
+        x[tuple(r.integers(0, d) for d in x.shape[:2])] = 0.0
+    for bad in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        x[tuple(r.integers(0, d) for d in x.shape)] = bad
+    excluded = draw(st.sampled_from([None, 0.0, 0.3, 0.7]))
+    if excluded is not None:
+        excluded = r.random(x.shape[:2]) < excluded
+    return x, excluded
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidate_stacks())
+def test_argmin_op_norms_is_the_argmin_of_the_matrix_norms(case):
+    x, excluded = case
+    mask = np.zeros(x.shape[:2], dtype=bool) if excluded is None else excluded
+    try:
+        expected = np.argmin(np.where(mask, np.inf, la.op_norms(x)), axis=0)
+    except np.linalg.LinAlgError:       # NaN: LAPACK refuses, and so must the kernel
+        with pytest.raises(np.linalg.LinAlgError):
+            la.argmin_op_norms(x, excluded)
+        return
+    assert np.array_equal(la.argmin_op_norms(x, excluded), expected)
+
+
+def test_argmin_op_norms_decomposes_only_near_ties(monkeypatch):
+    a = rng(22).standard_normal((2, 16, 4, 4))
+    a[1] *= 1.5
+    svd, seen = np.linalg.svd, []
+
+    def counting(x, *args, **kwargs):
+        seen.append(x.shape[:-2])
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert np.array_equal(la.argmin_op_norms(a), np.zeros(16, dtype=int))
+    assert seen == []
+    a[1, 5] = a[0, 5] * (1.0 + 1e-9)       # a near-tie: row 5 takes both SVDs
+    assert np.array_equal(la.argmin_op_norms(a), np.zeros(16, dtype=int))
+    assert seen == [(2, 1)]
 
 
 def test_op_norm_decomposes_only_candidates(monkeypatch):

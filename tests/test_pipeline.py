@@ -231,8 +231,11 @@ def test_targetless_runs_skip_near_inclusion():
 
 
 _THREADS_SCRIPT = """
+import json
+
 from starstab.algebra import AlgebraShape, identity, matrix_unit
 from starstab.config import PipelineConfig
+from starstab.experiments import kk_experiment
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, haar_conjugator,
                               perturb_additive)
 from starstab.pipeline import run_pipeline
@@ -243,6 +246,8 @@ spec = EmbeddingSpec(AlgebraShape([2]), (2,), 0, haar_conjugator(4, 26))
 phi = perturb_additive(exact_homomorphism(spec), 1e-3, seed=27)
 for path in ("units", "stone"):
     print(run_pipeline(phi, cfg.replace(path=path))[1].canonical_json())
+kk = kk_experiment(EmbeddingSpec(AlgebraShape([2]), (3,), 0, haar_conjugator(6, 28)), 1e-2, cfg)
+print(json.dumps(kk.to_dict(include_timing=False), sort_keys=True))
 """
 
 
@@ -257,7 +262,7 @@ def test_canonical_json_independent_of_blas_threads():
                              capture_output=True, text=True, timeout=600)
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
-    assert len(outs[0].splitlines()) == 2
+    assert len(outs[0].splitlines()) == 3
     assert outs[0] == outs[1]
 
 

@@ -18,7 +18,7 @@ from starstab.averaging import (AveragedGroupMap, GroupMeasurement, _batch_means
                                 _spread, average_once, measure_group_map)
 from starstab.config import PipelineConfig
 from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
-                              estimate_defect, normalize)
+                              estimate_compressed_defects, estimate_defect, normalize)
 from starstab.errors import EvaluationError
 from starstab.experiments import _nearest_point, sweep_instances
 from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
@@ -391,6 +391,56 @@ def test_stacked_defects_match_the_per_pair_loop(shape, mults):
     assert estimate_defect(opaque(), 24, det_cap=8) == reference_defects(opaque(), triples)
     for m in (psi, perturb_additive(psi, 1e-3, seed=3)):
         assert _defects_on_pairs(m, *stacked(triples)) == reference_defects(m, triples)
+
+
+def row_bytes(stack):
+    return [b"".join(s[k].tobytes() for s in stack) for k in range(len(stack[0]))]
+
+
+def distinct_defect_rows(triples):
+    """For each of the six stacks x, y, x + y, lambda x, x y and x* of the
+    stacked triples, the bytes of its distinct rows in the order they first
+    appear."""
+    x, y, lams = stacked(triples)
+    lam = lams[:, None, None]
+    stacks = (x, y, tuple(a + b for a, b in zip(x, y)), tuple(lam * a for a in x),
+              tuple(a @ b for a, b in zip(x, y)), tuple(la.adj(a) for a in x))
+    return [list(dict.fromkeys(row_bytes(s))) for s in stacks]
+
+
+@pytest.mark.parametrize("shape, mults", [(SHAPE, (2, 1)), (AlgebraShape([2]), (2,))])
+def test_defect_estimates_evaluate_each_distinct_probe_once(shape, mults, monkeypatch):
+    rho = perturb_additive(exact_homomorphism(
+        EmbeddingSpec(shape, mults, 0, haar_conjugator(4, 5))), 1e-3, seed=3)
+    seen = []
+
+    def counted(stack):
+        seen.append(row_bytes(stack))
+        return rho.batch(stack)
+
+    m = ApproxMap(shape, 4, None, stack_fn=counted)
+    triples = ref_defect_triples(shape, 24, 8)
+    expected = distinct_defect_rows(triples)
+    assert sum(map(len, expected)) < 6 * len(triples)
+    probes.clear_cache()
+    indexed = []
+    distinct_rows = probes.distinct_rows
+    monkeypatch.setattr(probes, "distinct_rows",
+                        lambda stack: indexed.append(1) or distinct_rows(stack))
+    q, _ = np.linalg.qr(HaarSampler(AlgebraShape([4]), 6).unitary().blocks[0])
+    isometries = [q[:, :1], q[:, 1:]]
+
+    got = estimate_defect(m, 24, det_cap=8)
+    assert seen == expected and len(indexed) == 6
+    seen.clear()
+    compressed = estimate_compressed_defects(m, isometries, 24, det_cap=8)
+    assert seen == expected and len(indexed) == 6      # no index is computed again
+    assert estimate_defect(m, 24, det_cap=8) == got and len(indexed) == 6
+
+    assert got == reference_defects(rho, triples)
+    for v, report in zip(isometries, compressed):
+        alone = m.compose_output(partial(la.compress, v), v.shape[1])
+        assert report == reference_defects(alone, triples)
 
 
 def reference_measurement(rho, pairs, batches=8, against=None):
