@@ -47,21 +47,23 @@ def op_norm(x: np.ndarray) -> float:
     upper bound (``_quartic_bounds``); one batched SVD then covers the
     matrices that neither bound puts below it by the margin.  A non-finite
     matrix has a non-finite Frobenius norm and always stays, so NaN still
-    reaches LAPACK; every matrix stays when the lower bound is below the
-    underflow floor.  A skipped matrix's sigma_1 is below the lower bound,
-    and every candidate goes through the same ``np.linalg.svd`` as before,
-    so the float returned is the max of the per-matrix norms, bit for bit.
+    reaches LAPACK; every matrix stays when the lower bound is NaN or below
+    the underflow floor.  A skipped matrix's sigma_1 is below the lower
+    bound, and every candidate goes through the same ``np.linalg.svd`` as
+    before, so the float returned is the max of the per-matrix norms, bit
+    for bit.
     """
     if x.size == 0:
         return 0.0
     stack = x.reshape(-1, *x.shape[-2:])
-    with np.errstate(over="ignore"):    # an infinite norm keeps its matrix
+    # a non-finite norm keeps its matrix
+    with np.errstate(over="ignore", invalid="ignore"):
         fro = np.linalg.norm(stack, axis=(-2, -1))
     top = int(np.argmax(fro))
     best = np.linalg.svd(stack[top], compute_uv=False)[0]
     rest = (best < _FRO_FLOOR) | ~(fro * (1.0 + _FRO_MARGIN) < best)
     rest[top] = False
-    if not best < _FRO_FLOOR:
+    if best >= _FRO_FLOOR:              # False for NaN: every matrix stays
         idx = np.flatnonzero(rest & np.isfinite(fro))
         if idx.size:
             bound = _quartic_bounds(stack[idx], fro[idx])
@@ -150,16 +152,6 @@ def herm_fun(h: np.ndarray, fn, check_tol: float = 1e-9) -> np.ndarray:
                         residual=op_norm(h - h.conj().T))
     w, v = np.linalg.eigh(herm(h))
     return (v * fn(w)) @ v.conj().T
-
-
-def normal_fun(x: np.ndarray, fn, normal_tol: float = 1e-8) -> np.ndarray:
-    """Apply a scalar function to a normal matrix via complex Schur form."""
-    t, z = sla.schur(x, output="complex")
-    off = t - np.diag(np.diag(t))
-    if op_norm(off) > normal_tol * max(op_norm(x), 1.0):
-        raise SnapError("normal_fun: input is not normal within tolerance",
-                        residual=op_norm(off))
-    return (z * fn(np.diag(t))) @ z.conj().T
 
 
 def polar_unitary(x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .experiments import (SweepRow, kk_experiment, run_sweep, sweep_csv,
 from .factory import (EmbeddingSpec, InclusionSpec, exact_homomorphism,
                       haar_conjugator, near_identity, perturb_additive,
                       perturb_conjugate)
-from .pipeline import compute_budget, run_pipeline
+from .pipeline import K, compute_budget, run_pipeline
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -98,9 +98,8 @@ def _build_instance(args, cfg: PipelineConfig):
 
 
 def cmd_budget(args) -> int:
-    cfg = _load(args)
-    k = args.K if args.K is not None else cfg.K
-    budget = compute_budget(args.eps, k)
+    _load(args)                     # a bad --config exits 2 here too
+    budget = compute_budget(args.eps, args.K)
     d = budget.to_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(d) + "\n", encoding="utf-8")
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="evaluate the error-budget chain")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--K", type=float, default=None)
+    p.add_argument("--K", type=float, default=K)
     _add_common(p)
     p.set_defaults(fn=cmd_budget)
 

@@ -29,6 +29,9 @@ from .pipeline import PipelineReport, jsonable, run_pipeline
 from .probes import ball_probes, sphere_probes
 from .synthesis import TraceExpectation
 
+TOWER_SLACK = 3.0    # allowed growth of the per-floor recovery ratios along a tower
+KK_TOL = 0.1         # allowed distance of kk's recovered isomorphism to the identity copy
+
 
 @dataclass(frozen=True)
 class KKEstimate:
@@ -166,7 +169,7 @@ def kk_experiment(spec: EmbeddingSpec, eta: float,
         {"name": "phi-defect-within-delta", "value": phi_defect["epsilon"],
          "bound": delta_claim + 1e-9, "ok": phi_defect["epsilon"] <= delta_claim + 1e-9},
         {"name": "recovered-close-to-identity", "value": recovered,
-         "bound": config.kk_tol, "ok": recovered <= config.kk_tol},
+         "bound": KK_TOL, "ok": recovered <= KK_TOL},
     ]
     return KKReport(estimate, eta, phi_defect, phi_dist,
                     recovered, rep, assertions)
@@ -240,14 +243,14 @@ def tower_experiment(inclusions: list[InclusionSpec], eta: float,
         ratio = rep.final_distance / eta if eta > 0.0 else None
         stages.append(TowerStage(s, shape.label(), rep.final_distance, ratio, rep))
 
-    report = TowerReport(eta, stages, config.tower_slack)
+    report = TowerReport(eta, stages, TOWER_SLACK)
     if eta > 0.0:
         ratios = [s.ratio for s in stages]
         floor = max(min(ratios), 1e-12)
         spread = max(ratios) / floor
         report.assertions.append(
             {"name": "recovery-ratio-spread", "value": spread,
-             "bound": config.tower_slack, "ok": spread <= config.tower_slack})
+             "bound": TOWER_SLACK, "ok": spread <= TOWER_SLACK})
     else:
         worst = max(s.distance for s in stages)
         report.assertions.append(

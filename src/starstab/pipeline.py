@@ -36,9 +36,11 @@ from .errors import PreconditionError, StabilityError, StageAbort
 from .factory import EmbeddingSpec, discretize, mesh_constant
 from .probes import ball_probes, unitary_pairs
 from .reps import compress, decompose, lift_projection, stone_generator, stone_points, unitarize
-from .synthesis import correction_probes, matrix_unit_correction, near_inclusion_fix
+from .synthesis import correction_points, matrix_unit_correction, near_inclusion_fix
 
 BUDGET_EPS_MAX = 2.0 ** -12
+K = 50.0                 # correction constant: budget factor, asserted ||psi - phi||/eps
+ADMISSIBLE_EPS = 0.05    # largest measured input defect the pipeline accepts
 
 
 def jsonable(obj):
@@ -230,16 +232,15 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     ball = ball_probes(shape, config.probes, _derive_seed(seed, "ball"))
     pairs = unitary_pairs(shape, config.group_probes, _derive_seed(seed, "pairs"))
 
-    report_in = estimate_defect(phi, config.probes,
-                                det_cap=config.det_cap)
+    report_in = estimate_defect(phi, config.probes)
     eps_in = max(report_in.epsilon, 1e-15)
-    if eps_in >= config.admissible_eps:
+    if eps_in >= ADMISSIBLE_EPS:
         raise StageAbort("admissibility",
                          PreconditionError(
                              f"measured defect {eps_in:.3g} exceeds "
-                             f"admissible {config.admissible_eps:.3g}"),
+                             f"admissible {ADMISSIBLE_EPS:.3g}"),
                          report=stages)
-    budget = compute_budget(eps_in, config.K) if eps_in < BUDGET_EPS_MAX else None
+    budget = compute_budget(eps_in, K) if eps_in < BUDGET_EPS_MAX else None
 
     # 1. normalize -----------------------------------------------------------
     # phi, phi1, phi2 and phi3 are each evaluated once on the ball probes;
@@ -278,7 +279,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     group_seed = _derive_seed(seed, "group")
 
     def measure_level_zero():
-        m = measure_group_map(phi3, pairs, config.mc_batches)
+        m = measure_group_map(phi3, pairs)
         if m.kappa > 2.0 + 1e-6:
             raise PreconditionError(
                 f"inverse bound {m.kappa:.3g} exceeds 2 on unitary probes")
@@ -290,9 +291,8 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # 5. averaging -----------------------------------------------------------
     eps1 = max(4.0 * eps_in, m0.delta + m0.mc, 1e-13)
     (stab, rec) = clock.run("stabilize", lambda: stabilize(
-        phi3, eps1, config.tol, config.mc_width,
-        max_levels=config.max_levels, probe_pairs=pairs,
-        batches=config.mc_batches, initial=m0, seed=group_seed))
+        phi3, eps1, 1e-8, config.mc_width,
+        max_levels=config.max_levels, probe_pairs=pairs, initial=m0, seed=group_seed))
     rec.movement = stab.movement
     rec.in_triangle = False
     eps2_meas = stab.movement + sum(p.after.closeness_mc for p in stab.levels)
@@ -306,7 +306,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
     (unit_out, rec) = clock.run("unitarize", lambda: unitarize(
         stab.final, config.unitarize_width, post.values[:, :2].reshape(-1, work_dim, work_dim),
-        batches=config.mc_batches, eps2=eps2_meas, snap_tol=snap_tol,
+        eps2=eps2_meas, snap_tol=snap_tol,
         seed=_derive_seed(group_seed, "unitarize", seed)))
     unitarizer, pi, unit_info = unit_out
     rec.movement = unit_info["movement"]
@@ -318,7 +318,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     defect_hint = max(post.delta + post.mc, 1e-12)
     dec_tol = max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit_info["mc"])
     (blocks, rec) = clock.run("decompose", lambda: decompose(
-        pi, config.generator_count, tol=dec_tol,
+        pi, tol=dec_tol,
         seed=_derive_seed(seed, "decompose"), defect_hint=defect_hint))
     rec.in_triangle = False
     rec.info = {"block_dims": list(blocks.block_dims), "residual": blocks.residual}
@@ -337,7 +337,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     # matrix-unit correction; only the source of the block map differs.  The
     # stone route evaluates pi once and compresses its values to each block;
     # the units route evaluates phi3 once on each probe stack of the block
-    # defects and of the correction's distance check, and compresses those
+    # defects and once at the correction's points, and compresses those
     # values to each block.
     def correct_blocks():
         basis = np.zeros((shape.linear_dim, work_dim, work_dim), dtype=complex)
@@ -351,22 +351,22 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
             verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
         else:
             block_defects = estimate_compressed_defects(phi3, isoms, 24, det_cap=8)
-            probes = correction_probes(shape)
-            at_probes = [la.compress(v_k, f) for f in (phi3.batch(probes),) for v_k in isoms]
+            at_points = [la.compress(v_k, f) for f in (phi3.batch(correction_points(shape)),)
+                         for v_k in isoms]
         for k, v_k in enumerate(isoms):
             if config.path == "stone":
                 phi_k = _stone_block_map(
                     compress(pi_stone, v_k, snap_tol=max(1e-6, 4.0 * dec_tol)), shape,
                     verify, snap_tol=max(1e-3, verify))
                 eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
-                check = {}
+                values = None
             else:
                 phi_k = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
                 eps5_k = block_defects[k].epsilon
-                check = {"probes": probes, "phi_values": at_probes[k]}
+                values = at_points[k]
             _, psi_k, info_k = matrix_unit_correction(
                 phi_k, tol=1e-9, eps=eps5_k, admissible=max(1e-2, 2.0 * eps5_k),
-                assert_factor=config.K, **check)
+                assert_factor=K, values=values)
             residual = max(residual, info_k["relation_residual"])
             mult_total = [a + b for a, b in zip(mult_total, info_k["multiplicities"])]
             basis += v_k @ psi_k.basis @ v_k.conj().T
@@ -392,7 +392,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                                                f"({target.dim} vs {work_dim})"),
                              report=stages)
         kw = {"admissible": max(1e-2, 4.0 * eps_in, 4.0 * corr_residual),
-              "assert_factor": config.K}
+              "assert_factor": K}
         (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
             psi_blocks, target, tol=1e-9, probes=tuple(s[:48] for s in ball),
             correction_kwargs=kw))
@@ -414,7 +414,7 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
 
     final_distance = _sup_dist(psi.batch(ball), phi_ball)
     del phi_ball
-    out_defect = estimate_defect(psi, min(config.probes, 64), det_cap=config.det_cap)
+    out_defect = estimate_defect(psi, min(config.probes, 64))
 
     l_used = 25.0 if budget is None else budget.final_bound / math.sqrt(eps_in)
     ratio_sqrt = final_distance / math.sqrt(eps_in)

@@ -134,41 +134,49 @@ def _first_column(shape: AlgebraShape):
                           for b, n in enumerate(shape.blocks) for i in range(n))
 
 
-def correction_probes(shape: AlgebraShape):
-    """The 48 fixed unit-ball probes over which ``matrix_unit_correction``
-    measures its distance by default."""
-    return constant(ball_probes, shape, 48, 23)
+def _correction_points(shape: AlgebraShape):
+    return tuple(np.concatenate(b) for b in
+                 zip(_first_column(shape), ball_probes(shape, 48, 23)))
+
+
+def correction_points(shape: AlgebraShape):
+    """The points at which ``matrix_unit_correction`` evaluates its map, as
+    one per-block stack: the first-column units e^b_{i0} (sum n_b rows, in
+    (block, i) order), then the 48 fixed unit-ball probes over which it
+    measures its distance."""
+    return constant(_correction_points, shape)
 
 
 def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
                            eps: float | None = None,
                            admissible: float = 1e-2,
                            assert_factor: float = 50.0,
-                           probes=None,
-                           samples: int = 48,
-                           phi_values: np.ndarray | None = None):
+                           values: np.ndarray | None = None):
     """Correct an approximate homomorphism to an exact one nearby.
 
     Returns (MatrixUnitSystem, psi, info).  Aborts with GapError when a
     rounded element has an eigenvalue inside [1/2 - 5 eps, 1/2 + 5 eps].
-    The measured distance ||psi - phi|| over ``probes`` (a per-block stack;
-    by default 48 fixed unit-ball probes) is asserted to stay
-    below ``assert_factor * eps`` (plus a small absolute floor).  A caller
-    that holds phi's values at ``probes`` hands them in as ``phi_values``,
-    a (K, N, N) stack, and phi is not evaluated there again.
+    phi is read at ``correction_points``: its first-column units give the
+    unit system, and the distance ||psi - phi|| over the 48 probes after
+    them is asserted to stay below ``assert_factor * eps`` (plus a small
+    absolute floor).  A caller that holds phi's values there hands them in
+    as ``values``, a (sum n_b + 48, N, N) stack, and phi is not evaluated.
     """
     shape = phi.domain
     n_amb = phi.dim
     if eps is None:
-        eps = estimate_defect(phi, samples).epsilon
+        eps = estimate_defect(phi, 48).epsilon
     if not eps < admissible:
         raise PreconditionError(
             f"correction needs estimated defect < {admissible:.3g}, got {eps:.3g}")
     eps_eff = max(eps, 2e-3)
     band = (0.5 - 5.0 * eps_eff - 1e-12, 0.5 + 5.0 * eps_eff + 1e-12)
 
-    column = phi.batch(_first_column(shape))       # e^b_{i0} at row starts[b] + i
+    points = correction_points(shape)
+    if values is None:
+        values = phi.batch(points)
     starts = np.cumsum([0, *shape.blocks])
+    column = values[:starts[-1]]                   # e^b_{i0} at row starts[b] + i
     corners = [la.spectral_round_projection(la.herm(column[starts[b]]), band=band)[0]
                for b in range(len(shape.blocks))]
     mults = [int(round(float(np.real(np.trace(q))))) for q in corners]
@@ -204,11 +212,8 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
         raise SingularMapError(
             f"matrix-unit relations only hold to {resid:.3g} (tolerance {tol:.3g})")
     psi = system.as_map()
-    if probes is None:
-        probes = correction_probes(shape)
-    if phi_values is None:
-        phi_values = phi.batch(probes)
-    dist = la.op_norm(psi.batch(probes) - phi_values)
+    probes = tuple(s[starts[-1]:] for s in points)
+    dist = la.op_norm(psi.batch(probes) - values[starts[-1]:])
     bound = assert_factor * eps + 1e-9
     info = {"distance": dist, "distance_bound": bound, "distance_ok": dist <= bound,
             "relation_residual": resid, "epsilon": eps,

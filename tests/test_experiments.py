@@ -5,8 +5,9 @@ import starstab._linalg as la
 from starstab.algebra import AlgebraShape, HaarSampler, contraction_stack, stack_norms
 from starstab.config import PipelineConfig
 from starstab.errors import PreconditionError
-from starstab.experiments import (SWEEP_COLUMNS, _candidates, _nearest_point,
-                                  kk_experiment, run_sweep, sweep_csv, tower_experiment)
+from starstab.experiments import (KK_TOL, SWEEP_COLUMNS, TOWER_SLACK, _candidates,
+                                  _nearest_point, kk_experiment, run_sweep, sweep_csv,
+                                  tower_experiment)
 from starstab.factory import (EmbeddingSpec, InclusionSpec, exact_homomorphism,
                               haar_conjugator, near_identity_unitary)
 from starstab.synthesis import TraceExpectation
@@ -31,7 +32,7 @@ def test_kk_small_eta():
     assert rep.estimate.upper <= 2 * eta + 1e-6
     assert rep.estimate.lower <= rep.estimate.upper
     assert rep.phi_distance_to_identity <= rep.estimate.upper + 1e-9
-    assert rep.recovered_distance <= FAST.kk_tol
+    assert rep.recovered_distance <= KK_TOL
     assert rep.ok()
 
 
@@ -56,7 +57,7 @@ def test_tower_chain():
     rep = tower_experiment([inc1, inc2], 1e-3, FAST)
     assert len(rep.stages) == 3
     ratios = [s.ratio for s in rep.stages]
-    assert max(ratios) / max(min(ratios), 1e-12) <= FAST.tower_slack
+    assert max(ratios) / max(min(ratios), 1e-12) <= TOWER_SLACK
     assert rep.ok()
 
 

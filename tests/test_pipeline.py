@@ -77,8 +77,8 @@ def test_budget_refusals():
 # -- config -------------------------------------------------------------------
 
 def test_config_parse_and_unknown_key():
-    cfg = parse_config("probes = 50\ntol = 1e-6\npath = stone\n# comment\n")
-    assert cfg.probes == 50 and cfg.tol == 1e-6 and cfg.path == "stone"
+    cfg = parse_config("probes = 50\nmax_levels = 2\npath = stone\n# comment\n")
+    assert cfg.probes == 50 and cfg.max_levels == 2 and cfg.path == "stone"
     with pytest.raises(ConfigError):
         parse_config("probse = 50\n")
     with pytest.raises(ConfigError):
@@ -178,10 +178,11 @@ def test_stone_path_matches_unit_path():
 
 
 def test_pipeline_rejects_inadmissible_input():
+    # measured defect 0.096, above the admissible 0.05
     psi0 = embedding(AlgebraShape([2]), (2,))
     phi = perturb_additive(psi0, 0.05, seed=14)
     with pytest.raises(StageAbort) as err:
-        run_pipeline(phi, FAST.replace(admissible_eps=0.01))
+        run_pipeline(phi, FAST)
     assert err.value.stage == "admissibility"
 
 
@@ -278,16 +279,6 @@ def test_level_zero_measurement_runs_inside_its_stage(monkeypatch):
         run_pipeline(phi, FAST)
     assert err.value.stage == "unitary-restriction"
     assert isinstance(err.value.cause, np.linalg.LinAlgError)
-
-
-def test_single_batch_config_aborts_at_the_first_measurement():
-    # one batch gives a Monte-Carlo spread of 0; the group measurement
-    # refuses it instead of a later stage failing an unrelated bound
-    phi = perturb_additive(embedding(AlgebraShape([2]), (2,), seed=17), 1e-3, seed=18)
-    with pytest.raises(StageAbort) as err:
-        run_pipeline(phi, FAST.replace(mc_batches=1))
-    assert err.value.stage == "unitary-restriction"
-    assert isinstance(err.value.cause, PreconditionError)
 
 
 def test_pruned_suprema_leave_the_report_unchanged(monkeypatch):
@@ -420,7 +411,7 @@ def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
     _, rep = run_pipeline(phi, config)
     assert rep.ok()
     assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [2, 2, 2]
-    assert rows == [config.generator_count, 4 * 3]     # decompose's generators, then the lifts
+    assert rows == [4, 4 * 3]       # decompose's 4 generators, then the lifts
 
 
 def stack_key(stack):
@@ -443,9 +434,8 @@ def recorded_stacks(phi):
 
 @pytest.mark.parametrize("blocks, mults, pad, seed", [((2,), (3,), 0, 4), ((1, 2), (2, 1), 1, 9)])
 def test_a_run_evaluates_each_input_stack_once(blocks, mults, pad, seed):
-    # every probe stack reaches the input map once per run; only the
-    # first-column units e_i0 (sum n_b rows), which each of the three
-    # per-block corrections evaluates as one stack, repeat
+    # every probe stack reaches the input map once per run: the three
+    # per-block corrections share one evaluation at the correction points
     shape = AlgebraShape(list(blocks))
     phi = perturb_additive(embedding(shape, mults, pad=pad, seed=seed), 1e-3, seed=seed + 1)
     keys = recorded_stacks(phi)
@@ -453,16 +443,14 @@ def test_a_run_evaluates_each_input_stack_once(blocks, mults, pad, seed):
     assert rep.ok()
     assert len([s for s in rep.stages if s.name == "decompose"][0].info["block_dims"]) == 3
     assert pad == 0 or not [s for s in rep.stages if s.name == "corner"][0].info.get("skipped")
-    column = stack_elements(matrix_unit(shape, b, i, 0)
-                            for b, n in enumerate(blocks) for i in range(n))
-    repeated = {key: n for key, n in Counter(keys).items() if n > 1}
-    assert repeated == {stack_key(column): 3}
+    assert max(Counter(keys).values()) == 1
 
 
 def test_shared_block_values_match_the_per_block_path(monkeypatch):
-    # block-correction evaluates phi3 once per probe stack and compresses the
-    # values to each block: every block's defects and correction come out
-    # as if its own block map had been evaluated
+    # block-correction evaluates phi3 once per probe stack and once at the
+    # correction points, and compresses the values to each block: every
+    # block's defects and correction come out as if its own block map had
+    # been evaluated
     import starstab.pipeline
     defects = starstab.pipeline.estimate_compressed_defects
     correct = starstab.pipeline.matrix_unit_correction
@@ -489,6 +477,6 @@ def test_shared_block_values_match_the_per_block_path(monkeypatch):
         alone = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
         assert report == estimate_defect(alone, 24, det_cap=8)
     for phi_k, kwargs, info in corrected:
-        assert kwargs["phi_values"].shape == (48, 2, 2)
-        own = {k: v for k, v in kwargs.items() if k not in ("probes", "phi_values")}
+        assert kwargs["values"].shape == (2 + 48, 2, 2)
+        own = {k: v for k, v in kwargs.items() if k != "values"}
         assert correct(phi_k, **own)[2] == info
