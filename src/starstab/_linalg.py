@@ -12,6 +12,7 @@ import scipy.linalg as sla
 from .errors import BranchCutError, GapError, SingularMapError, SnapError
 
 COND_MAX = 1e8
+BRANCH_GUARD = 1e-6     # closest an eigenvalue may come to -1 in a principal log
 # op_norm skips a matrix only when an upper bound on its sigma_1 undercuts
 # the best sigma_1 found by this relative margin, far above the ~n eps
 # rounding of any bound; below the floor, squared entries can underflow and
@@ -145,9 +146,9 @@ def is_hermitian(x: np.ndarray, tol: float = 1e-10) -> bool:
     return op_norm(x - x.conj().T) <= tol * scale
 
 
-def herm_fun(h: np.ndarray, fn, check_tol: float = 1e-9) -> np.ndarray:
+def herm_fun(h: np.ndarray, fn) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix via eigh."""
-    if not is_hermitian(h, check_tol):
+    if not is_hermitian(h, 1e-9):
         raise SnapError("herm_fun: input is not Hermitian within tolerance",
                         residual=op_norm(h - h.conj().T))
     w, v = np.linalg.eigh(herm(h))
@@ -194,14 +195,14 @@ def spectral_round_projection(h: np.ndarray,
     return p, op_norm(p - h)
 
 
-def principal_log_unitary(u: np.ndarray, branch_guard: float = 1e-6) -> np.ndarray:
+def principal_log_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian h with u = exp(i h), eigenvalue angles in (-pi, pi).
 
-    Aborts if an eigenvalue sits within ``branch_guard`` of -1.
+    Aborts if an eigenvalue sits within ``BRANCH_GUARD`` of -1.
     """
     t, z = sla.schur(u, output="complex")
     ev = np.diag(t)
-    if np.min(np.abs(ev + 1.0)) < branch_guard:
+    if np.min(np.abs(ev + 1.0)) < BRANCH_GUARD:
         raise BranchCutError("eigenvalue too close to -1 for a principal logarithm")
     theta = np.angle(ev)
     return herm((z * theta) @ z.conj().T)
@@ -221,20 +222,20 @@ def herm_sign_snap(h: np.ndarray, snap_tol: float = 1e-3) -> tuple[np.ndarray, f
     return (v * np.sign(w)) @ v.conj().T, dist
 
 
-def inv_cond(x: np.ndarray, cond_max: float = COND_MAX) -> np.ndarray:
+def inv_cond(x: np.ndarray) -> np.ndarray:
     """Inverse with condition-number monitoring; cond > 1e8 counts as singular."""
     s = np.linalg.svd(x, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > cond_max:
+    if s[-1] <= 0 or s[0] / s[-1] > COND_MAX:
         raise SingularMapError(f"condition number {s[0] / max(s[-1], 1e-300):.3e} "
-                               f"exceeds {cond_max:.1e}")
+                               f"exceeds {COND_MAX:.1e}")
     return np.linalg.inv(x)
 
 
-def batched_inv_cond(stack: np.ndarray, cond_max: float = COND_MAX) -> np.ndarray:
+def batched_inv_cond(stack: np.ndarray) -> np.ndarray:
     """Invert a (M, N, N) stack, rejecting any ill-conditioned member."""
     s = np.linalg.svd(stack, compute_uv=False)
     conds = s[:, 0] / np.maximum(s[:, -1], 1e-300)
-    bad = np.nonzero(conds > cond_max)[0]
+    bad = np.nonzero(conds > COND_MAX)[0]
     if bad.size:
         j = int(bad[0])
         raise SingularMapError(
@@ -242,12 +243,12 @@ def batched_inv_cond(stack: np.ndarray, cond_max: float = COND_MAX) -> np.ndarra
     return np.linalg.inv(stack)
 
 
-def isometry_factor(y: np.ndarray, min_sv: float = 0.1) -> np.ndarray:
+def isometry_factor(y: np.ndarray) -> np.ndarray:
     """Isometric factor of a full-column-rank tall matrix (polar for N x m)."""
     if y.shape[1] == 0:
         return y.copy()
     u, s, vh = np.linalg.svd(y, full_matrices=False)
-    if s[-1] < min_sv:
+    if s[-1] < 0.1:
         raise SingularMapError(f"column space collapsed (sigma_min {s[-1]:.3e})")
     return u @ vh
 

@@ -16,6 +16,8 @@ import numpy as np
 from . import _linalg as la
 from .errors import PreconditionError
 
+_NEGLIGIBLE_NORM = 1e-14    # four_unitaries drops a part of at most this relative norm
+
 
 def _derive_seed(*parts) -> int:
     h = hashlib.blake2b(digest_size=8)
@@ -322,7 +324,7 @@ def involution_exp(a: AlgebraElement, r: float) -> AlgebraElement:
          for n, m in zip(a.shape.blocks, a.blocks)])
 
 
-def four_unitaries(a: AlgebraElement, tol: float = 1e-14):
+def four_unitaries(a: AlgebraElement):
     """Write a as a combination of at most 4 unitaries with coefficients of
     modulus at most ||a||.
 
@@ -330,14 +332,14 @@ def four_unitaries(a: AlgebraElement, tol: float = 1e-14):
     h as (u + u*)/2 with u = h + i sqrt(1 - h^2).
     """
     nrm = a.norm()
-    if nrm <= tol:
+    if nrm <= _NEGLIGIBLE_NORM:
         return []
     out = []
     b = 0.5 * (a + a.adjoint())
     c = (-0.5j) * (a - a.adjoint())
     for part, phase in ((b, 1.0), (c, 1j)):
         pn = part.norm()
-        if pn <= tol * max(nrm, 1.0):
+        if pn <= _NEGLIGIBLE_NORM * max(nrm, 1.0):
             continue
         h = part / pn
         u_blocks = []

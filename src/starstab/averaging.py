@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, HaarSampler, _derive_seed, unitary_stack
+from .algebra import HaarSampler, _derive_seed, unitary_stack
 from .defects import ApproxMap
 from .errors import ContractionError, PreconditionError
-from .probes import unitary_pairs
 
 NUMERIC_FLOOR = 1e-12
 SCHEDULE_EPS_MAX = 2.0 ** -10
+# independent sample batches behind every 3-sigma Monte-Carlo error term
+BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,6 @@ def _batch_means(stack: np.ndarray, batches: int) -> np.ndarray:
     return stack[:cut].reshape(b, cut // b, *stack.shape[1:]).mean(axis=1)
 
 
-def _require_batches(batches: int) -> None:
-    """A 3-sigma batch error needs two batches; one gives a spread of 0,
-    which would drop the Monte-Carlo slack from every bound."""
-    if batches < 2:
-        raise PreconditionError(f"Monte-Carlo error needs batches >= 2, got {batches}")
-
-
 def _spread(mats: np.ndarray) -> float:
     """3 x standard error (Frobenius spread) of a batch of matrices along
     axis -3; the largest over any leading axes."""
@@ -149,14 +143,13 @@ def _spread(mats: np.ndarray) -> float:
     return 3.0 * float(np.sqrt((np.abs(dev) ** 2).sum(axis=(-2, -1)).mean(axis=-1) / b).max())
 
 
-def measure_group_map(rho: ApproxMap, pairs, batches: int = 8,
+def measure_group_map(rho: ApproxMap, pairs,
                       against: GroupMeasurement | None = None) -> GroupMeasurement:
     """Measure kappa, the defect and their Monte-Carlo error over probe pairs,
     given as two per-block stacks (us, vs): ``rho`` evaluates the points u,
     v and uv of all pairs as one stack, and each supremum is one batched
     norm.  The closeness is taken against the values of ``against``, the
     parent's measurement on the same pairs."""
-    _require_batches(batches)
     us, vs = pairs
     count = len(us[0])
     points = tuple(np.stack([u, v, u @ v], axis=1).reshape(-1, *u.shape[1:])
@@ -169,7 +162,7 @@ def measure_group_map(rho: ApproxMap, pairs, batches: int = 8,
     delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])
     mc = close = close_mc = 0.0
     if terms is not None:
-        b = np.stack([_batch_means(t, batches) for t in terms]).reshape(
+        b = np.stack([_batch_means(t, BATCHES) for t in terms]).reshape(
             count, 3, -1, rho.dim, rho.dim)
         mc = _spread(b[:, 2] - b[:, 0] @ b[:, 1])
     if against is not None:
@@ -206,19 +199,17 @@ class AveragingPass:
         return self.after.kappa <= self.kappa_bound
 
 
-def average_once(rho: ApproxMap, width: int, probe_pairs=None,
-                 batches: int = 8, seed: int = 0,
-                 translate_by: AlgebraElement | None = None,
+def average_once(rho: ApproxMap, width: int, probe_pairs, seed: int = 0,
                  before: GroupMeasurement | None = None
                  ) -> tuple[AveragedGroupMap, AveragingPass]:
-    """One averaging pass with ``width`` common Haar samples.
+    """One averaging pass with ``width`` common Haar samples, measured on
+    ``probe_pairs``.
 
     The pass is level ``rho.level + 1`` of an averaged ``rho`` and level 1
-    otherwise; ``seed`` seeds its sample draw (with the level) and the
-    default probe pairs.
+    otherwise; ``seed`` seeds its sample draw (with the level).
 
     ``before``, when given, is the caller's measurement of ``rho`` on the
-    same pairs and batches (the closing one is compared with its values).
+    same pairs (the closing one is compared with its values).
     Requires the measured hypothesis
     delta < kappa^{-2}.  The returned pass records the quadratic bound
     2 kappa^2 delta^2 + mc, the closeness bound kappa delta + mc and the
@@ -227,11 +218,8 @@ def average_once(rho: ApproxMap, width: int, probe_pairs=None,
     """
     if width < 2:
         raise PreconditionError("averaging width must be >= 2")
-    _require_batches(batches)
-    if probe_pairs is None:
-        probe_pairs = unitary_pairs(rho.domain, 8, _derive_seed(seed, "probes", 17))
     if before is None:
-        before = measure_group_map(rho, probe_pairs, batches)
+        before = measure_group_map(rho, probe_pairs)
     if not before.delta < 1.0 / before.kappa ** 2:
         raise PreconditionError(
             f"averaging hypothesis violated: defect {before.delta:.3g} "
@@ -239,11 +227,9 @@ def average_once(rho: ApproxMap, width: int, probe_pairs=None,
     level = rho.level + 1 if isinstance(rho, AveragedGroupMap) else 1
     sampler = HaarSampler(rho.domain, _derive_seed(seed, "level", level))
     samples = unitary_stack(rho.domain, sampler.generators(width))
-    if translate_by is not None:
-        samples = tuple(t @ s for t, s in zip(translate_by.blocks, samples))
     inverses = la.batched_inv_cond(rho.batch(samples))
     new = AveragedGroupMap(rho, samples, inverses, level)
-    after = measure_group_map(new, probe_pairs, batches, against=before)
+    after = measure_group_map(new, probe_pairs, against=before)
     floor = NUMERIC_FLOOR * max(1.0, before.kappa)
     k, d = before.kappa, before.delta
     rec = AveragingPass(
@@ -283,18 +269,16 @@ class StabilizeResult:
         return buf.getvalue()
 
 
-def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int,
-              max_levels: int = 4, probe_pairs=None, batches: int = 8,
-              strict: bool | None = None,
-              initial: GroupMeasurement | None = None, seed: int = 0) -> StabilizeResult:
-    """Iterate averaging passes until the measured defect (or the analytic
-    schedule) falls below ``tol``.
+def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int, probe_pairs,
+              max_levels: int = 4, initial: GroupMeasurement | None = None,
+              seed: int = 0) -> StabilizeResult:
+    """Iterate averaging passes, each measured on ``probe_pairs``, until the
+    measured defect (or the analytic schedule) falls below ``tol``.
 
-    ``seed`` seeds the default probe pairs and every pass's sample draw
-    (``average_once(seed=)``).
+    ``seed`` seeds every pass's sample draw (``average_once(seed=)``).
 
     ``initial``, when given, is the caller's measurement of ``rho0`` on the
-    same pairs and batches; each pass's closing measurement opens the next.
+    same pairs; each pass's closing measurement opens the next.
 
     Every pass must keep its defect, its closeness to the previous level
     and its inverse bound within the bounds it records (``AveragingPass``);
@@ -306,14 +290,10 @@ def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int,
     delta < kappa^-2 is still required but the global claims are only
     recorded, not asserted.
     """
-    _require_batches(batches)
-    if strict is None:
-        strict = eps1 <= SCHEDULE_EPS_MAX
+    strict = eps1 <= SCHEDULE_EPS_MAX
     sched = schedule(eps1, max_levels + 1) if strict else None
-    if probe_pairs is None:
-        probe_pairs = unitary_pairs(rho0.domain, 8, _derive_seed(seed, "stab"))
     if initial is None:
-        initial = measure_group_map(rho0, probe_pairs, batches)
+        initial = measure_group_map(rho0, probe_pairs)
     if sched is not None:
         forecast = list(sched.deltas)
     else:
@@ -349,7 +329,7 @@ def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int,
         if level >= max_levels:
             stopped = "level-cap"
             break
-        rho, rec = average_once(rho, width, probe_pairs, batches, seed, before=measured)
+        rho, rec = average_once(rho, width, probe_pairs, seed, before=measured)
         passes.append(rec)
         for ok, value, bound in (
                 (rec.contraction_ok, f"defect {rec.after.delta:.3g}",

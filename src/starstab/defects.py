@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
-                      stack_coeffs, stack_elements, stack_norms, stack_row)
+from .algebra import (AlgebraElement, AlgebraShape, identity, stack_coeffs,
+                      stack_elements, stack_norms, stack_row)
 from .errors import EvaluationError, PreconditionError
 from .probes import (constant, defect_stacks, defect_triples, distinct_rows,
                      forked_spheres, sphere_probes)
@@ -208,21 +208,19 @@ def _defects_on_pairs(m: ApproxMap, x, y, lams: np.ndarray) -> DefectReport:
     return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)), lams)[0]
 
 
-def estimate_defect(m: ApproxMap, samples: int,
-                    det_cap: int = 12, det_pair_cap: int = 256) -> DefectReport:
+def estimate_defect(m: ApproxMap, samples: int, det_cap: int = 12) -> DefectReport:
     """Evaluate the five defects on random unit-ball pairs plus the
     deterministic probe grid; per-probe seeds derive from the probe index, so
     the probe set, and the distinct rows of its stacks, are a constant of
-    (shape, samples, det_cap, det_pair_cap) (``probes.defect_triples``)."""
+    (shape, samples, det_cap) (``probes.defect_triples``)."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    x, y, lams, index = defect_triples(m.domain, samples, det_cap, det_pair_cap)
+    x, y, lams, index = defect_triples(m.domain, samples, det_cap)
     return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)), lams)[0]
 
 
 def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
-                                det_cap: int = 12,
-                                det_pair_cap: int = 256) -> list[DefectReport]:
+                                det_cap: int = 12) -> list[DefectReport]:
     """``estimate_defect`` of each compression x -> v* m(x) v, one report per
     isometry v of ``isometries``, with m evaluated once per probe stack.
 
@@ -234,7 +232,7 @@ def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    x, y, lams, index = defect_triples(m.domain, samples, det_cap, det_pair_cap)
+    x, y, lams, index = defect_triples(m.domain, samples, det_cap)
     return _defect_suprema(([la.compress(v, f) for v in isometries]
                             for f in _defect_values(m, x, y, lams, index)), lams)
 
@@ -244,14 +242,13 @@ def map_norm(m: ApproxMap, probes) -> float:
     return la.op_norm(m.batch(probes))
 
 
-def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
-              band: tuple[float, float] = (0.25, 0.75)) -> ApproxMap:
+def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64) -> ApproxMap:
     """Rescale a map to be contractive and snap its value at 1 to a projection.
 
     ``defect`` is the caller's measured report of ``m``, kept in the metadata
     as ``defect_before``; the snapped projection, the new map's value at 1,
     is kept as ``unit_projection``.  Refuses when that defect is not < 0.1
-    or when the value at 1 has an eigenvalue inside ``band`` (no spectral
+    or when the value at 1 has an eigenvalue inside [1/4, 3/4] (no spectral
     gap).
     """
     if not defect.epsilon < 0.1:
@@ -260,8 +257,7 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64,
     one = identity(m.domain)
     probes = constant(sphere_probes, m.domain, max(samples, 16), 7)
     scale = max(1.0, map_norm(m, probes))
-    p, moved = la.spectral_round_projection(la.herm(m.batch(stack_elements([one]))[0]),
-                                            band=band)
+    p, moved = la.spectral_round_projection(la.herm(m.batch(stack_elements([one]))[0]))
     p.setflags(write=False)
     one_bits = [a.view(np.int64).ravel() for a in one.blocks]
 
@@ -350,8 +346,7 @@ class IsometryReport:
     steps: tuple = ()       # (label, value) pairs replayed along the descent
 
 
-def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
-                        sampler: HaarSampler | None = None) -> IsometryReport:
+def isometry_diagnostic(m: ApproxMap, eps: float, trials: int) -> IsometryReport:
     """Search norm-one probes for a violation of 2 sqrt(eps)-isometry on a
     single-block domain; replay the squaring descent when one is found.
 
@@ -372,8 +367,7 @@ def isometry_diagnostic(m: ApproxMap, eps: float, trials: int,
         return IsometryReport("not-nonzero", thr, len(probes[0]))
 
     ell = m.domain.blocks[0]
-    xs = (constant(forked_spheres, m.domain, trials, 11, "iso") if sampler is None
-          else forked_spheres(m.domain, trials, sampler.seed, "iso"))
+    xs = constant(forked_spheres, m.domain, trials, 11, "iso")
     low = np.flatnonzero(la.op_norms(m.batch(xs)) < 1.0 - thr)
     if not low.size:
         return IsometryReport("isometric", thr, trials)

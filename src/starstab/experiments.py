@@ -208,26 +208,15 @@ class TowerReport:
 
 
 def tower_experiment(inclusions: list[InclusionSpec], eta: float,
-                     config: PipelineConfig | None = None,
-                     top_shape: AlgebraShape | None = None) -> TowerReport:
+                     config: PipelineConfig | None = None) -> TowerReport:
     """Perturb an exact embedding of the top algebra of a unital tower and
-    measure the recovery constant of the pipeline restricted to each floor.
-
-    A single-stage chain (no inclusions, ``top_shape`` given) degenerates to
-    one plain pipeline run.
-    """
+    measure the recovery constant of the pipeline restricted to each floor."""
     config = config or PipelineConfig()
-    shapes = []
-    if inclusions:
-        for k, inc in enumerate(inclusions):
-            shapes.append(inc.source)
-            if k + 1 < len(inclusions) and inc.target != inclusions[k + 1].source:
-                raise PreconditionError("inclusion chain does not compose")
-        shapes.append(inclusions[-1].target)
-    elif top_shape is not None:
-        shapes.append(top_shape)
-    else:
+    if not inclusions:
         raise PreconditionError("tower needs at least one floor")
+    if any(inc.target != nxt.source for inc, nxt in zip(inclusions, inclusions[1:])):
+        raise PreconditionError("inclusion chain does not compose")
+    shapes = [inc.source for inc in inclusions] + [inclusions[-1].target]
     top = shapes[-1]
     psi_top = exact_homomorphism(EmbeddingSpec(top, tuple(1 for _ in top.blocks), 0))
     phi = perturb_additive(psi_top, eta, seed=_derive_seed(config.seed, "tower"))

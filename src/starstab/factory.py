@@ -133,10 +133,11 @@ def _hash_normals(seed: int, payloads, count: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def _quantized_keys(stack, grid: float = 1e-9) -> np.ndarray:
-    """(K, 2 linear_dim) int64 rows; the bytes of row k hash element k."""
+def _quantized_keys(stack) -> np.ndarray:
+    """(K, 2 linear_dim) int64 rows, the entries on a 1e-9 grid; the bytes
+    of row k hash element k."""
     v = stack_coeffs(stack).view(np.float64)
-    return np.rint(v / grid).astype(np.int64)
+    return np.rint(v / 1e-9).astype(np.int64)
 
 
 def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
@@ -182,12 +183,10 @@ def perturb_conjugate(psi: ApproxMap, s: np.ndarray) -> ApproxMap:
                               **{**psi.meta, "kind": "conjugate", "s_distance": dev})
 
 
-def near_identity(n: int, dist: float, seed: int = 0, hermitian: bool = True) -> np.ndarray:
-    """1 + dist * h with ||h|| = 1 (Hermitian by default)."""
+def near_identity(n: int, dist: float, seed: int = 0) -> np.ndarray:
+    """1 + dist * h with h Hermitian and ||h|| = 1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 0x51]))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if hermitian:
-        g = la.herm(g)
+    g = la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     g /= la.op_norm(g)
     return np.eye(n) + dist * g
 
@@ -228,19 +227,19 @@ def mesh_constant(shape: AlgebraShape) -> float:
     return math.sqrt(2.0 * shape.linear_dim)
 
 
-def discretize(phi: ApproxMap, grid: float, probe_seed: int = 3,
-               probe_count: int = 32) -> ApproxMap:
+def discretize(phi: ApproxMap, grid: float) -> ApproxMap:
     """Precompose with entry-lattice quantization: phi'(x) = phi(q(x)).
 
     The output has finite range on bounded sets and satisfies
     ||phi' - phi|| <= Lip * c(shape) * grid over probes, where Lip is the
-    measured modulus of continuity recorded in the metadata.
+    modulus of continuity measured on 32 fixed ball probes and recorded in
+    the metadata.
     """
     if grid <= 0.0:
         raise PreconditionError("grid step must be positive")
     out = phi.compose_input(lambda stack: tuple(lattice_quantize(s, grid) for s in stack),
                             kind="discretized", grid=grid)
-    x = constant(ball_probes, phi.domain, probe_count, probe_seed)
+    x = constant(ball_probes, phi.domain, 32, 3)
     q = tuple(lattice_quantize(s, grid) for s in x)
     d = stack_norms(tuple(a - b for a, b in zip(x, q)))
     moved = d > 1e-15

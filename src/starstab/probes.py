@@ -25,6 +25,7 @@ from .algebra import (AlgebraShape, HaarSampler, contraction_stack,
                       sphere_stack, stack_elements, unitary_stack, zeros)
 
 CACHE_CAP = 64
+DET_PAIR_CAP = 256      # most deterministic defect pairs kept, strided
 
 
 def _freeze(value):
@@ -82,14 +83,15 @@ def deterministic_stack(shape: AlgebraShape, cap: int | None = None):
     return stack_elements(deterministic_elements(shape, cap))
 
 
-def deterministic_pairs(shape: AlgebraShape, cap_elems: int = 12, cap_pairs: int = 256):
+def deterministic_pairs(shape: AlgebraShape, cap_elems: int = 12):
     """Ordered pairs (x, y, lambda) over the deterministic probes, strided to
-    a cap: per-block stacks of x and of y, and a (K,) array of lambda."""
+    ``DET_PAIR_CAP``: per-block stacks of x and of y, and a (K,) array of
+    lambda."""
     elems = deterministic_stack(shape, cap_elems)
     m = len(elems[0])
     k = np.arange(m * m)
-    if len(k) > cap_pairs:
-        k = np.unique(np.linspace(0, len(k) - 1, cap_pairs).round().astype(int))
+    if len(k) > DET_PAIR_CAP:
+        k = np.unique(np.linspace(0, len(k) - 1, DET_PAIR_CAP).round().astype(int))
     lams = np.array([1.0, -1.0, 1j, 0.5 + 0.5j])
     return (tuple(e[k // m] for e in elems), tuple(e[k % m] for e in elems),
             lams[k % len(lams)])
@@ -131,21 +133,20 @@ def defect_stacks(x, y, lams: np.ndarray):
     yield tuple(adj(a) for a in x)
 
 
-def _defect_triples(shape: AlgebraShape, samples: int, det_cap: int, det_pair_cap: int):
+def _defect_triples(shape: AlgebraShape, samples: int, det_cap: int):
     x, y, lam = _random_triples(shape, samples)
-    dx, dy, dlam = deterministic_pairs(shape, det_cap, det_pair_cap)
+    dx, dy, dlam = deterministic_pairs(shape, det_cap)
     x, y, lam = _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
     return x, y, lam, tuple(distinct_rows(s) for s in defect_stacks(x, y, lam))
 
 
-def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12,
-                   det_pair_cap: int = 256):
+def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12):
     """``estimate_defect``'s probe triples (x, y, lambda): the first
     ``samples`` random unit-ball triples, then the deterministic pairs;
     then the ``distinct_rows`` of each of their six ``defect_stacks``.  Each
     whole set is one cache entry, so the distinct rows are found once per
     set."""
-    return constant(_defect_triples, shape, samples, det_cap, det_pair_cap)
+    return constant(_defect_triples, shape, samples, det_cap)
 
 
 def random_unitaries(shape: AlgebraShape, count: int, seed: int):
@@ -160,9 +161,10 @@ def unitary_pairs(shape: AlgebraShape, count: int, seed: int):
     return unitary_stack(shape, gens[0::2]), unitary_stack(shape, gens[1::2])
 
 
-def ball_probes(shape: AlgebraShape, count: int, seed: int, det_cap: int = 24):
-    """Deterministic unit-ball probes padded with random contractions."""
-    det = constant(deterministic_stack, shape, det_cap)
+def ball_probes(shape: AlgebraShape, count: int, seed: int):
+    """Up to 24 deterministic unit-ball probes padded with random
+    contractions."""
+    det = constant(deterministic_stack, shape, 24)
     gens = HaarSampler(shape, seed).generators(count - len(det[0]))
     return _concat(det, contraction_stack(shape, gens))
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
                       unitary_stack)
-from .averaging import HaarSampler, _batch_means, _require_batches, _spread
+from .averaging import BATCHES, HaarSampler, _batch_means, _spread
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
@@ -40,7 +40,7 @@ class Unitarizer:
             raise PreconditionError("recorded deviation does not match T")
 
 
-def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray, batches: int = 8,
+def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
               eps2: float | None = None, snap_tol: float = 1e-3, seed: int = 0):
     """Average tau(u)* tau(u) over ``width`` Haar draws, conjugate by the
     square root and snap to unitaries; ``seed`` seeds the draws.
@@ -51,7 +51,6 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray, batches: int = 8,
     (K, N, N) stack, and ``width`` >= 2 draws (one draw is one batch, with
     no Monte-Carlo spread).
     """
-    _require_batches(batches)
     if width < 2:
         raise PreconditionError(f"Gram average needs width >= 2 draws, got {width}")
     eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
@@ -62,7 +61,7 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray, batches: int = 8,
     draws = tau.batch(unitary_stack(tau.domain, sampler.generators(width)))
     grams = la.adj(draws) @ draws
     mean = la.herm(grams.mean(axis=0))
-    mc = _spread(_batch_means(grams, batches))
+    mc = _spread(_batch_means(grams, BATCHES))
     w = np.linalg.eigvalsh(mean)
     if w[0] <= 0.0:
         raise SingularMapError("averaged Gram matrix is not positive definite")
@@ -236,12 +235,11 @@ def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
         la.compress(v, mats), hint, la.compress(v, hs), depth + 1, ambient)]
 
 
-def decompose(pi: ApproxMap, generator_count: int = 4, tol: float = 1e-8,
-              seed: int = 0, defect_hint: float = 0.0) -> BlockDecomposition:
+def decompose(pi: ApproxMap, tol: float = 1e-8, seed: int = 0,
+              defect_hint: float = 0.0) -> BlockDecomposition:
     """Split a (near-)unitary representation into irreducible invariant blocks.
 
-    ``seed`` seeds the ``generator_count`` Haar unitaries at which ``pi`` is
-    evaluated.
+    ``seed`` seeds the four Haar unitaries at which ``pi`` is evaluated.
 
     ``tol`` bounds the commutation residual of the returned projections;
     ``defect_hint`` tells the commutant solve how multiplicative the input
@@ -249,9 +247,7 @@ def decompose(pi: ApproxMap, generator_count: int = 4, tol: float = 1e-8,
     restricted commutant is one-dimensional; aborts if the rank of the
     commutant solve is ambiguous.
     """
-    if generator_count < 2:
-        raise PreconditionError("need at least two generators")
-    gens = random_unitaries(pi.domain, generator_count, _derive_seed(seed, "gens"))
+    gens = random_unitaries(pi.domain, 4, _derive_seed(seed, "gens"))
     mats = pi.batch(gens)
     unit_dev = la.op_norm(la.adj(mats) @ mats - np.eye(pi.dim))
     if unit_dev > 1e-8:
@@ -297,8 +293,8 @@ def stone_points(a: AlgebraElement) -> list[AlgebraElement]:
     return [involution_exp(a, r) for r in STONE_ANGLES]
 
 
-def stone_generator(values: np.ndarray, verify_tol: float = 1e-6, snap_tol: float = 1e-3,
-                    branch_guard: float = 1e-6) -> np.ndarray:
+def stone_generator(values: np.ndarray, verify_tol: float = 1e-6,
+                    snap_tol: float = 1e-3) -> np.ndarray:
     """Image of a self-adjoint unitary a under the one-parameter-group
     logarithm of the representation, from its values at ``stone_points(a)``.
 
@@ -308,7 +304,7 @@ def stone_generator(values: np.ndarray, verify_tol: float = 1e-6, snap_tol: floa
     pi(exp(i r a)) = exp(i r rho(a)) at the other angles.
     """
     r0, *verify_at = STONE_ANGLES
-    h = la.principal_log_unitary(values[0], branch_guard) / r0
+    h = la.principal_log_unitary(values[0]) / r0
     rho, _ = la.herm_sign_snap(h, snap_tol)
     for r, lhs in zip(verify_at, values[1:]):
         rhs = np.cos(r) * np.eye(len(rho)) + 1j * np.sin(r) * rho

@@ -28,6 +28,9 @@ from .errors import (GapError, MultiplicityMismatch, PreconditionError,
 from .factory import EmbeddingSpec, exact_homomorphism
 from .probes import ball_probes, constant
 
+K = 50.0                # correction constant: budget factor, asserted ||psi - phi||/eps
+RELATION_TOL = 1e-9     # largest matrix-unit relation residual of a corrected system
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixUnitSystem:
@@ -115,7 +118,7 @@ def relation_residual(shape: AlgebraShape, basis: np.ndarray) -> float:
 
 
 def _round_orthogonal(candidate: np.ndarray, accepted: np.ndarray | None,
-                      rank: int, band=(0.25, 0.75)) -> np.ndarray:
+                      rank: int, band) -> np.ndarray:
     """Spectral-round a near-projection into the complement of the accepted
     ranges, preserving its rank."""
     if accepted is not None:
@@ -147,10 +150,8 @@ def correction_points(shape: AlgebraShape):
     return constant(_correction_points, shape)
 
 
-def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
-                           eps: float | None = None,
+def matrix_unit_correction(phi: ApproxMap, eps: float | None = None,
                            admissible: float = 1e-2,
-                           assert_factor: float = 50.0,
                            values: np.ndarray | None = None):
     """Correct an approximate homomorphism to an exact one nearby.
 
@@ -158,9 +159,10 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
     rounded element has an eigenvalue inside [1/2 - 5 eps, 1/2 + 5 eps].
     phi is read at ``correction_points``: its first-column units give the
     unit system, and the distance ||psi - phi|| over the 48 probes after
-    them is asserted to stay below ``assert_factor * eps`` (plus a small
-    absolute floor).  A caller that holds phi's values there hands them in
-    as ``values``, a (sum n_b + 48, N, N) stack, and phi is not evaluated.
+    them is asserted to stay below ``K * eps`` (plus a small absolute
+    floor), and the unit relations to hold to ``RELATION_TOL``.  A caller
+    that holds phi's values there hands them in as ``values``, a
+    (sum n_b + 48, N, N) stack, and phi is not evaluated.
     """
     shape = phi.domain
     n_amb = phi.dim
@@ -208,13 +210,13 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
                       for i in range(n) for j in range(n)])
     system = MatrixUnitSystem(shape, basis, tuple(mults))
     resid = system.relation_residual()
-    if resid > tol:
-        raise SingularMapError(
-            f"matrix-unit relations only hold to {resid:.3g} (tolerance {tol:.3g})")
+    if resid > RELATION_TOL:
+        raise SingularMapError(f"matrix-unit relations only hold to {resid:.3g} "
+                               f"(tolerance {RELATION_TOL:.3g})")
     psi = system.as_map()
     probes = tuple(s[starts[-1]:] for s in points)
     dist = la.op_norm(psi.batch(probes) - values[starts[-1]:])
-    bound = assert_factor * eps + 1e-9
+    bound = K * eps + 1e-9
     info = {"distance": dist, "distance_bound": bound, "distance_ok": dist <= bound,
             "relation_residual": resid, "epsilon": eps,
             "multiplicities": tuple(mults)}
@@ -224,13 +226,13 @@ def matrix_unit_correction(phi: ApproxMap, tol: float = 1e-9,
     return system, psi, info
 
 
-def _multiplicity_profile(psi: ApproxMap, tol: float = 1e-6):
+def _multiplicity_profile(psi: ApproxMap):
     """(multiplicity per block, padding rank, image of 1) of an exact
     embedding."""
     shape = psi.domain
     corners = [matrix_unit(shape, b, 0, 0) for b in range(len(shape.blocks))]
     p = psi.batch(stack_elements(corners + [identity(shape)]))
-    if la.op_norm(p @ p - p) > tol:
+    if la.op_norm(p @ p - p) > 1e-6:
         raise PreconditionError("map is not an exact homomorphism "
                                 "(corner or unit image is not a projection)")
     ranks = [int(round(float(t))) for t in np.trace(p, axis1=1, axis2=2).real]
@@ -318,15 +320,16 @@ class TraceExpectation:
         return (self._coefficients(y) @ self._blockdiag).reshape(*y.shape[:-2], n, n)
 
 
-def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9,
-                       probes=None, correction_kwargs: dict | None = None):
+def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, probes=None,
+                       admissible: float = 1e-2):
     """Move a map whose range nearly lies in a represented subalgebra into it.
 
     Projects through the trace expectation, corrects to an exact
     homomorphism inside the subalgebra, and aligns with a unitary close
     to 1.  Returns (V, psi, info) with the near-inclusion distance measured
     over ``probes`` (a per-block stack; by default 48 fixed unit-ball probes)
-    and the sqrt-budget checks.
+    and the sqrt-budget checks.  ``admissible`` is the admissibility gate
+    of both matrix-unit corrections it runs.
     """
     if target.dim != psi1.dim:
         raise PreconditionError("target subalgebra lives in a different matrix size")
@@ -335,13 +338,12 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
         probes = constant(ball_probes, psi1.domain, 48, 29)
     values = psi1.batch(probes)
     eps6 = exp.distance(values, stack_norms(probes))
-    kw = dict(correction_kwargs or {})
 
     # correct inside the subalgebra: work in block-diagonal coordinates
     small_shape = target.shape
     small = psi1.compose_output(exp.blockdiag, small_shape.blockdiag_dim,
                                 kind="expectation-compressed")
-    _, psi_small, corr_info = matrix_unit_correction(small, tol=tol, **kw)
+    _, psi_small, corr_info = matrix_unit_correction(small, admissible=admissible)
 
     embedded = np.stack([target.embed(from_blockdiag(small_shape, f))
                          for f in psi_small.basis])
@@ -351,11 +353,11 @@ def near_inclusion_fix(psi1: ApproxMap, target: EmbeddingSpec, tol: float = 1e-9
 
     # exactify psi1 unless its basis already obeys the relations, then intertwine
     if psi1.basis is not None and \
-            relation_residual(psi1.domain, psi1.basis) <= tol:
+            relation_residual(psi1.domain, psi1.basis) <= RELATION_TOL:
         psi1_exact, corr1_info = psi1, None
     else:
-        _, psi1_exact, corr1_info = matrix_unit_correction(psi1, tol=tol, **kw)
-    v = intertwiner(psi1_exact, psi_b, tol=max(tol, 1e-10))
+        _, psi1_exact, corr1_info = matrix_unit_correction(psi1, admissible=admissible)
+    v = intertwiner(psi1_exact, psi_b, tol=RELATION_TOL)
     v_dev = la.op_norm(v - np.eye(psi1.dim))
     movement = la.op_norm(v @ values @ v.conj().T - values)
     root = np.sqrt(max(eps6, 1e-12))

@@ -143,14 +143,14 @@ def test_acceptance_6_peter_weyl():
             m[4, 4] = 1.0
             return m
 
-        dec_a = decompose(ApproxMap(shape, 5, rep_a), 4, tol=1e-10,
+        dec_a = decompose(ApproxMap(shape, 5, rep_a), tol=1e-10,
                           seed=_derive_seed(5, "decompose"))
         assert sorted(dec_a.block_dims) == [1, 2, 2]
         assert dec_a.residual < 1e-10
         assert dec_a.check_partition(1e-10)
 
         dec_b = decompose(ApproxMap(shape, 6, lambda u: np.kron(u.blocks[0], np.eye(3))),
-                          4, tol=1e-10, seed=_derive_seed(6, "decompose"))
+                          tol=1e-10, seed=_derive_seed(6, "decompose"))
         assert dec_b.block_dims == (2, 2, 2)
         assert dec_b.residual < 1e-10
 

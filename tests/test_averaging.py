@@ -7,8 +7,8 @@ import starstab._linalg as la
 from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, stack_coeffs,
                               stack_elements, stack_rows)
 import starstab.averaging
-from starstab.averaging import (NUMERIC_FLOOR, average_once, measure_group_map, schedule,
-                                stabilize)
+from starstab.averaging import (NUMERIC_FLOOR, AveragedGroupMap, average_once,
+                                measure_group_map, schedule, stabilize)
 from starstab.defects import ApproxMap
 from starstab.config import PipelineConfig
 from starstab.errors import (ContractionError, EvaluationError, PreconditionError,
@@ -101,17 +101,22 @@ def test_average_once_rejects_bad_hypothesis():
         return 0.4 * np.eye(3, dtype=complex)
     rho = ApproxMap(AlgebraShape([3]), 3, fn)
     with pytest.raises(PreconditionError):
-        average_once(rho, 16, seed=1)
+        average_once(rho, 16, unitary_pairs(rho.domain, 8, _derive_seed(1, "probes", 17)),
+                     seed=1)
 
 
 def test_translation_invariance_of_estimator():
+    # Haar invariance: averaging over the samples g x_j instead of x_j
+    # moves each value by no more than the two passes' Monte-Carlo terms
     rho = perturb_additive(embedding8(), 2e-4, seed=10)
     pairs = unitary_pairs(SHAPE2, 4, 12)
     g = HaarSampler(SHAPE2, 99).unitary()
     out_a, rec_a = average_once(rho, 192, probe_pairs=pairs, seed=11)
-    out_b, rec_b = average_once(rho, 192, probe_pairs=pairs, seed=11, translate_by=g)
-    budget = rec_a.after.closeness_mc + rec_b.after.closeness_mc \
-        + rec_a.after.mc + rec_b.after.mc + NUMERIC_FLOOR
+    samples = tuple(t @ s for t, s in zip(g.blocks, out_a.samples))
+    out_b = AveragedGroupMap(rho, samples, la.batched_inv_cond(rho.batch(samples)), 1)
+    after_b = measure_group_map(out_b, pairs, against=rec_a.before)
+    budget = rec_a.after.closeness_mc + after_b.closeness_mc \
+        + rec_a.after.mc + after_b.mc + NUMERIC_FLOOR
     for u, v in pair_rows(pairs):
         for w in (u, v, u * v):
             assert la.op_norm(out_a(w) - out_b(w)) <= budget
@@ -119,7 +124,8 @@ def test_translation_invariance_of_estimator():
 
 def test_stabilize_exact_is_level_zero():
     rho = embedding8()
-    res = stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=64, seed=1)
+    res = stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=64,
+                    probe_pairs=unitary_pairs(SHAPE2, 8, _derive_seed(1, "stab")), seed=1)
     assert res.final is rho
     assert res.levels == []
     assert res.movement == 0.0
@@ -180,7 +186,8 @@ def test_a_pass_beyond_its_closeness_bound_aborts(monkeypatch):
 def test_stabilize_rejects_large_initial_defect():
     rho = perturb_additive(embedding8(), 5e-3, seed=16)
     with pytest.raises(PreconditionError):
-        stabilize(rho, eps1=2.0 ** -12, tol=1e-9, width=64, seed=17)
+        stabilize(rho, eps1=2.0 ** -12, tol=1e-9, width=64,
+                  probe_pairs=unitary_pairs(SHAPE2, 8, _derive_seed(17, "stab")), seed=17)
 
 
 def test_quadratic_contraction_sweep():
@@ -274,24 +281,6 @@ def test_non_finite_parent_value_aborts_averaging():
     assert la.op_norm(err.value.offending.blocks[0] - target) <= 1e-12
 
 
-def test_measurement_needs_two_batches():
-    rho = embedding8()
-    with pytest.raises(PreconditionError, match="batches >= 2"):
-        measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3), batches=1)
-
-
-def test_average_once_needs_two_batches():
-    rho = perturb_additive(embedding8(), 2e-4, seed=4)
-    with pytest.raises(PreconditionError, match="batches >= 2"):
-        average_once(rho, 16, batches=1, seed=5)
-
-
-def test_stabilize_needs_two_batches():
-    rho = perturb_additive(embedding8(), 2e-4, seed=4)
-    with pytest.raises(PreconditionError, match="batches >= 2"):
-        stabilize(rho, eps1=2.0 ** -10, tol=1e-8, width=16, batches=1, seed=5)
-
-
 def failing_group_map(result):
     """An opaque map on the unitary group of M_2 into M_4 whose evaluator
     fails at every point: a NaN value, a 3 x 3 value or a raise."""
@@ -306,7 +295,7 @@ def failing_group_map(result):
 
 GROUP_MAP_CALLERS = {
     "measure_group_map": lambda rho: measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3)),
-    "decompose": lambda rho: decompose(rho, 4),
+    "decompose": lambda rho: decompose(rho),
     "unitarize": lambda rho: unitarize(rho, 8, np.broadcast_to(np.eye(4), (8, 4, 4))),
 }
 

@@ -13,7 +13,7 @@ from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
 from starstab.errors import GapError, PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               perturb_additive)
-from starstab.probes import deterministic_pairs, sphere_probes
+from starstab.probes import DET_PAIR_CAP, deterministic_pairs, sphere_probes
 
 SHAPE2 = AlgebraShape([2])
 
@@ -262,5 +262,6 @@ def test_evaluator_failure_carries_input():
 
 
 def test_deterministic_pairs_capped():
-    pairs = deterministic_pairs(AlgebraShape([3, 3]), cap_elems=10, cap_pairs=50)
-    assert len(pairs[2]) <= 50
+    # 24 of M_3 + M_3's 34 deterministic elements make 576 pairs
+    pairs = deterministic_pairs(AlgebraShape([3, 3]), cap_elems=24)
+    assert len(pairs[2]) <= DET_PAIR_CAP < 24 * 24

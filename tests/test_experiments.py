@@ -61,12 +61,6 @@ def test_tower_chain():
     assert rep.ok()
 
 
-def test_tower_single_stage_matches_pipeline():
-    rep = tower_experiment([], 1e-3, FAST, top_shape=AlgebraShape([2]))
-    assert len(rep.stages) == 1
-    assert rep.ok()
-
-
 def test_tower_zero_eta():
     sh2 = AlgebraShape([2])
     rep = tower_experiment([InclusionSpec.single(sh2, 2)], 0.0, FAST)
@@ -77,6 +71,14 @@ def test_tower_zero_eta():
 def test_tower_rejects_non_unital_chain():
     with pytest.raises(PreconditionError):
         InclusionSpec(AlgebraShape([2]), AlgebraShape([5]), [[2]])
+
+
+def test_tower_rejects_an_empty_or_broken_chain():
+    inc = InclusionSpec.single(AlgebraShape([2]), 2)
+    with pytest.raises(PreconditionError, match="at least one floor"):
+        tower_experiment([], 1e-3, FAST)
+    with pytest.raises(PreconditionError, match="does not compose"):
+        tower_experiment([inc, inc], 1e-3, FAST)
 
 
 def test_sweep_rows_and_csv():

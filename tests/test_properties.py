@@ -12,7 +12,8 @@ import starstab._linalg as la
 from starstab.algebra import AlgebraShape, _derive_seed
 from starstab.config import MINIMUMS, PipelineConfig, parse_config
 from starstab.errors import ConfigError
-from starstab.factory import EmbeddingSpec, exact_homomorphism, haar_conjugator
+from starstab.factory import (EmbeddingSpec, exact_homomorphism, haar_conjugator,
+                              perturb_additive)
 from starstab.pipeline import run_pipeline
 from starstab.reps import decompose
 from starstab.synthesis import TraceExpectation, relation_residual
@@ -69,16 +70,30 @@ RECOVERY = PipelineConfig(probes=96, group_probes=6, mc_width=128,
                           unitarize_width=48, max_levels=1)
 
 
+@pytest.mark.parametrize("path", ["units", "stone"])
 @settings(max_examples=8, deadline=None)
 @given(embeddings())
 # the corner basis puts the one-dimensional block between the two coordinates
 # of the 2 x 2 block, where both probes with diagonal 1..n are scalar
 @example((EmbeddingSpec(AlgebraShape((2, 1)), (1, 1), 1, None), 0))
-def test_exact_input_is_a_fixed_point(case):
+def test_exact_input_is_a_fixed_point(path, case):
     spec, seed = case
-    _, report = run_pipeline(exact_homomorphism(spec), RECOVERY.replace(seed=seed))
+    _, report = run_pipeline(exact_homomorphism(spec), RECOVERY.replace(seed=seed, path=path))
     assert report.final_distance < 1e-8
     assert report.ok()
+
+
+@pytest.mark.parametrize("path", ["units", "stone"])
+@settings(max_examples=8, deadline=None)
+@given(embeddings(), st.sampled_from([1e-3, 1e-2]))
+def test_small_additive_perturbation_is_recovered(path, case, eta):
+    # the sweep's bound: a recovered map within 50 eta that is exact
+    spec, seed = case
+    phi = perturb_additive(exact_homomorphism(spec), eta, seed)
+    psi, report = run_pipeline(phi, RECOVERY.replace(seed=seed, path=path))
+    assert report.ok()
+    assert report.final_distance <= 50 * eta
+    assert psi.meta["output_defect"]["epsilon"] <= 1e-8
 
 
 def _value(key):

@@ -105,7 +105,7 @@ def test_decompose_direct_sum_with_trivial_line():
         m[4, 4] = 1.0
         return m
 
-    dec = decompose(group_map(rep, 5), 4, tol=1e-10, seed=decompose_seed(11))
+    dec = decompose(group_map(rep, 5), tol=1e-10, seed=decompose_seed(11))
     assert sorted(dec.block_dims) == [1, 2, 2]
     assert dec.residual < 1e-10
     assert dec.check_partition(1e-10)
@@ -113,13 +113,13 @@ def test_decompose_direct_sum_with_trivial_line():
 
 def test_decompose_triple_multiplicity():
     dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(3)), 6),
-                    4, tol=1e-10, seed=decompose_seed(12))
+                    tol=1e-10, seed=decompose_seed(12))
     assert dec.block_dims == (2, 2, 2)
     assert dec.residual < 1e-10
 
 
 def test_decompose_fundamental_is_irreducible():
-    dec = decompose(fundamental(), 4, tol=1e-10, seed=decompose_seed())
+    dec = decompose(fundamental(), tol=1e-10, seed=decompose_seed())
     assert dec.block_dims == (2,)
     assert la.op_norm(dec.projections[0] - np.eye(2)) < 1e-12
 
@@ -128,13 +128,13 @@ def test_decompose_mixed_shape():
     shape = AlgebraShape([1, 2])
     spec = EmbeddingSpec(shape, (2, 1), 0)
     psi = exact_homomorphism(spec)
-    dec = decompose(group_map(psi, 4, shape), 4, tol=1e-10, seed=decompose_seed(13))
+    dec = decompose(group_map(psi, 4, shape), tol=1e-10, seed=decompose_seed(13))
     assert sorted(dec.block_dims) == [1, 1, 2]
 
 
 def test_decompose_sorted_and_json():
     dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4),
-                    4, tol=1e-10, seed=decompose_seed(14))
+                    tol=1e-10, seed=decompose_seed(14))
     assert list(dec.block_dims) == sorted(dec.block_dims)
     d = json.loads(dec.to_json())
     assert d["dim"] == 4 and d["block_dims"] == [2, 2]
@@ -143,7 +143,7 @@ def test_decompose_sorted_and_json():
 
 def test_compress_block():
     pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
-    dec = decompose(pi, 4, tol=1e-10, seed=decompose_seed(15))
+    dec = decompose(pi, tol=1e-10, seed=decompose_seed(15))
     v = dec.isometries()[0]
     vals = compress(pi.batch(random_unitaries(SHAPE2, 3, 16)), v)
     assert vals.shape == (3, 2, 2)
@@ -206,12 +206,6 @@ def test_unitarizer_records_deviation():
     with pytest.raises(PreconditionError):
         Unitarizer(t, 0.5, 0.0)
     Unitarizer(t, la.op_norm(t - np.eye(3)), 0.0)
-
-
-def test_unitarize_needs_two_batches():
-    tau = fundamental()
-    with pytest.raises(PreconditionError, match="batches >= 2"):
-        unitarize(tau, 32, at_probes(tau), batches=1, seed=unitarize_seed())
 
 
 def test_unitarize_needs_two_draws():
