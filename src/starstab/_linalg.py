@@ -3,11 +3,14 @@
 Matrix functions (sqrt, log, sign) act through eigendecompositions and are
 only defined for (numerically) normal input; non-normal matrices are
 rejected rather than silently mangled.
+
+Everything here is numpy except the principal logarithm's Schur factor,
+which takes ``scipy.linalg.schur``.  ``principal_log_unitary`` imports
+scipy on its first call, so importing starstab loads numpy alone.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import BranchCutError, GapError, SingularMapError, SnapError
 
@@ -200,7 +203,8 @@ def principal_log_unitary(u: np.ndarray) -> np.ndarray:
 
     Aborts if an eigenvalue sits within ``BRANCH_GUARD`` of -1.
     """
-    t, z = sla.schur(u, output="complex")
+    import scipy.linalg     # the only scipy use; kept off the import path
+    t, z = scipy.linalg.schur(u, output="complex")
     ev = np.diag(t)
     if np.min(np.abs(ev + 1.0)) < BRANCH_GUARD:
         raise BranchCutError("eigenvalue too close to -1 for a principal logarithm")

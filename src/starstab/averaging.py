@@ -128,7 +128,7 @@ class GroupMeasurement:
 
 def _batch_means(stack: np.ndarray, batches: int) -> np.ndarray:
     m = stack.shape[0]
-    b = max(1, min(batches, m))
+    b = min(batches, m)
     cut = (m // b) * b
     return stack[:cut].reshape(b, cut // b, *stack.shape[1:]).mean(axis=1)
 
@@ -137,8 +137,6 @@ def _spread(mats: np.ndarray) -> float:
     """3 x standard error (Frobenius spread) of a batch of matrices along
     axis -3; the largest over any leading axes."""
     b = mats.shape[-3]
-    if b < 2:
-        return 0.0
     dev = mats - mats.mean(axis=-3, keepdims=True)
     return 3.0 * float(np.sqrt((np.abs(dev) ** 2).sum(axis=(-2, -1)).mean(axis=-1) / b).max())
 

@@ -11,7 +11,7 @@ from starstab.config import parse_config
 from starstab.errors import StageAbort
 from starstab.experiments import SWEEP_COLUMNS
 from starstab.factory import EmbeddingSpec, exact_homomorphism, perturb_additive
-from starstab.pipeline import run_pipeline
+from starstab.pipeline import PipelineReport, run_pipeline
 
 FAST_CFG = """\
 probes = 80
@@ -79,6 +79,13 @@ def test_recover_abort_exit_code(fast_cfg, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "abort in stage 'admissibility'" in err
+
+
+def test_recover_exits_1_when_an_assertion_fails(fast_cfg, monkeypatch):
+    monkeypatch.setattr(PipelineReport, "ok", lambda self: False)
+    code = main(["recover", "--shape", "2", "--mult", "2", "--eta", "1e-3",
+                 "--config", fast_cfg])
+    assert code == 1
 
 
 def test_numerical_failure_aborts_the_stage(fast_cfg, monkeypatch, capsys):

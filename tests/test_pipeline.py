@@ -252,19 +252,58 @@ print(json.dumps(kk.to_dict(include_timing=False), sort_keys=True))
 """
 
 
-def test_canonical_json_independent_of_blas_threads():
+def _run_script(script, **env):
+    """Run ``script`` in a fresh interpreter that imports starstab from this tree."""
     src = str(Path(starstab.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_canonical_json_independent_of_blas_threads():
     outs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        res = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
-                             capture_output=True, text=True, timeout=600)
+        res = _run_script(_THREADS_SCRIPT, OPENBLAS_NUM_THREADS=threads)
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert len(outs[0].splitlines()) == 3
     assert outs[0] == outs[1]
+
+
+_SCIPY_SCRIPT = """
+import importlib
+import pkgutil
+import sys
+
+import starstab
+import starstab.cli
+for mod in pkgutil.iter_modules(starstab.__path__):
+    importlib.import_module("starstab." + mod.name)
+
+import numpy as np
+from starstab._linalg import principal_log_unitary
+from starstab.algebra import AlgebraShape
+from starstab.config import PipelineConfig
+from starstab.factory import EmbeddingSpec, exact_homomorphism, perturb_additive
+from starstab.pipeline import run_pipeline
+
+cfg = PipelineConfig(probes=96, group_probes=6, mc_width=128,
+                     unitarize_width=48, max_levels=1, seed=1)
+phi = perturb_additive(exact_homomorphism(EmbeddingSpec(AlgebraShape([2]), (2,), 0)),
+                       1e-3, seed=5)
+run_pipeline(phi, cfg)
+assert "scipy.linalg" not in sys.modules, "loaded before the Stone route"
+principal_log_unitary(np.eye(2, dtype=complex))
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_only_on_the_stone_route():
+    # importing starstab and a units-path run load numpy alone; the Stone
+    # route's principal logarithm is the one caller of scipy
+    res = _run_script(_SCIPY_SCRIPT)
+    assert res.returncode == 0, res.stderr
 
 
 def test_level_zero_measurement_runs_inside_its_stage(monkeypatch):
