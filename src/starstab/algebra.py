@@ -196,7 +196,9 @@ def from_blockdiag(shape: AlgebraShape, mat: np.ndarray) -> AlgebraElement:
 @dataclass
 class HaarSampler:
     """Deterministic sampler on one algebra: same (seed, counter) gives the
-    same draw regardless of history.  Fork children instead of sharing."""
+    same set regardless of history.  Each draw, of one element or of a set,
+    takes one counter step and one generator; a set of one equals the
+    single-element draw bit for bit.  Fork children instead of sharing."""
 
     shape: AlgebraShape
     seed: int
@@ -210,73 +212,76 @@ class HaarSampler:
     def fork(self, tag) -> "HaarSampler":
         return HaarSampler(self.shape, _derive_seed(self.seed, "fork", tag))
 
-    def generators(self, count: int) -> list[np.random.Generator]:
-        """The generators of the next ``count`` draws, in counter order."""
-        return [self._rng() for _ in range(count)]
+    def unitaries(self, count: int) -> tuple[np.ndarray, ...]:
+        """Per-block stack of ``count`` Haar unitaries."""
+        return unitary_stack(self.shape, self._rng(), count)
+
+    def contractions(self, count: int) -> tuple[np.ndarray, ...]:
+        """Per-block stack of ``count`` Gaussian elements, each rescaled to a
+        norm r drawn uniformly in [0, 1]."""
+        return contraction_stack(self.shape, self._rng(), count)
+
+    def spheres(self, count: int) -> tuple[np.ndarray, ...]:
+        """Per-block stack of ``count`` norm-one elements (Gaussian
+        directions)."""
+        return sphere_stack(self.shape, self._rng(), count)
 
     def unitary(self) -> AlgebraElement:
         """Per-block Haar-distributed unitary."""
-        return _only_row(self.shape, unitary_stack(self.shape, [self._rng()]))
+        return _only_row(self.shape, self.unitaries(1))
 
     def contraction(self) -> AlgebraElement:
         """Gaussian element rescaled to a uniformly drawn norm r in [0, 1]."""
-        return _only_row(self.shape, contraction_stack(self.shape, [self._rng()]))
+        return _only_row(self.shape, self.contractions(1))
 
     def sphere(self) -> AlgebraElement:
         """Norm-one element (Gaussian direction)."""
-        return _only_row(self.shape, sphere_stack(self.shape, [self._rng()]))
+        return _only_row(self.shape, self.spheres(1))
 
     def disc_scalar(self) -> complex:
         """Uniform scalar on the closed unit disc."""
-        return complex(disc_scalars([self._rng()])[0])
+        rng = self._rng()
+        return complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
 
 
-# Each stacked draw below takes one generator per row and draws from it what
-# the single-element sampler method draws, in the same order, so row k equals
-# the element that method gives with generator k, bit for bit.
+# Each stacked draw below takes one generator for the whole set of ``count``
+# elements: block after block, the real then the imaginary parts of all rows
+# as one (count, n_b, n_b) draw each.
 
-def _gaussian_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
-    """Per-block stacks of complex Gaussian matrices; row k holds the draws
-    of ``rngs[k]``, block after block, real part before imaginary part."""
-    out = tuple(np.empty((len(rngs), n, n), dtype=complex) for n in shape.blocks)
-    for k, rng in enumerate(rngs):
-        for s, n in zip(out, shape.blocks):
-            s[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return out
+def _gaussian_stack(shape: AlgebraShape, rng, count: int) -> tuple[np.ndarray, ...]:
+    """Per-block stacks of ``count`` complex Gaussian matrices."""
+    return tuple(rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+                 for n in shape.blocks)
 
 
-def unitary_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
-    """Per-block stack of Haar unitaries, one per generator."""
+def unitary_stack(shape: AlgebraShape, rng, count: int) -> tuple[np.ndarray, ...]:
+    """Per-block stack of ``count`` Haar unitaries: one batched QR of the
+    Gaussians per block, the phases of R's diagonal divided out."""
     out = []
-    for g in _gaussian_stack(shape, rngs):
+    for g in _gaussian_stack(shape, rng, count):
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         out.append(q * (d / np.abs(d))[:, None, :])
     return tuple(out)
 
 
-def contraction_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
-    """Per-block stack of Gaussian elements, each rescaled to a norm r drawn
-    uniformly in [0, 1] after its Gaussians (a zero draw stays zero)."""
-    x = _gaussian_stack(shape, rngs)
-    r = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+def contraction_stack(shape: AlgebraShape, rng, count: int) -> tuple[np.ndarray, ...]:
+    """Per-block stack of ``count`` Gaussian elements, each rescaled to a
+    norm r drawn uniformly in [0, 1] after all the Gaussians (a zero draw
+    stays zero)."""
+    x = _gaussian_stack(shape, rng, count)
+    r = rng.uniform(0.0, 1.0, count)
     nrm = stack_norms(x)
     scale = np.divide(r, nrm, out=np.zeros_like(r), where=nrm != 0.0)
     scale = scale.astype(complex)[:, None, None]
     return tuple(scale * s for s in x)
 
 
-def sphere_stack(shape: AlgebraShape, rngs) -> tuple[np.ndarray, ...]:
-    """Per-block stack of norm-one elements (Gaussian directions)."""
-    x = _gaussian_stack(shape, rngs)
+def sphere_stack(shape: AlgebraShape, rng, count: int) -> tuple[np.ndarray, ...]:
+    """Per-block stack of ``count`` norm-one elements (Gaussian directions)."""
+    x = _gaussian_stack(shape, rng, count)
     nrm = stack_norms(x).astype(complex)[:, None, None]
     return tuple(s / nrm for s in x)
-
-
-def disc_scalars(rngs) -> np.ndarray:
-    """Uniform scalars on the closed unit disc, one per generator."""
-    return np.array([np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-                     for rng in rngs], dtype=complex)
 
 
 def _only_row(shape: AlgebraShape, stack) -> AlgebraElement:

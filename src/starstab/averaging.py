@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .algebra import HaarSampler, _derive_seed, unitary_stack
+from .algebra import HaarSampler, _derive_seed
 from .defects import ApproxMap
 from .errors import ContractionError, PreconditionError
 
@@ -223,8 +223,7 @@ def average_once(rho: ApproxMap, width: int, probe_pairs, seed: int = 0,
             f"averaging hypothesis violated: defect {before.delta:.3g} "
             f">= kappa^-2 = {1.0 / before.kappa ** 2:.3g}")
     level = rho.level + 1 if isinstance(rho, AveragedGroupMap) else 1
-    sampler = HaarSampler(rho.domain, _derive_seed(seed, "level", level))
-    samples = unitary_stack(rho.domain, sampler.generators(width))
+    samples = HaarSampler(rho.domain, _derive_seed(seed, "level", level)).unitaries(width)
     inverses = la.batched_inv_cond(rho.batch(samples))
     new = AveragedGroupMap(rho, samples, inverses, level)
     after = measure_group_map(new, probe_pairs, against=before)

@@ -20,9 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._linalg import adj
-from .algebra import (AlgebraShape, HaarSampler, contraction_stack,
-                      disc_scalars, identity, matrix_unit, matrix_units,
-                      sphere_stack, stack_elements, unitary_stack, zeros)
+from .algebra import (AlgebraShape, HaarSampler, identity, matrix_unit,
+                      matrix_units, stack_elements, zeros)
 
 CACHE_CAP = 64
 DET_PAIR_CAP = 256      # most deterministic defect pairs kept, strided
@@ -99,12 +98,13 @@ def deterministic_pairs(shape: AlgebraShape, cap_elems: int = 12):
 
 def _random_triples(shape: AlgebraShape, samples: int):
     """Random defect triples 0..samples-1: triple i is two contractions and
-    a disc scalar, drawn in that order by the fork ("defect", i) of the
-    seed-0 sampler."""
+    a disc scalar, drawn in that order, each as a set of one, by the fork
+    ("defect", i) of the seed-0 sampler."""
     sampler = HaarSampler(shape, seed=0)
-    gens = [sampler.fork(("defect", i)).generators(3) for i in range(samples)]
-    xs, ys, lams = zip(*gens)
-    return contraction_stack(shape, xs), contraction_stack(shape, ys), disc_scalars(lams)
+    forks = [sampler.fork(("defect", i)) for i in range(samples)]
+    xs, ys, lams = zip(*((f.contractions(1), f.contractions(1), f.disc_scalar())
+                         for f in forks))
+    return _concat(*xs), _concat(*ys), np.array(lams, dtype=complex)
 
 
 def distinct_rows(stack):
@@ -151,35 +151,34 @@ def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12):
 
 def random_unitaries(shape: AlgebraShape, count: int, seed: int):
     """``count`` Haar unitaries as a per-block stack."""
-    return unitary_stack(shape, HaarSampler(shape, seed).generators(count))
+    return HaarSampler(shape, seed).unitaries(count)
 
 
 def unitary_pairs(shape: AlgebraShape, count: int, seed: int):
-    """``count`` pairs of unitaries as two per-block stacks (us, vs); pair k
-    takes the sampler's draws 2k and 2k + 1."""
-    gens = HaarSampler(shape, seed).generators(2 * count)
-    return unitary_stack(shape, gens[0::2]), unitary_stack(shape, gens[1::2])
+    """``count`` pairs of unitaries as two per-block stacks (us, vs), drawn
+    as one set of ``2 * count``: the us are its first ``count`` rows."""
+    both = HaarSampler(shape, seed).unitaries(2 * count)
+    return tuple(s[:count] for s in both), tuple(s[count:] for s in both)
 
 
 def ball_probes(shape: AlgebraShape, count: int, seed: int):
     """Up to 24 deterministic unit-ball probes padded with random
     contractions."""
     det = constant(deterministic_stack, shape, 24)
-    gens = HaarSampler(shape, seed).generators(count - len(det[0]))
-    return _concat(det, contraction_stack(shape, gens))
+    pad = max(count - len(det[0]), 0)
+    return _concat(det, HaarSampler(shape, seed).contractions(pad))
 
 
 def sphere_probes(shape: AlgebraShape, count: int, seed: int):
     """Norm-one probes: identity, normalized units, random directions."""
     units = [identity(shape)] + [e for *_, e in matrix_units(shape)]
     units = units[:count]
-    gens = HaarSampler(shape, seed).generators(count - len(units))
-    return _concat(stack_elements(units), sphere_stack(shape, gens))
+    randoms = HaarSampler(shape, seed).spheres(count - len(units))
+    return _concat(stack_elements(units), randoms)
 
 
 def forked_spheres(shape: AlgebraShape, count: int, seed: int, tag):
-    """Norm-one probes, probe i drawn by the fork (tag, i) of the sampler
-    seeded ``seed``."""
+    """Norm-one probes, probe i drawn as a set of one by the fork (tag, i)
+    of the sampler seeded ``seed``."""
     sampler = HaarSampler(shape, seed)
-    return sphere_stack(shape, [sampler.fork((tag, i)).generators(1)[0]
-                                for i in range(count)])
+    return _concat(*(sampler.fork((tag, i)).spheres(1) for i in range(count)))

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (AlgebraElement, _derive_seed, identity, involution_exp,
-                      unitary_stack)
-from .averaging import BATCHES, HaarSampler, _batch_means, _spread
+from .algebra import AlgebraElement, _derive_seed, identity, involution_exp
+from .averaging import BATCHES, _batch_means, _spread
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
@@ -57,8 +56,7 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
     if not eps3 < 0.5:
         raise PreconditionError(
             f"Gram deviation {eps3:.3g} >= 1/2: too far from unitary to unitarize")
-    sampler = HaarSampler(tau.domain, seed)
-    draws = tau.batch(unitary_stack(tau.domain, sampler.generators(width)))
+    draws = tau.batch(random_unitaries(tau.domain, width, seed))
     grams = la.adj(draws) @ draws
     mean = la.herm(grams.mean(axis=0))
     mc = _spread(_batch_means(grams, BATCHES))

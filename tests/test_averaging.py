@@ -266,9 +266,8 @@ def test_non_finite_parent_value_aborts_averaging():
     psi = embedding8()
     pairs = unitary_pairs(SHAPE2, 2, 41)
     rho_seed = 42
-    sampler = HaarSampler(SHAPE2, _derive_seed(rho_seed, "level", 1))
-    samples = [sampler.unitary() for _ in range(16)]
-    target = samples[3].blocks[0] @ pairs[0][0][0]
+    samples = HaarSampler(SHAPE2, _derive_seed(rho_seed, "level", 1)).unitaries(16)
+    target = samples[0][3] @ pairs[0][0][0]
 
     def fn(x):
         if np.allclose(x.blocks[0], target, rtol=0.0, atol=1e-12):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, HaarSampler, contraction_stack, stack_norms
+from starstab.algebra import AlgebraShape, HaarSampler, stack_norms
 from starstab.config import PipelineConfig
 from starstab.errors import PreconditionError
 from starstab.experiments import (KK_TOL, SWEEP_COLUMNS, TOWER_SLACK, _candidates,
@@ -142,7 +142,7 @@ def three_svd_pick(psi, conj, exp, stack):
 
 def contractions(count):
     shape = AlgebraShape([2])
-    return contraction_stack(shape, HaarSampler(shape, 3).generators(count))
+    return HaarSampler(shape, 3).contractions(count)
 
 
 def test_nearest_point_takes_one_svd_per_row(monkeypatch):
@@ -165,7 +165,7 @@ def test_nearest_point_takes_one_svd_per_row(monkeypatch):
 
 def test_nearest_point_equals_the_three_svd_pick_on_near_ties():
     setting = psi, conj, exp = nearest_point_setting()
-    (ends,) = contractions(32)
+    (ends,) = contractions(48)
     y = psi.batch((ends,))
     cands, _ = _candidates(y, stack_norms((ends,)), conj, exp)
     picks = np.argmin(la.op_norms(y - cands), axis=0)

@@ -20,13 +20,13 @@ from starstab.config import PipelineConfig
 from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
                               estimate_compressed_defects, estimate_defect, normalize)
 from starstab.errors import EvaluationError
-from starstab.experiments import _nearest_point, sweep_instances
+from starstab.experiments import _nearest_point, kk_experiment, sweep_instances
 from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, near_identity_unitary, perturb_additive)
 from starstab.pipeline import run_pipeline
-from starstab.probes import (ball_probes, deterministic_elements, deterministic_pairs,
-                             deterministic_stack, forked_spheres,
+from starstab.probes import (ball_probes, defect_triples, deterministic_elements,
+                             deterministic_pairs, deterministic_stack, forked_spheres,
                              random_unitaries, sphere_probes, unitary_pairs)
 from starstab.reps import unitarize
 from starstab.synthesis import TraceExpectation
@@ -227,33 +227,63 @@ def reference_defects(m, triples):
     return DefectReport(add, scal, mult, adj, max(excess, 0.0), len(triples))
 
 
-# -- reference probe builders: the per-element code that the stacked builders
-# replaced, kept to show that every probe set is unchanged bit for bit
+# -- reference probe builders: per-row loops over the Gaussians of one
+# generator per set, which the stacked builders draw whole; and the draws of
+# one generator per element, which a set of one equals bit for bit, so the
+# single-element draws and the per-fork sets keep those values
 
-def ref_gaussians(shape, rng):
+def ref_gaussians(shape, rng, count):
+    """The blocks of each of the ``count`` rows of a set drawn from ``rng``."""
+    blocks = [rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+              for n in shape.blocks]
+    return [[b[k] for b in blocks] for k in range(count)]
+
+
+def ref_haar(g):
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def ref_rescaled(x, r):
+    nrm = x.norm()
+    return zeros(x.shape) if nrm == 0.0 else (r / nrm) * x
+
+
+def ref_unitaries(s, count):
+    return [AlgebraElement(s.shape, [ref_haar(g) for g in row])
+            for row in ref_gaussians(s.shape, s._rng(), count)]
+
+
+def ref_contractions(s, count):
+    rng = s._rng()
+    rows = ref_gaussians(s.shape, rng, count)
+    return [ref_rescaled(AlgebraElement(s.shape, row), r)
+            for row, r in zip(rows, rng.uniform(0.0, 1.0, count))]
+
+
+def ref_spheres(s, count):
+    xs = [AlgebraElement(s.shape, row) for row in ref_gaussians(s.shape, s._rng(), count)]
+    return [x / x.norm() for x in xs]
+
+
+def elem_gaussians(shape, rng):
     return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in shape.blocks]
 
 
 def ref_unitary(s):
-    mats = []
-    for g in ref_gaussians(s.shape, s._rng()):
-        q, r = np.linalg.qr(g)
-        d = np.diag(r)
-        mats.append(q * (d / np.abs(d)))
-    return AlgebraElement(s.shape, mats)
+    return AlgebraElement(s.shape, [ref_haar(g) for g in elem_gaussians(s.shape, s._rng())])
 
 
 def ref_contraction(s):
     rng = s._rng()
-    x = AlgebraElement(s.shape, ref_gaussians(s.shape, rng))
-    r = rng.uniform(0.0, 1.0)
-    nrm = x.norm()
-    return zeros(s.shape) if nrm == 0.0 else (r / nrm) * x
+    x = AlgebraElement(s.shape, elem_gaussians(s.shape, rng))
+    return ref_rescaled(x, rng.uniform(0.0, 1.0))
 
 
 def ref_sphere(s):
-    x = AlgebraElement(s.shape, ref_gaussians(s.shape, s._rng()))
+    x = AlgebraElement(s.shape, elem_gaussians(s.shape, s._rng()))
     return x / x.norm()
 
 
@@ -278,19 +308,17 @@ def ref_deterministic_pairs(shape, cap_elems=12, cap_pairs=256):
 
 
 def ref_random_unitaries(shape, count, seed):
-    s = HaarSampler(shape, seed)
-    return [ref_unitary(s) for _ in range(count)]
+    return ref_unitaries(HaarSampler(shape, seed), count)
 
 
 def ref_unitary_pairs(shape, count, seed):
-    s = HaarSampler(shape, seed)
-    return [(ref_unitary(s), ref_unitary(s)) for _ in range(count)]
+    both = ref_unitaries(HaarSampler(shape, seed), 2 * count)
+    return list(zip(both[:count], both[count:]))
 
 
 def ref_ball_probes(shape, count, seed):
     det = deterministic_elements(shape, cap=24)
-    s = HaarSampler(shape, seed)
-    return det + [ref_contraction(s) for _ in range(count - len(det))]
+    return det + ref_contractions(HaarSampler(shape, seed), max(count - len(det), 0))
 
 
 def ref_sphere_probes(shape, count, seed):
@@ -300,9 +328,7 @@ def ref_sphere_probes(shape, count, seed):
             for j in range(n):
                 out.append(matrix_unit(shape, b, i, j))
     out = out[:count] if len(out) > count else out
-    s = HaarSampler(shape, seed)
-    out += [ref_sphere(s) for _ in range(count - len(out))]
-    return out
+    return out + ref_spheres(HaarSampler(shape, seed), count - len(out))
 
 
 def ref_defect_triples(shape, samples, det_cap):
@@ -339,9 +365,6 @@ def test_stacked_probe_sets_match_the_per_element_builders(shape):
     for count, seed in ((64, 7), (8, 13), (3, 2)):
         assert same_bits(sphere_probes(shape, count, seed), ref_sphere_probes(shape, count, seed))
     assert same_bits(random_unitaries(shape, 8, 5), ref_random_unitaries(shape, 8, 5))
-    iso = HaarSampler(shape, 11)
-    assert same_bits(forked_spheres(shape, 6, 11, "iso"),
-                     [ref_sphere(iso.fork(("iso", i))) for i in range(6)])
     us, vs = unitary_pairs(shape, 6, 10)
     ref = ref_unitary_pairs(shape, 6, 10)
     assert same_bits(us, [u for u, _ in ref]) and same_bits(vs, [v for _, v in ref])
@@ -349,6 +372,23 @@ def test_stacked_probe_sets_match_the_per_element_builders(shape):
         x, y, lam = deterministic_pairs(shape, det_cap)
         rx, ry, rlam = stacked(ref_deterministic_pairs(shape, det_cap))
         assert same_stack(x, rx) and same_stack(y, ry) and lam.tobytes() == rlam.tobytes()
+    s, r = HaarSampler(shape, 9), HaarSampler(shape, 9)
+    for count in (1, 5):
+        assert same_bits(s.unitaries(count), ref_unitaries(r, count))
+        assert same_bits(s.contractions(count), ref_contractions(r, count))
+        assert same_bits(s.spheres(count), ref_spheres(r, count))
+
+
+@pytest.mark.parametrize("shape", SHAPES + [AlgebraShape([3]), AlgebraShape([4])])
+def test_single_draws_and_per_fork_sets_keep_their_per_element_values(shape):
+    # each is a set of one, which equals the draw of one generator per element
+    probes.clear_cache()
+    x, y, lam, _ = defect_triples(shape, 24, 8)
+    rx, ry, rlam = stacked(ref_defect_triples(shape, 24, 8))
+    assert same_stack(x, rx) and same_stack(y, ry) and lam.tobytes() == rlam.tobytes()
+    iso = HaarSampler(shape, 11)
+    assert same_bits(forked_spheres(shape, 6, 11, "iso"),
+                     [ref_sphere(iso.fork(("iso", i))) for i in range(6)])
     s, r = HaarSampler(shape, 9), HaarSampler(shape, 9)
     for _ in range(3):
         assert s.unitary().key() == ref_unitary(r).key()
@@ -502,6 +542,34 @@ def test_a_repeated_defect_estimate_draws_nothing(monkeypatch):
     draws.clear()
     assert estimate_defect(m, 96, det_cap=12) == first
     assert draws == []
+
+
+def test_a_run_draws_each_set_from_one_generator(monkeypatch):
+    # a warm run seeds one generator per set: the ball probes, the unitary
+    # pairs, unitarize's and decompose's draws, one averaging pass's samples
+    # when a level runs, and kk's sphere and ball probes
+    config = PipelineConfig(probes=96, group_probes=6, mc_width=128,
+                            unitarize_width=48, max_levels=1, seed=1)
+    spec = EmbeddingSpec(AlgebraShape([2]), (2,), 0)
+    psi = exact_homomorphism(EmbeddingSpec(AlgebraShape([2]), (2,), 0, haar_conjugator(4, 5)))
+    runs = [(partial(run_pipeline, psi, config), 4, 0),
+            (partial(run_pipeline, perturb_additive(psi, 1e-3, seed=3), config), 5, 1),
+            (partial(kk_experiment, spec, 1e-3, config), 7, None)]
+    rng, draws = HaarSampler._rng, []
+
+    def counted(sampler):
+        draws.append(sampler.seed)
+        return rng(sampler)
+
+    for run, sets, levels in runs:
+        run()       # warm: the sets seeded by constants are cached
+        monkeypatch.setattr(HaarSampler, "_rng", counted)
+        draws.clear()
+        result = run()
+        monkeypatch.setattr(HaarSampler, "_rng", rng)
+        if levels is not None:
+            assert [s.info["levels"] for s in result[1].stages if s.name == "stabilize"] == [levels]
+        assert len(draws) == sets
 
 
 def test_cached_probe_sets_are_read_only():
