@@ -5,7 +5,8 @@ guarantee that exactness tests never depend on sampling luck; seeded random
 probes cover the rest of the unit ball.
 
 Every probe set is a fixed function of (shape, count, seed) and is built
-directly as per-block stacks, one ``(K, n_b, n_b)`` array per block.  The
+directly as per-block stacks, one ``(K, n_b, n_b)`` array per block; its
+random rows are one ``HaarSampler`` set, drawn from one generator.  The
 sets whose seed is a constant of the code repeat within and across runs, so
 they are built once per process and kept, read-only, in one LRU cache of at
 most ``CACHE_CAP`` entries (``constant`` and ``defect_triples``; the

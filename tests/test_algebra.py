@@ -81,6 +81,10 @@ def test_haar_mean_is_schur_zero():
     for _ in range(n):
         acc += s.unitary().blocks[0]
     assert np.max(np.abs(acc / n)) <= 0.05
+    # one set of n from one generator: the same mean, and E|u_ij|^2 = 1/2
+    (u,) = s.unitaries(n)
+    assert np.max(np.abs(u.mean(axis=0))) <= 0.05
+    assert np.max(np.abs((np.abs(u) ** 2).mean(axis=0) - 0.5)) <= 0.02
 
 
 def test_haar_translation_invariance():
