@@ -10,8 +10,6 @@ machine-precision floor.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,14 +254,6 @@ class StabilizeResult:
             rows.append((p.level, p.after.kappa, p.after.delta, p.after.mc,
                          p.after.closeness))
         return rows
-
-    def trace_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["level", "kappa", "delta", "mc", "movement"])
-        for row in self.trace_rows():
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        return buf.getvalue()
 
 
 def stabilize(rho0: ApproxMap, eps1: float, tol: float, width: int, probe_pairs,

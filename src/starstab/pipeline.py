@@ -2,13 +2,15 @@
 
 The stage order mirrors the correction strategy: normalize, discretize,
 restrict to the unitary group, average until nearly multiplicative,
-unitarize, split into irreducible blocks, and correct each block to an
-exact homomorphism.  The approximate block map comes from compressing the
-input (matrix-unit route, the default) or from one-parameter-group lifts
-of the representation (Stone route); both end in the same matrix-unit
-correction.  When a target subalgebra is given, the assembled map is then
-aligned with it; without one that stage is recorded as skipped.  Exact
-maps are held as basis tensors, so the recovered map is one contraction.
+unitarize, split into isotypic components (one per block of the domain,
+from the images of its central symmetries), and correct each component to
+an exact homomorphism.  The approximate component map comes from
+compressing the input (matrix-unit route, the default) or from
+one-parameter-group lifts of the representation (Stone route); both end in
+the same matrix-unit correction.  When a target subalgebra is given, the
+assembled map is then aligned with it; without one that stage is recorded
+as skipped.  Exact maps are held as basis tensors, so the recovered map is
+one contraction.
 
 Stage movements measured over a common unit-ball probe set telescope, so
 the final distance obeys the triangle inequality against their sum; group
@@ -313,14 +315,14 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     rec.info = unit_info
     eps4_meas = unit_info["movement"] + unit_info["mc"]
 
-    # 7. irreducible decomposition --------------------------------------------
-    defect_hint = max(post.delta + post.mc, 1e-12)
+    # 7. isotypic decomposition -----------------------------------------------
+    # the commutation residual is measured at the pair unitaries, whose pi
+    # values unitarize already took
     dec_tol = max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit_info["mc"])
-    (blocks, rec) = clock.run("decompose", lambda: decompose(
-        pi, tol=dec_tol,
-        seed=_derive_seed(seed, "decompose"), defect_hint=defect_hint))
+    (blocks, rec) = clock.run("decompose", lambda: decompose(pi, unitarizer.values, dec_tol))
     rec.in_triangle = False
-    rec.info = {"block_dims": list(blocks.block_dims), "residual": blocks.residual}
+    rec.info = {"block_dims": list(blocks.block_dims),
+                "multiplicities": list(blocks.multiplicities), "residual": blocks.residual}
 
     # commutator transport diagnostics (m0 holds phi3 at the unitary probes)
     p = np.stack(blocks.projections)[:, None]
@@ -331,13 +333,13 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     comm_a_bound = 8.0 * (eps4_meas + eps2_meas) + 8.0 * eps1 \
         + 8.0 * blocks.residual + post.mc + 1e-9
 
-    # 8. per-block correction --------------------------------------------------
-    # Both routes build an approximate block map and end in the same
-    # matrix-unit correction; only the source of the block map differs.  The
-    # stone route evaluates pi once and compresses its values to each block;
-    # the units route evaluates phi3 once on each probe stack of the block
-    # defects and once at the correction's points, and compresses those
-    # values to each block.
+    # 8. per-block correction, one isotypic component at a time -------------
+    # Both routes build an approximate component map and end in the same
+    # matrix-unit correction; only the source of that map differs.  The
+    # stone route evaluates pi once and compresses its values to each
+    # component; the units route evaluates phi3 once on each probe stack of
+    # the component defects and once at the correction's points, and
+    # compresses those values to each component.
     def correct_blocks():
         basis = np.zeros((shape.linear_dim, work_dim, work_dim), dtype=complex)
         residual = 0.0

@@ -3,21 +3,22 @@ representations, and from those to per-block *-homomorphism data.
 
 Unitarization conjugates by the square root of an averaged Gram matrix and
 polar-snaps the result, so downstream spectral calculus always sees exactly
-unitary input.  Irreducible blocks are found through the commutant: the
-eigenprojections of a fixed Hermitian matrix projected onto the (numerical)
-commutant of sampled generators split off invariant subspaces, and a
-block is certified irreducible when its restricted commutant is
-one-dimensional.
+unitary input.  The representation is then split into isotypic components,
+one per block of the domain: the images of the central symmetries 1 - 2 z_b
+(z_b the unit of block b) give the component projections with one
+eigendecomposition.  This is the unique part of the irreducible
+decomposition; the finer split of a component of multiplicity m into m
+irreducible copies is not unique, and per-block correction does not need it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, _derive_seed, identity, involution_exp
+from .algebra import AlgebraElement, identity, involution_exp
 from .averaging import BATCHES, _batch_means, _spread
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError, SnapError
@@ -33,10 +34,13 @@ class Unitarizer:
     t: np.ndarray
     deviation: float          # ||T - 1||
     mc: float
+    # pi at the caller's probe unitaries, (K, N, N), read-only, for later stages
+    values: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if abs(la.op_norm(self.t - np.eye(self.t.shape[0])) - self.deviation) > 1e-12:
             raise PreconditionError("recorded deviation does not match T")
+        self.values.setflags(write=False)
 
 
 def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
@@ -44,7 +48,8 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
     """Average tau(u)* tau(u) over ``width`` Haar draws, conjugate by the
     square root and snap to unitaries; ``seed`` seeds the draws.
 
-    Returns (Unitarizer, pi, info), pi a map on tau's domain.  Requires the
+    Returns (Unitarizer, pi, info), pi a map on tau's domain; the
+    Unitarizer carries pi's values at the probe unitaries.  Requires the
     measured Gram deviation sup ||tau(u)* tau(u) - 1|| to be < 1/2 over
     probe unitaries u, whose values ``tau_us`` the caller gives as a
     (K, N, N) stack, and ``width`` >= 2 draws (one draw is one batch, with
@@ -86,17 +91,21 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
         "max_snap": max_snap,
         "mc": mc,
     }
-    return Unitarizer(t, deviation, mc), pi, info
+    return Unitarizer(t, deviation, mc, pi_us), pi, info
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Orthogonal projections onto irreducible invariant subspaces."""
+    """Orthogonal projections onto the isotypic components of a unitary
+    representation, one per block of the domain that it carries, in block
+    order.  ``multiplicities`` has one entry per block of the domain, 0 for
+    a block with no component."""
 
     dim: int
     projections: tuple[np.ndarray, ...]
     block_dims: tuple[int, ...]
-    residual: float           # max commutation residual over the generator probes
+    multiplicities: tuple[int, ...]
+    residual: float           # max commutation residual over the probe values
 
     def __post_init__(self):
         for p in self.projections:
@@ -107,22 +116,11 @@ class BlockDecomposition:
         return [la.orthonormal_range(p, d)
                 for p, d in zip(self.projections, self.block_dims)]
 
-    def check_partition(self, tol: float = 1e-10) -> bool:
-        total = sum(self.projections)
-        if la.op_norm(total - np.eye(self.dim)) > tol:
-            return False
-        for i, p in enumerate(self.projections):
-            if la.op_norm(p @ p - p) > tol:
-                return False
-            for q in self.projections[i + 1:]:
-                if la.op_norm(p @ q) > tol:
-                    return False
-        return True
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
             "block_dims": list(self.block_dims),
+            "multiplicities": list(self.multiplicities),
             "residual": self.residual,
             "projections": [[[float(z.real), float(z.imag)] for z in p.ravel()]
                             for p in self.projections],
@@ -132,146 +130,51 @@ class BlockDecomposition:
         return json.dumps(self.to_dict())
 
 
-def _commutant_basis(mats, hint: float):
-    """Null space of X -> [X, m_i] over all generators, via the stacked
-    commutation operator on vec(X) (row-major); one orthonormal vec(X) per
-    row.
+def decompose(pi: ApproxMap, probe_values: np.ndarray, tol: float) -> BlockDecomposition:
+    """Split a (near-)unitary representation into its isotypic components.
 
-    ``hint`` is the expected commutation-residual scale; eigenvalues of the
-    squared operator below (3 hint)^2 per generator count as null.  A clean
-    spectral separation at the cut is required.
+    ``pi`` is evaluated once, at the central symmetries s_b = 1 - 2 z_b of
+    its domain (z_b the unit of block b = 1..B).  For a representation,
+    (1 - pi(s_b)) / 2 projects onto component b, so the Hermitian
+    H = sum_b b (1 - pi(s_b)) / 2 has eigenvalue b there, and one
+    eigendecomposition of H gives exactly orthogonal projections whose
+    labels are 1 apart.  Raises SingularMapError when an eigenvalue is more
+    than 1/4 from every label 1..B (label 0 is a vector that no block unit
+    carries), when the rank of component b is not a multiple of n_b, or
+    when the projections' commutation residual against ``probe_values``
+    (pi at probe unitaries, a (K, N, N) stack) exceeds ``tol``.
     """
-    n = mats[0].shape[0]
-    eye = np.eye(n)
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for m in mats:
-        k = np.kron(eye, m.T) - np.kron(m, eye)
-        acc += k.conj().T @ k
-    w, v = np.linalg.eigh(la.herm(acc))
-    # the floor covers eigh's absolute accuracy near zero (~eps * ||C||)
-    cut = len(mats) * max(3.0 * hint, 1e-6) ** 2
-    dim = int(np.sum(w < cut))
-    if dim < 1:
-        raise SingularMapError(
-            f"commutant solve found no null space below the cut {cut:.3g} "
-            f"(smallest eigenvalue {w[0]:.3g})")
-    first_out = w[dim] if dim < len(w) else np.inf
-    if first_out < 20.0 * max(w[dim - 1], cut / 400.0):
-        raise SingularMapError(
-            f"commutant rank is ambiguous near the cut ({w[max(dim-2,0):dim+2]})")
-    return v[:, :dim].T
-
-
-def _fixed_hermitians(n: int) -> np.ndarray:
-    """The split's three fixed Hermitian n x n probes: distinct diagonal
-    entries and off-diagonal coupling (real, then imaginary), then the real
-    coupling on the diagonal exp(k / n).
-
-    The first two share the diagonal 1..n, so on blocks spanned by
-    coordinate vectors they are scalar whenever the blocks' diagonal means
-    agree (the middle coordinate of three against the outer two).  Means
-    of disjoint sets of powers of the transcendental exp(1 / n) never
-    agree, so the third probe splits such blocks.
-    """
-    i, j = np.indices((n, n))
-    coupling = 1.0 / (1.0 + np.abs(i - j) + i + j) * (i != j)
-    diag = np.diag(np.arange(1.0, n + 1.0))
-    return np.stack([diag + coupling,
-                     diag + 1j * np.sign(j - i) / (2.0 + np.abs(i - j)),
-                     np.diag(np.exp(np.arange(n) / n)) + coupling])
-
-
-def _cluster_eigenvalues(w: np.ndarray, gap: float):
-    groups = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > gap:
-            groups.append([])
-        groups[-1].append(i)
-    return groups
-
-
-def _split_once(mats, hint: float, hs):
-    """One commutant-driven split of the current space; returns isometries.
-
-    The split element is the orthogonal projection B B* H of a fixed
-    Hermitian H onto the commutant (B an orthonormal basis of it), less its
-    trace part and scaled to norm one.  B B* does not depend on how the
-    solver rotates B.  Each further H is a fallback, tried only when the
-    ones before it give one eigenvalue cluster.
-    """
-    basis = _commutant_basis(mats, hint)
-    if len(basis) == 1:
-        return None     # irreducible here
-    resid = None
-    for h in hs:
-        x = la.herm(((basis.conj() @ h.ravel()) @ basis).reshape(h.shape))
-        x = x - np.trace(x).real / len(x) * np.eye(len(x))
-        nrm = la.op_norm(x)
-        if nrm < 1e-8:
-            continue        # the probe is scalar on the commutant
-        x = x / nrm
-        resid = la.op_norm(x @ mats - mats @ x)
-        gap = max(1e-6, min(0.05, 30.0 * max(resid, hint)))
-        w, v = np.linalg.eigh(x)
-        groups = _cluster_eigenvalues(w, gap)
-        if len(groups) > 1:
-            return [np.ascontiguousarray(v[:, g]) for g in groups]
-    raise SingularMapError(
-        f"eigenvalue clustering degenerate for every probe (residual {resid})")
-
-
-def _decompose_mats(mats, hint: float, hs, depth: int, ambient: int):
-    """Isometries onto irreducible subspaces; ``hs`` are the fixed split
-    probes compressed to the current space, so the split is covariant."""
-    n = mats.shape[-1]
-    if depth > ambient:
-        raise SingularMapError("irreducibility recursion exceeded the ambient dimension")
-    split = _split_once(mats, hint, hs)
-    if split is None:
-        return [np.eye(n, dtype=complex)]
-    return [v @ w for v in split for w in _decompose_mats(
-        la.compress(v, mats), hint, la.compress(v, hs), depth + 1, ambient)]
-
-
-def decompose(pi: ApproxMap, tol: float = 1e-8, seed: int = 0,
-              defect_hint: float = 0.0) -> BlockDecomposition:
-    """Split a (near-)unitary representation into irreducible invariant blocks.
-
-    ``seed`` seeds the four Haar unitaries at which ``pi`` is evaluated.
-
-    ``tol`` bounds the commutation residual of the returned projections;
-    ``defect_hint`` tells the commutant solve how multiplicative the input
-    really is (0 = measure it).  Certifies each block by checking that its
-    restricted commutant is one-dimensional; aborts if the rank of the
-    commutant solve is ambiguous.
-    """
-    gens = random_unitaries(pi.domain, 4, _derive_seed(seed, "gens"))
-    mats = pi.batch(gens)
+    blocks = pi.domain.blocks
+    signs = 1.0 - 2.0 * np.eye(len(blocks))      # row b: -1 on block b, 1 elsewhere
+    mats = pi.batch(tuple(signs[:, c, None, None] * np.eye(n, dtype=complex)
+                          for c, n in enumerate(blocks)))
     unit_dev = la.op_norm(la.adj(mats) @ mats - np.eye(pi.dim))
     if unit_dev > 1e-8:
-        raise PreconditionError(f"map is {unit_dev:.3g} from unitary on probes")
-    hint = defect_hint
-    if hint <= 0.0:
-        products = tuple(g[:-1] @ g[1:] for g in gens)
-        hint = max(la.op_norm(pi.batch(products) - mats[:-1] @ mats[1:]), 1e-11)
-    isoms = _decompose_mats(mats, hint, _fixed_hermitians(pi.dim), 0, pi.dim)
-    for v in isoms:   # certify irreducibility of every leaf
-        if len(_commutant_basis(la.compress(v, mats), hint)) != 1:
-            raise SingularMapError("a block failed its irreducibility certificate")
-    tiebreak = np.diag(np.arange(pi.dim, dtype=float))
-    keyed = []
-    for v in isoms:
-        p = la.herm(v @ v.conj().T)
-        d = v.shape[1]
-        keyed.append(((d, round(float(np.real(np.trace(p @ tiebreak))), 6)), p, d))
-    keyed.sort(key=lambda t: t[0])
-    projections = tuple(p for _, p, _ in keyed)
-    dims = tuple(d for _, _, d in keyed)
+        raise PreconditionError(f"map is {unit_dev:.3g} from unitary at the central symmetries")
+    labels = np.arange(1.0, len(blocks) + 1.0)
+    w, v = np.linalg.eigh(la.herm(np.tensordot(labels, np.eye(pi.dim) - mats, 1) / 2.0))
+    nearest = np.rint(w)
+    bad = (np.abs(w - nearest) > 0.25) | (nearest < 1.0) | (nearest > len(blocks))
+    if bad.any():
+        x = w[np.argmax(bad)]
+        raise SingularMapError(
+            f"eigenvalue {x:.3g} is not within 1/4 of a block label 1..{len(blocks)}"
+            + (": a vector that no block unit carries" if abs(x) <= 0.25 else ""))
+    projections, dims, mults = [], [], []
+    for b, n in enumerate(blocks, 1):
+        cols = v[:, nearest == b]
+        d = cols.shape[1]
+        if d % n:
+            raise SingularMapError(f"component {b} has rank {d}, not a multiple of {n}")
+        mults.append(d // n)
+        if d:
+            projections.append(la.herm(cols @ cols.conj().T))
+            dims.append(d)
     p = np.stack(projections)[:, None]
-    resid = la.op_norm(p @ mats - mats @ p)
+    resid = la.op_norm(p @ probe_values - probe_values @ p)
     if resid > tol:
         raise SingularMapError(f"block commutation residual {resid:.3g} exceeds {tol:.3g}")
-    return BlockDecomposition(pi.dim, projections, dims, resid)
+    return BlockDecomposition(pi.dim, tuple(projections), tuple(dims), tuple(mults), resid)
 
 
 def compress(values: np.ndarray, isometry: np.ndarray, snap_tol: float = 1e-6) -> np.ndarray:

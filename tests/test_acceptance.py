@@ -14,14 +14,14 @@ from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, four_unit
 from starstab.averaging import NUMERIC_FLOOR, average_once, schedule
 from starstab.config import PipelineConfig
 from starstab.defects import ApproxMap, induction_window, isometry_diagnostic
-from starstab.errors import MultiplicityMismatch, PreconditionError
+from starstab.errors import MultiplicityMismatch, PreconditionError, SingularMapError
 from starstab.experiments import kk_experiment, run_sweep
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               haar_conjugator, near_identity,
                               near_identity_unitary, perturb_additive,
                               perturb_conjugate)
 from starstab.pipeline import compute_budget, run_pipeline
-from starstab.probes import ball_probes, unitary_pairs
+from starstab.probes import ball_probes, random_unitaries, unitary_pairs
 from starstab.reps import decompose
 from starstab.synthesis import intertwiner
 
@@ -132,9 +132,11 @@ def test_acceptance_5_isometry_window_and_probes():
 
 
 def test_acceptance_6_peter_weyl():
-    with criterion(6, "block decomposition recovers {2,2,1} and {2,2,2} "
-                      "with certified irreducibility", 5.0):
+    # u + u + 1 is not the unitary restriction of any unital *-homomorphism
+    with criterion(6, "isotypic decomposition certifies kron(u, 1_3) as one "
+                      "component [6] of multiplicity 3 and refuses u + u + 1", 5.0):
         shape = AlgebraShape([2])
+        probes = random_unitaries(shape, 12, _derive_seed(6, "decompose"))
 
         def rep_a(u):
             m = np.zeros((5, 5), dtype=complex)
@@ -143,15 +145,13 @@ def test_acceptance_6_peter_weyl():
             m[4, 4] = 1.0
             return m
 
-        dec_a = decompose(ApproxMap(shape, 5, rep_a), tol=1e-10,
-                          seed=_derive_seed(5, "decompose"))
-        assert sorted(dec_a.block_dims) == [1, 2, 2]
-        assert dec_a.residual < 1e-10
-        assert dec_a.check_partition(1e-10)
+        pi_a = ApproxMap(shape, 5, rep_a)
+        with pytest.raises(SingularMapError):
+            decompose(pi_a, pi_a.batch(probes), 1e-10)
 
-        dec_b = decompose(ApproxMap(shape, 6, lambda u: np.kron(u.blocks[0], np.eye(3))),
-                          tol=1e-10, seed=_derive_seed(6, "decompose"))
-        assert dec_b.block_dims == (2, 2, 2)
+        pi_b = ApproxMap(shape, 6, lambda u: np.kron(u.blocks[0], np.eye(3)))
+        dec_b = decompose(pi_b, pi_b.batch(probes), 1e-10)
+        assert dec_b.block_dims == (6,) and dec_b.multiplicities == (3,)
         assert dec_b.residual < 1e-10
 
 

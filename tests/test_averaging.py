@@ -201,17 +201,6 @@ def test_quadratic_contraction_sweep():
             + rec.after.mc + NUMERIC_FLOOR * 2
 
 
-def test_trace_csv_shape():
-    rho = perturb_additive(embedding8(), 2e-4, seed=18)
-    res = stabilize(rho, eps1=2.0 ** -10, tol=1e-9, width=48,
-                    max_levels=2, probe_pairs=unitary_pairs(SHAPE2, 3, 20), seed=19)
-    text = res.trace_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "level,kappa,delta,mc,movement"
-    assert len(lines) == len(res.levels) + 2
-    assert "\r" not in text
-
-
 def test_averaged_value_is_the_mean_of_its_terms():
     rho = perturb_additive(embedding8(), 2e-4, seed=30)
     new, _ = average_once(rho, 32, probe_pairs=unitary_pairs(SHAPE2, 2, 32), seed=31)
@@ -294,7 +283,7 @@ def failing_group_map(result):
 
 GROUP_MAP_CALLERS = {
     "measure_group_map": lambda rho: measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3)),
-    "decompose": lambda rho: decompose(rho),
+    "decompose": lambda rho: decompose(rho, np.broadcast_to(np.eye(4), (8, 4, 4)), 1e-8),
     "unitarize": lambda rho: unitarize(rho, 8, np.broadcast_to(np.eye(4), (8, 4, 4))),
 }
 

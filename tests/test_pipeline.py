@@ -133,8 +133,8 @@ def test_input_defect_is_measured_once(monkeypatch):
 
 @pytest.mark.parametrize("path", ["units", "stone"])
 def test_final_distance_is_stable_under_rounding(path):
-    # a 1e-16 change of the input values must not rotate the irreducible
-    # split; at eta = 1e-2 rounding alone moves the ~8e-3 distances by a
+    # a 1e-16 change of the input values must not rotate the isotypic
+    # projections; at eta = 1e-2 rounding alone moves the ~8e-3 distances by a
     # few 1e-15, so 1e-12 relative leaves room only for rounding
     cfg = FAST.replace(path=path)
     for exp_id, phi, _, _ in sweep_instances([1e-2], 1, cfg):
@@ -145,6 +145,31 @@ def test_final_distance_is_stable_under_rounding(path):
         d = run_pipeline(phi, cfg)[1].final_distance
         moved = abs(run_pipeline(noisy, cfg)[1].final_distance - d)
         assert moved < 1e-12 * d, exp_id
+
+
+def test_decompose_projections_are_stable_under_rounding(monkeypatch):
+    # the isotypic projections are eigenprojections of sum_b b (1 - pi(s_b)) / 2,
+    # whose eigenvalues are integers 1 apart, so a 1e-16 change of the input
+    # values moves them by rounding alone
+    import starstab.pipeline
+    decompose, found = starstab.pipeline.decompose, []
+
+    def recording(*args, **kwargs):
+        blocks = decompose(*args, **kwargs)
+        found.append(blocks.projections)
+        return blocks
+
+    monkeypatch.setattr(starstab.pipeline, "decompose", recording)
+    for exp_id, phi, _, _ in sweep_instances([1e-2, 1e-3], 1, FAST):
+        e = np.random.default_rng(0).standard_normal((phi.dim, phi.dim))
+        e *= 1e-16 / la.op_norm(e)
+        noisy = ApproxMap(phi.domain, phi.dim, None,
+                          stack_fn=lambda stack, phi=phi, e=e: phi.batch(stack) + e)
+        run_pipeline(phi, FAST)
+        run_pipeline(noisy, FAST)
+        clean, moved = found[-2:]
+        assert len(clean) == len(moved), exp_id
+        assert max(la.op_norm(p - q) for p, q in zip(clean, moved)) < 1e-14, exp_id
 
 
 def test_conjugate_recovery():
@@ -429,7 +454,7 @@ def test_stone_block_map_lifts_each_swap_once(monkeypatch):
 
 def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
     # M_2 has 3 stone generators (two reflections and one swap), each read at
-    # 4 points; the 3 blocks of a multiplicity-3 map share that one stack
+    # 4 points; the one component of a multiplicity-3 map reads that stack
     import starstab.pipeline
     rows = []
     unitarize = starstab.pipeline.unitarize
@@ -449,8 +474,8 @@ def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
     config = FAST.replace(path="stone")
     _, rep = run_pipeline(phi, config)
     assert rep.ok()
-    assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [2, 2, 2]
-    assert rows == [4, 4 * 3]       # decompose's 4 generators, then the lifts
+    assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [6]
+    assert rows == [1, 4 * 3]       # decompose's central symmetry, then the lifts
 
 
 def stack_key(stack):
@@ -473,23 +498,24 @@ def recorded_stacks(phi):
 
 @pytest.mark.parametrize("blocks, mults, pad, seed", [((2,), (3,), 0, 4), ((1, 2), (2, 1), 1, 9)])
 def test_a_run_evaluates_each_input_stack_once(blocks, mults, pad, seed):
-    # every probe stack reaches the input map once per run: the three
-    # per-block corrections share one evaluation at the correction points
+    # every probe stack reaches the input map once per run: the per-component
+    # corrections share one evaluation at the correction points
     shape = AlgebraShape(list(blocks))
     phi = perturb_additive(embedding(shape, mults, pad=pad, seed=seed), 1e-3, seed=seed + 1)
     keys = recorded_stacks(phi)
     _, rep = run_pipeline(phi, FAST)
     assert rep.ok()
-    assert len([s for s in rep.stages if s.name == "decompose"][0].info["block_dims"]) == 3
+    assert len([s for s in rep.stages if s.name == "decompose"][0].info["block_dims"]) \
+        == len(blocks)      # one isotypic component per block
     assert pad == 0 or not [s for s in rep.stages if s.name == "corner"][0].info.get("skipped")
     assert max(Counter(keys).values()) == 1
 
 
 def test_shared_block_values_match_the_per_block_path(monkeypatch):
     # block-correction evaluates phi3 once per probe stack and once at the
-    # correction points, and compresses the values to each block: every
-    # block's defects and correction come out as if its own block map had
-    # been evaluated
+    # correction points, and compresses the values to each isotypic
+    # component: every component's defects and correction come out as if its
+    # own map had been evaluated; 1+2 with multiplicities (2, 1) has two
     import starstab.pipeline
     defects = starstab.pipeline.estimate_compressed_defects
     correct = starstab.pipeline.matrix_unit_correction
@@ -507,15 +533,15 @@ def test_shared_block_values_match_the_per_block_path(monkeypatch):
 
     monkeypatch.setattr(starstab.pipeline, "estimate_compressed_defects", recording_defects)
     monkeypatch.setattr(starstab.pipeline, "matrix_unit_correction", recording_correction)
-    phi = perturb_additive(embedding(AlgebraShape([2]), (3,), seed=4), 1e-3, seed=5)
+    phi = perturb_additive(embedding(AlgebraShape([1, 2]), (2, 1), seed=4), 1e-3, seed=5)
     _, rep = run_pipeline(phi, FAST)
     assert rep.ok()
     [(phi3, isoms, reports)] = shared
-    assert len(isoms) == len(reports) == len(corrected) == 3
+    assert len(isoms) == len(reports) == len(corrected) == 2
     for v_k, report in zip(isoms, reports):
         alone = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
         assert report == estimate_defect(alone, 24, det_cap=8)
     for phi_k, kwargs, info in corrected:
-        assert kwargs["values"].shape == (2 + 48, 2, 2)
+        assert kwargs["values"].shape == (1 + 2 + 48, 2, 2)
         own = {k: v for k, v in kwargs.items() if k != "values"}
         assert correct(phi_k, **own)[2] == info

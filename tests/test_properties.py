@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starstab._linalg as la
-from starstab.algebra import AlgebraShape, _derive_seed
+from starstab.algebra import AlgebraShape
 from starstab.config import MINIMUMS, PipelineConfig, parse_config
 from starstab.errors import ConfigError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, haar_conjugator,
                               perturb_additive)
 from starstab.pipeline import run_pipeline
+from starstab.probes import random_unitaries
 from starstab.reps import decompose
 from starstab.synthesis import TraceExpectation, relation_residual
 
@@ -57,12 +58,16 @@ def isotypic_embeddings(draw):
 @settings(max_examples=12, deadline=None)
 @given(isotypic_embeddings())
 def test_decompose_splits_every_isotypic_block(case):
-    # multiplicities 2 and 3: the commutant split must find each copy
+    # multiplicities 2 and 3: one component of rank m_b n_b per block
     spec, seed = case
-    blocks = decompose(exact_homomorphism(spec), seed=_derive_seed(seed, "decompose"))
-    assert list(blocks.block_dims) == sorted(
-        nb for nb, m in zip(spec.shape.blocks, spec.multiplicities) for _ in range(m))
-    assert blocks.check_partition(1e-9)
+    pi = exact_homomorphism(spec)
+    blocks = decompose(pi, pi.batch(random_unitaries(spec.shape, 12, seed)), 1e-8)
+    assert list(blocks.block_dims) == [m * nb for nb, m in
+                                       zip(spec.shape.blocks, spec.multiplicities)]
+    assert list(blocks.multiplicities) == list(spec.multiplicities)
+    p = blocks.projections
+    assert la.op_norm(sum(p) - np.eye(spec.dim)) <= 1e-12
+    assert all(la.op_norm(a @ b) <= 1e-12 for i, a in enumerate(p) for b in p[i + 1:])
 
 
 # the benchmark's recovery configuration (acceptance-4's FAST with probes = 96)
@@ -73,8 +78,8 @@ RECOVERY = PipelineConfig(probes=96, group_probes=6, mc_width=128,
 @pytest.mark.parametrize("path", ["units", "stone"])
 @settings(max_examples=8, deadline=None)
 @given(embeddings())
-# the corner basis puts the one-dimensional block between the two coordinates
-# of the 2 x 2 block, where both probes with diagonal 1..n are scalar
+# a past regression input: the corner basis puts the one-dimensional block
+# between the two coordinates of the 2 x 2 block
 @example((EmbeddingSpec(AlgebraShape((2, 1)), (1, 1), 1, None), 0))
 def test_exact_input_is_a_fixed_point(path, case):
     spec, seed = case

@@ -7,7 +7,7 @@ import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               _derive_seed, identity, stack_elements, stack_rows, zeros)
 from starstab.defects import ApproxMap
-from starstab.errors import PreconditionError
+from starstab.errors import PreconditionError, SingularMapError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_conjugate)
 from starstab.probes import random_unitaries, unitary_pairs
@@ -34,10 +34,6 @@ def unitarize_seed(seed=1):
     return _derive_seed(seed, "unitarize", 0)
 
 
-def decompose_seed(seed=1):
-    return _derive_seed(seed, "decompose")
-
-
 def at_stone_points(pi, a):
     return pi.batch(stack_elements(stone_points(a)))
 
@@ -60,6 +56,17 @@ def test_unitarize_recovers_conjugated_rep():
         assert la.op_norm(val.conj().T @ val - np.eye(8)) < 1e-12
     assert max(la.op_norm(pi(u) - tau(u)) for u in us) <= 0.05
     assert info["t_deviation_ok"] and info["movement_ok"]
+
+
+def test_unitarizer_carries_pi_at_the_probes():
+    # the probe values are handed forward: later stages read pi there
+    # without evaluating it again
+    tau = perturb_conjugate(exact_homomorphism(EmbeddingSpec(SHAPE2, (2,), 0)),
+                            near_identity(4, 0.01, seed=3))
+    us = random_unitaries(SHAPE2, 8, 4)
+    unzr, pi, _ = unitarize(tau, 64, tau.batch(us), snap_tol=0.05, seed=unitarize_seed(4))
+    assert np.array_equal(unzr.values, pi.batch(us))
+    assert not unzr.values.flags.writeable
 
 
 def test_unitarize_near_hypothesis_boundary():
@@ -97,7 +104,14 @@ def test_unitarize_multiplicativity_transport():
         assert lhs <= 1e-10 * (1 + 4 * t_dev) + 3 * info["max_snap"] + 1e-8
 
 
+def at_unitaries(pi, seed):
+    """pi at 12 seeded Haar unitaries: decompose's residual probes."""
+    return pi.batch(random_unitaries(pi.domain, 12, seed))
+
+
 def test_decompose_direct_sum_with_trivial_line():
+    # u + u + 1 is no unital *-homomorphism's restriction: the trivial line is
+    # a vector that the unit of M_2 does not carry (label 0)
     def rep(u):
         m = np.zeros((5, 5), dtype=complex)
         m[:2, :2] = u.blocks[0]
@@ -105,49 +119,62 @@ def test_decompose_direct_sum_with_trivial_line():
         m[4, 4] = 1.0
         return m
 
-    dec = decompose(group_map(rep, 5), tol=1e-10, seed=decompose_seed(11))
-    assert sorted(dec.block_dims) == [1, 2, 2]
-    assert dec.residual < 1e-10
-    assert dec.check_partition(1e-10)
+    pi = group_map(rep, 5)
+    with pytest.raises(SingularMapError, match="no block unit carries"):
+        decompose(pi, at_unitaries(pi, 11), 1e-10)
+
+
+def test_decompose_refuses_a_rank_that_no_block_divides():
+    # u -> det u on M_3 is a one-dimensional representation: rank 1 is not a
+    # multiple of 3
+    shape = AlgebraShape([3])
+    pi = group_map(lambda u: np.linalg.det(u.blocks[0]).reshape(1, 1), 1, shape)
+    with pytest.raises(SingularMapError, match="not a multiple of 3"):
+        decompose(pi, at_unitaries(pi, 17), 1e-10)
 
 
 def test_decompose_triple_multiplicity():
-    dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(3)), 6),
-                    tol=1e-10, seed=decompose_seed(12))
-    assert dec.block_dims == (2, 2, 2)
+    pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(3)), 6)
+    dec = decompose(pi, at_unitaries(pi, 12), 1e-10)
+    assert dec.block_dims == (6,) and dec.multiplicities == (3,)
     assert dec.residual < 1e-10
 
 
 def test_decompose_fundamental_is_irreducible():
-    dec = decompose(fundamental(), tol=1e-10, seed=decompose_seed())
-    assert dec.block_dims == (2,)
+    pi = fundamental()
+    dec = decompose(pi, at_unitaries(pi, 1), 1e-10)
+    assert dec.block_dims == (2,) and dec.multiplicities == (1,)
     assert la.op_norm(dec.projections[0] - np.eye(2)) < 1e-12
 
 
 def test_decompose_mixed_shape():
     shape = AlgebraShape([1, 2])
     spec = EmbeddingSpec(shape, (2, 1), 0)
-    psi = exact_homomorphism(spec)
-    dec = decompose(group_map(psi, 4, shape), tol=1e-10, seed=decompose_seed(13))
-    assert sorted(dec.block_dims) == [1, 1, 2]
+    pi = group_map(exact_homomorphism(spec), 4, shape)
+    dec = decompose(pi, at_unitaries(pi, 13), 1e-10)
+    assert dec.block_dims == (2, 2) and dec.multiplicities == (2, 1)
 
 
-def test_decompose_sorted_and_json():
-    dec = decompose(group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4),
-                    tol=1e-10, seed=decompose_seed(14))
-    assert list(dec.block_dims) == sorted(dec.block_dims)
+def test_decompose_block_order_and_json():
+    # components come in the order of the domain's blocks, not by size; a
+    # block with multiplicity 0 has no component
+    shape = AlgebraShape([3, 1, 2])
+    spec = EmbeddingSpec(shape, (1, 0, 2), 0)
+    pi = group_map(exact_homomorphism(spec), 7, shape)
+    dec = decompose(pi, at_unitaries(pi, 14), 1e-10)
+    assert dec.block_dims == (3, 4) and dec.multiplicities == (1, 0, 2)
     d = json.loads(dec.to_json())
-    assert d["dim"] == 4 and d["block_dims"] == [2, 2]
+    assert d["dim"] == 7 and d["block_dims"] == [3, 4] and d["multiplicities"] == [1, 0, 2]
     assert len(d["projections"]) == 2
 
 
 def test_compress_block():
     pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
-    dec = decompose(pi, tol=1e-10, seed=decompose_seed(15))
+    dec = decompose(pi, at_unitaries(pi, 15), 1e-10)
     v = dec.isometries()[0]
     vals = compress(pi.batch(random_unitaries(SHAPE2, 3, 16)), v)
-    assert vals.shape == (3, 2, 2)
-    assert la.op_norm(la.adj(vals) @ vals - np.eye(2)) < 1e-12
+    assert vals.shape == (3, 4, 4)
+    assert la.op_norm(la.adj(vals) @ vals - np.eye(4)) < 1e-12
 
 
 def test_stone_generator_identity_rep():
@@ -203,9 +230,11 @@ def test_lift_projection_order_preserving():
 def test_unitarizer_records_deviation():
     from starstab.reps import Unitarizer
     t = np.eye(3) * 1.01
+    values = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
     with pytest.raises(PreconditionError):
-        Unitarizer(t, 0.5, 0.0)
-    Unitarizer(t, la.op_norm(t - np.eye(3)), 0.0)
+        Unitarizer(t, 0.5, 0.0, values)
+    unzr = Unitarizer(t, la.op_norm(t - np.eye(3)), 0.0, values)
+    assert not unzr.values.flags.writeable
 
 
 def test_unitarize_needs_two_draws():

@@ -546,15 +546,15 @@ def test_a_repeated_defect_estimate_draws_nothing(monkeypatch):
 
 def test_a_run_draws_each_set_from_one_generator(monkeypatch):
     # a warm run seeds one generator per set: the ball probes, the unitary
-    # pairs, unitarize's and decompose's draws, one averaging pass's samples
-    # when a level runs, and kk's sphere and ball probes
+    # pairs, unitarize's draws, one averaging pass's samples when a level
+    # runs, and kk's sphere and ball probes (decompose draws nothing)
     config = PipelineConfig(probes=96, group_probes=6, mc_width=128,
                             unitarize_width=48, max_levels=1, seed=1)
     spec = EmbeddingSpec(AlgebraShape([2]), (2,), 0)
     psi = exact_homomorphism(EmbeddingSpec(AlgebraShape([2]), (2,), 0, haar_conjugator(4, 5)))
-    runs = [(partial(run_pipeline, psi, config), 4, 0),
-            (partial(run_pipeline, perturb_additive(psi, 1e-3, seed=3), config), 5, 1),
-            (partial(kk_experiment, spec, 1e-3, config), 7, None)]
+    runs = [(partial(run_pipeline, psi, config), 3, 0),
+            (partial(run_pipeline, perturb_additive(psi, 1e-3, seed=3), config), 4, 1),
+            (partial(kk_experiment, spec, 1e-3, config), 6, None)]
     rng, draws = HaarSampler._rng, []
 
     def counted(sampler):
