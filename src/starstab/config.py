@@ -11,8 +11,18 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+# the smallest value each count's consumer accepts; a 3-sigma error needs
+# two draws per averaging level and per Gram average (one gives a spread of
+# 0, so every Monte-Carlo bound drops it)
+MINIMUMS = {"probes": 1, "group_probes": 1, "mc_width": 2,
+            "unitarize_width": 2, "max_levels": 0}
+
+
 @dataclass
 class PipelineConfig:
+    """Run settings; every construction, parsed, replaced or built in code,
+    is checked against ``MINIMUMS`` and the two routes."""
+
     probes: int = 200              # unit-ball probes for defects and distances
     group_probes: int = 8          # unitary probe pairs for group-map stages
     mc_width: int = 256            # Haar samples per averaging level
@@ -20,6 +30,13 @@ class PipelineConfig:
     max_levels: int = 3            # averaging level cap
     path: str = "units"            # per-block route: "units" or "stone"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.path not in ("units", "stone"):
+            raise ConfigError("path must be 'units' or 'stone'")
+        for key, least in MINIMUMS.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
     def replace(self, **kw) -> "PipelineConfig":
         return dataclasses.replace(self, **kw)
@@ -29,11 +46,6 @@ class PipelineConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-# the smallest value each count's consumer accepts; a 3-sigma error needs
-# two draws per averaging level and per Gram average (one gives a spread of
-# 0, so every Monte-Carlo bound drops it)
-MINIMUMS = {"probes": 1, "group_probes": 1, "mc_width": 2,
-            "unitarize_width": 2, "max_levels": 0}
 
 
 def _coerce(key: str, raw: str):
@@ -58,11 +70,6 @@ def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfi
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw)
-    if values.get("path", cfg.path) not in ("units", "stone"):
-        raise ConfigError("path must be 'units' or 'stone'")
-    for key, least in MINIMUMS.items():
-        if values.get(key, least) < least:
-            raise ConfigError(f"{key} must be >= {least}, got {values[key]}")
     return cfg.replace(**values)
 
 

@@ -12,6 +12,10 @@ assembled map is then aligned with it; without one that stage is recorded
 as skipped.  Exact maps are held as basis tensors, so the recovered map is
 one contraction.
 
+``STAGES`` names the stages in run order, and each has one step that
+returns its movement and info; ``run_pipeline`` runs the steps in one loop
+that times each, turns a failure into ``StageAbort`` and records it.
+
 Stage movements measured over a common unit-ball probe set telescope, so
 the final distance obeys the triangle inequality against their sum; group
 stages additionally report their own unitary-probe diagnostics.  The input
@@ -174,21 +178,6 @@ def _sup_dist(f_values: np.ndarray, g_values: np.ndarray, q=None) -> float:
     return la.op_norm(diff if q is None else q @ diff @ q.conj().T)
 
 
-class _StageClock:
-    def __init__(self, report_stages):
-        self.stages = report_stages
-
-    def run(self, name, fn):
-        t0 = time.perf_counter()
-        try:
-            out = fn()
-        except (StabilityError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            raise StageAbort(name, exc, report=self.stages) from exc
-        rec = StageRecord(name, time.perf_counter() - t0)
-        self.stages.append(rec)
-        return out, rec
-
-
 def _stone_elements(domain: AlgebraShape):
     """The self-adjoint unitaries the stone path lifts, block by block:
     1 - 2 e_ii for each i, then one swap per unordered pair i < j."""
@@ -217,239 +206,248 @@ def _stone_block_map(values: np.ndarray, domain: AlgebraShape, verify_tol: float
     return ApproxMap.linear(domain, values.shape[-1], np.stack(units), {"kind": "stone-lift"})
 
 
+class _Run:
+    """The working values of one run: its input, config, target and probe
+    sets, and what each stage's step leaves for the later ones."""
+
+    def __init__(self, phi: ApproxMap, config: PipelineConfig, target: EmbeddingSpec | None):
+        self.phi, self.config, self.target = phi, config, target
+        self.ball = ball_probes(phi.domain, config.probes, _derive_seed(config.seed, "ball"))
+        self.pairs = unitary_pairs(phi.domain, config.group_probes,
+                                   _derive_seed(config.seed, "pairs"))
+        self.group_seed = _derive_seed(config.seed, "group")
+
+
+def _advance(run: _Run, values: np.ndarray, q=None) -> float:
+    """The movement from the ball values in ``run.last`` to ``values``, which replace them."""
+    moved = _sup_dist(values, run.last, q)
+    run.last = values
+    return moved
+
+
+def _check(name: str, value: float, bound: float) -> dict:
+    return {"name": name, "value": value, "bound": bound, "ok": value <= bound}
+
+
+# -- stage steps ----------------------------------------------------------------
+# Each takes the run's working values and returns (in_triangle, movement,
+# info) for its StageRecord.  Library functions are looked up as this
+# module's globals at call time, so a rebinding of them reaches the run.
+
+def _normalize(run):
+    # phi and each later map are evaluated once on the ball probes; phi's
+    # values are kept for the final distance, the latest map's in run.last
+    run.phi1 = normalize(run.phi, run.report_in, min(64, run.config.probes))
+    run.phi_ball = run.last = run.phi.batch(run.ball)
+    return True, _advance(run, run.phi1.batch(run.ball)), {
+        "scale": run.phi1.meta.get("scale", 1.0),
+        "unit_rounding_moved": run.phi1.meta.get("unit_rounding_moved", 0.0)}
+
+
+def _discretize(run):
+    h = _auto_grid(run.eps_in, run.phi.domain)
+    run.phi2 = discretize(run.phi1, h)
+    return True, _advance(run, run.phi2.batch(run.ball)), {
+        "grid": h, "distance_bound": run.phi2.meta["distance_bound"]}
+
+
+def _corner(run):
+    # restrict a non-unital map to the range of phi2(1): 1 is a lattice
+    # point, and phi1 matches it by bytes
+    p_one = run.phi1.meta["unit_projection"]
+    rank = int(round(float(np.real(np.trace(p_one)))))
+    run.q_iso, run.phi3 = None, run.phi2
+    if la.op_norm(p_one - np.eye(run.phi.dim)) > 1e-9:
+        q = run.q_iso = la.orthonormal_range(p_one, rank)
+        run.phi3 = run.phi2.compose_output(partial(la.compress, q), rank, corner_rank=rank)
+        phi2_ball, run.last = run.last, la.compress(q, run.last)
+        return True, la.op_norm(q @ run.last @ q.conj().T - phi2_ball), {"rank": rank}
+    return True, 0.0, {"rank": rank, "skipped": True}
+
+
+def _restrict(run):
+    # phi3 on the unitary group is the level-0 group map
+    m0 = run.m0 = measure_group_map(run.phi3, run.pairs)
+    if m0.kappa > 2.0 + 1e-6:
+        raise PreconditionError(f"inverse bound {m0.kappa:.3g} exceeds 2 on unitary probes")
+    return False, 0.0, {"kappa0": m0.kappa}
+
+
+def _stabilize(run):
+    cfg, m0 = run.config, run.m0
+    run.eps1 = max(4.0 * run.eps_in, m0.delta + m0.mc, 1e-13)
+    stab = run.stab = stabilize(run.phi3, run.eps1, 1e-8, cfg.mc_width, run.pairs,
+                                max_levels=cfg.max_levels, initial=m0, seed=run.group_seed)
+    run.eps2_meas = stab.movement + sum(p.after.closeness_mc for p in stab.levels)
+    post = run.post = stab.levels[-1].after if stab.levels else stab.initial
+    return False, stab.movement, {
+        "levels": len(stab.levels), "strict": stab.strict, "stopped_by": stab.stopped_by,
+        "eps1": run.eps1, "defect": post.delta, "mc": post.mc, "trace": stab.trace_rows()}
+
+
+def _unitarize(run):
+    post, d = run.post, run.phi3.dim
+    snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
+    run.unitarizer, run.pi, info = unitarize(
+        run.stab.final, run.config.unitarize_width, post.values[:, :2].reshape(-1, d, d),
+        eps2=run.eps2_meas, snap_tol=snap_tol,
+        seed=_derive_seed(run.group_seed, "unitarize", run.config.seed))
+    run.unit_info = info
+    return False, info["movement"], info
+
+
+def _decompose(run):
+    # the commutation residual is measured at the pair unitaries, whose pi
+    # values unitarize already took
+    post, unit = run.post, run.unit_info
+    run.dec_tol = max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit["mc"])
+    blocks = run.blocks = decompose(run.pi, run.unitarizer.values, run.dec_tol)
+    # commutator transport diagnostics: m0 holds phi3 at the unitary probes,
+    # run.last at the ball probes
+    d, p = run.phi3.dim, np.stack(blocks.projections)[:, None]
+    comm_u, comm_a = (la.op_norm(f @ p - p @ f)
+                      for f in (run.m0.values[:, :2].reshape(-1, d, d), run.last[:24]))
+    eps42 = unit["movement"] + unit["mc"] + run.eps2_meas     # eps4 + eps2, measured
+    run.transport = [
+        _check("unitary-commutator-transport", comm_u,
+               2.0 * eps42 + 2.0 * blocks.residual + post.mc + 1e-9),
+        _check("ball-commutator-transport", comm_a,
+               8.0 * eps42 + 8.0 * run.eps1 + 8.0 * blocks.residual + post.mc + 1e-9)]
+    return False, 0.0, {"block_dims": list(blocks.block_dims),
+                        "multiplicities": list(blocks.multiplicities),
+                        "residual": blocks.residual}
+
+
+def _unit_components(run, isoms):
+    """The units route's component maps, phi3 compressed to each component;
+    phi3 is evaluated once on each probe stack of the component defects and
+    once at the correction's points, and those values are compressed."""
+    phi3 = run.phi3
+    defects = estimate_compressed_defects(phi3, isoms, 24, det_cap=8)
+    at_points = phi3.batch(correction_points(run.phi.domain))
+    for v_k, report in zip(isoms, defects):
+        yield (phi3.compose_output(partial(la.compress, v_k), v_k.shape[1]), report.epsilon,
+               la.compress(v_k, at_points))
+
+
+def _stone_components(run, isoms):
+    """The stone route's component maps, from Stone lifts of pi: pi is
+    evaluated once at every stone point, and its values are compressed to
+    each component."""
+    shape, d, post = run.phi.domain, run.phi3.dim, run.post
+    gens = list(_stone_elements(shape))
+    values = run.pi.batch(stack_elements([w for a in gens for w in stone_points(a)]))
+    values = values.reshape(len(gens), -1, d, d)
+    verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * run.blocks.residual)
+    for v_k in isoms:
+        phi_k = _stone_block_map(compress(values, v_k, snap_tol=max(1e-6, 4.0 * run.dec_tol)),
+                                 shape, verify, snap_tol=max(1e-3, verify))
+        yield phi_k, estimate_defect(phi_k, 24, det_cap=8).epsilon, None
+
+
+def _correct_blocks(run):
+    # both routes build an approximate map on each isotypic component, and
+    # each map gets the same matrix-unit correction
+    path = run.config.path
+    shape, d = run.phi.domain, run.phi3.dim
+    basis = np.zeros((shape.linear_dim, d, d), dtype=complex)
+    residual, mults = 0.0, [0] * len(shape.blocks)
+    isoms = run.blocks.isometries()
+    components = {"units": _unit_components, "stone": _stone_components}[path](run, isoms)
+    for v_k, (phi_k, eps5_k, values) in zip(isoms, components):
+        # no admissibility gate: the block's K eps5 distance assertion is
+        # the real check (NaN and inf still raise, as not x < inf)
+        _, psi_k, info_k = matrix_unit_correction(
+            phi_k, eps=eps5_k, admissible=math.inf, values=values)
+        residual = max(residual, info_k["relation_residual"])
+        mults = [a + b for a, b in zip(mults, info_k["multiplicities"])]
+        basis += v_k @ psi_k.basis @ v_k.conj().T
+    run.psi_blocks = ApproxMap.linear(shape, d, basis, {"kind": "blockwise"})
+    run.corr_residual = residual
+    return True, _advance(run, run.psi_blocks.batch(run.ball), run.q_iso), {
+        "path": path, "relation_residual": residual, "multiplicities": mults}
+
+
+def _near_inclusion(run):
+    # align the corrected map with the target subalgebra, when one is given
+    run.psi_work, run.ni_checks = run.psi_blocks, []
+    if run.target is None:
+        return True, 0.0, {"skipped": True}
+    if run.target.dim != run.phi3.dim:
+        raise PreconditionError(
+            f"target dimension mismatch ({run.target.dim} vs {run.phi3.dim})")
+    _, run.psi_work, ni = near_inclusion_fix(
+        run.psi_blocks, run.target, probes=tuple(s[:48] for s in run.ball),
+        admissible=max(1e-2, 4.0 * run.eps_in, 4.0 * run.corr_residual))
+    run.ni_checks = [_check("near-inclusion-v", ni["v_deviation"], ni["v_bound"]),
+                     _check("near-inclusion-movement", ni["movement"], ni["movement_bound"])]
+    return True, _advance(run, run.psi_work.batch(run.ball), run.q_iso), {
+        k: ni[k] for k in ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
+                           "movement_bound", "movement_ok")}
+
+
+# the stage table: run_pipeline runs each step once, in this order
+_STEPS = {"normalize": _normalize, "discretize": _discretize, "corner": _corner,
+          "unitary-restriction": _restrict, "stabilize": _stabilize,
+          "unitarize": _unitarize, "decompose": _decompose,
+          "block-correction": _correct_blocks, "near-inclusion": _near_inclusion}
+STAGES = tuple(_STEPS)
+
+
 def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
                  target: EmbeddingSpec | None = None):
     """Produce an exact *-homomorphism close to ``phi`` plus a stage report.
 
-    Raises StageAbort (carrying the completed-stage prefix) when a stage's
-    hypothesis fails.  Assertion outcomes, including the configured final
-    bound L sqrt(eps), are recorded in the report rather than raised.
+    Runs the step of each of ``STAGES`` in order, and records one
+    ``StageRecord`` per stage with its step's wall clock.  Raises StageAbort
+    (carrying the completed-stage records) when the measured input defect
+    is not admissible or a step's hypothesis fails.  Assertion outcomes,
+    including the configured final bound L sqrt(eps), are recorded in the
+    report rather than raised.
     """
     config = config or PipelineConfig()
-    seed = config.seed
-    shape = phi.domain
+    run = _Run(phi, config, target)
     stages: list[StageRecord] = []
-    clock = _StageClock(stages)
-    ball = ball_probes(shape, config.probes, _derive_seed(seed, "ball"))
-    pairs = unitary_pairs(shape, config.group_probes, _derive_seed(seed, "pairs"))
-
-    report_in = estimate_defect(phi, config.probes)
-    eps_in = max(report_in.epsilon, 1e-15)
+    run.report_in = estimate_defect(phi, config.probes)
+    eps_in = run.eps_in = max(run.report_in.epsilon, 1e-15)
     if eps_in >= ADMISSIBLE_EPS:
-        raise StageAbort("admissibility",
-                         PreconditionError(
-                             f"measured defect {eps_in:.3g} exceeds "
-                             f"admissible {ADMISSIBLE_EPS:.3g}"),
-                         report=stages)
+        raise StageAbort("admissibility", PreconditionError(
+            f"measured defect {eps_in:.3g} exceeds admissible {ADMISSIBLE_EPS:.3g}"), report=stages)
     budget = compute_budget(eps_in, K) if eps_in < BUDGET_EPS_MAX else None
 
-    # 1. normalize -----------------------------------------------------------
-    # phi, phi1, phi2 and phi3 are each evaluated once on the ball probes;
-    # a value stack is dropped after the last movement that reads it
-    (phi1, rec) = clock.run("normalize", lambda: normalize(phi, report_in, min(64, config.probes)))
-    phi_ball, phi1_ball = phi.batch(ball), phi1.batch(ball)
-    rec.movement = _sup_dist(phi1_ball, phi_ball)
-    rec.info = {"scale": phi1.meta.get("scale", 1.0),
-                "unit_rounding_moved": phi1.meta.get("unit_rounding_moved", 0.0)}
+    for name, step in _STEPS.items():
+        t0 = time.perf_counter()
+        try:
+            in_triangle, movement, info = step(run)
+        except (StabilityError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise StageAbort(name, exc, report=stages) from exc
+        stages.append(StageRecord(name, time.perf_counter() - t0, movement, in_triangle, info))
 
-    # 2. discretize ----------------------------------------------------------
-    h = _auto_grid(eps_in, shape)
-    (phi2, rec) = clock.run("discretize", lambda: discretize(phi1, h))
-    phi2_ball = phi2.batch(ball)
-    rec.movement = _sup_dist(phi2_ball, phi1_ball)
-    del phi1_ball
-    rec.info = {"grid": h, "distance_bound": phi2.meta["distance_bound"]}
+    # re-embed a corner restriction
+    q = run.q_iso
+    basis = run.psi_work.basis if q is None else q @ run.psi_work.basis @ q.conj().T
+    psi = ApproxMap.linear(phi.domain, phi.dim, basis, {"kind": "recovered"})
 
-    # 3. corner restriction (non-unital inputs) ------------------------------
-    # phi2(1): 1 is a lattice point, and phi1 matches it by bytes
-    p_one = phi1.meta["unit_projection"]
-    rank = int(round(float(np.real(np.trace(p_one)))))
-    if la.op_norm(p_one - np.eye(phi.dim)) > 1e-9:
-        q_iso, rec = clock.run("corner", lambda: la.orthonormal_range(p_one, rank))
-        phi3 = phi2.compose_output(partial(la.compress, q_iso), rank, corner_rank=rank)
-        phi3_ball = la.compress(q_iso, phi2_ball)
-        rec.movement = la.op_norm(q_iso @ phi3_ball @ q_iso.conj().T - phi2_ball)
-        rec.info = {"rank": rank}
-    else:
-        q_iso, phi3, phi3_ball = None, phi2, phi2_ball
-        stages.append(StageRecord("corner", 0.0, info={"rank": rank, "skipped": True}))
-    del phi2_ball
-    work_dim = phi3.dim
-
-    # 4. restrict to the unitary group: phi3 there is the level-0 group map ---
-    group_seed = _derive_seed(seed, "group")
-
-    def measure_level_zero():
-        m = measure_group_map(phi3, pairs)
-        if m.kappa > 2.0 + 1e-6:
-            raise PreconditionError(
-                f"inverse bound {m.kappa:.3g} exceeds 2 on unitary probes")
-        return m
-    (m0, rec) = clock.run("unitary-restriction", measure_level_zero)
-    rec.in_triangle = False
-    rec.info = {"kappa0": m0.kappa}
-
-    # 5. averaging -----------------------------------------------------------
-    eps1 = max(4.0 * eps_in, m0.delta + m0.mc, 1e-13)
-    (stab, rec) = clock.run("stabilize", lambda: stabilize(
-        phi3, eps1, 1e-8, config.mc_width, pairs,
-        max_levels=config.max_levels, initial=m0, seed=group_seed))
-    rec.movement = stab.movement
-    rec.in_triangle = False
-    eps2_meas = stab.movement + sum(p.after.closeness_mc for p in stab.levels)
-    post = stab.levels[-1].after if stab.levels else stab.initial
-    rec.info = {"levels": len(stab.levels), "strict": stab.strict,
-                "stopped_by": stab.stopped_by, "eps1": eps1,
-                "defect": post.delta, "mc": post.mc,
-                "trace": stab.trace_rows()}
-
-    # 6. unitarize ------------------------------------------------------------
-    snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
-    (unit_out, rec) = clock.run("unitarize", lambda: unitarize(
-        stab.final, config.unitarize_width, post.values[:, :2].reshape(-1, work_dim, work_dim),
-        eps2=eps2_meas, snap_tol=snap_tol,
-        seed=_derive_seed(group_seed, "unitarize", seed)))
-    unitarizer, pi, unit_info = unit_out
-    rec.movement = unit_info["movement"]
-    rec.in_triangle = False
-    rec.info = unit_info
-    eps4_meas = unit_info["movement"] + unit_info["mc"]
-
-    # 7. isotypic decomposition -----------------------------------------------
-    # the commutation residual is measured at the pair unitaries, whose pi
-    # values unitarize already took
-    dec_tol = max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit_info["mc"])
-    (blocks, rec) = clock.run("decompose", lambda: decompose(pi, unitarizer.values, dec_tol))
-    rec.in_triangle = False
-    rec.info = {"block_dims": list(blocks.block_dims),
-                "multiplicities": list(blocks.multiplicities), "residual": blocks.residual}
-
-    # commutator transport diagnostics (m0 holds phi3 at the unitary probes)
-    p = np.stack(blocks.projections)[:, None]
-    comm_u, comm_a = (la.op_norm(f @ p - p @ f) for f in
-                      (m0.values[:, :2].reshape(-1, work_dim, work_dim), phi3_ball[:24]))
-    comm_bound = 2.0 * (eps4_meas + eps2_meas) + 2.0 * blocks.residual \
-        + post.mc + 1e-9
-    comm_a_bound = 8.0 * (eps4_meas + eps2_meas) + 8.0 * eps1 \
-        + 8.0 * blocks.residual + post.mc + 1e-9
-
-    # 8. per-block correction, one isotypic component at a time -------------
-    # Both routes build an approximate component map and end in the same
-    # matrix-unit correction; only the source of that map differs.  The
-    # stone route evaluates pi once and compresses its values to each
-    # component; the units route evaluates phi3 once on each probe stack of
-    # the component defects and once at the correction's points, and
-    # compresses those values to each component.
-    def correct_blocks():
-        basis = np.zeros((shape.linear_dim, work_dim, work_dim), dtype=complex)
-        residual = 0.0
-        mult_total = [0] * len(shape.blocks)
-        isoms = blocks.isometries()
-        if config.path == "stone":
-            gens = list(_stone_elements(shape))
-            pi_stone = pi.batch(stack_elements([w for a in gens for w in stone_points(a)]))
-            pi_stone = pi_stone.reshape(len(gens), -1, work_dim, work_dim)
-            verify = max(1e-6, 30.0 * (post.delta + post.mc) + 10.0 * blocks.residual)
-        else:
-            block_defects = estimate_compressed_defects(phi3, isoms, 24, det_cap=8)
-            at_points = [la.compress(v_k, f) for f in (phi3.batch(correction_points(shape)),)
-                         for v_k in isoms]
-        for k, v_k in enumerate(isoms):
-            if config.path == "stone":
-                phi_k = _stone_block_map(
-                    compress(pi_stone, v_k, snap_tol=max(1e-6, 4.0 * dec_tol)), shape,
-                    verify, snap_tol=max(1e-3, verify))
-                eps5_k = estimate_defect(phi_k, 24, det_cap=8).epsilon
-                values = None
-            else:
-                phi_k = phi3.compose_output(partial(la.compress, v_k), v_k.shape[1])
-                eps5_k = block_defects[k].epsilon
-                values = at_points[k]
-            # no admissibility gate: the block's K eps5 distance assertion is
-            # the real check (NaN and inf still raise, as not x < inf)
-            _, psi_k, info_k = matrix_unit_correction(
-                phi_k, eps=eps5_k, admissible=math.inf, values=values)
-            residual = max(residual, info_k["relation_residual"])
-            mult_total = [a + b for a, b in zip(mult_total, info_k["multiplicities"])]
-            basis += v_k @ psi_k.basis @ v_k.conj().T
-        return ApproxMap.linear(shape, work_dim, basis, {"kind": "blockwise"}), \
-            residual, mult_total
-
-    ((psi_blocks, corr_residual, mults), rec) = clock.run("block-correction", correct_blocks)
-    psi_blocks_ball = psi_blocks.batch(ball)
-    rec.movement = _sup_dist(psi_blocks_ball, phi3_ball, q_iso)
-    del phi3_ball
-    rec.info = {"path": config.path, "relation_residual": corr_residual,
-                "multiplicities": mults}
-
-    # 9. near-inclusion alignment (only with a given target) ------------------
-    ni_assertions = []
-    if target is None:
-        psi_work = psi_blocks
-        stages.append(StageRecord("near-inclusion", 0.0, info={"skipped": True}))
-    else:
-        if target.dim != work_dim:
-            raise StageAbort("near-inclusion",
-                             PreconditionError("target dimension mismatch "
-                                               f"({target.dim} vs {work_dim})"),
-                             report=stages)
-        (ni_out, rec) = clock.run("near-inclusion", lambda: near_inclusion_fix(
-            psi_blocks, target, probes=tuple(s[:48] for s in ball),
-            admissible=max(1e-2, 4.0 * eps_in, 4.0 * corr_residual)))
-        _, psi_work, ni_info = ni_out
-        rec.movement = _sup_dist(psi_work.batch(ball), psi_blocks_ball, q_iso)
-        rec.info = {k: ni_info[k] for k in
-                    ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
-                     "movement_bound", "movement_ok")}
-        ni_assertions = [
-            {"name": "near-inclusion-v", "value": ni_info["v_deviation"],
-             "bound": ni_info["v_bound"], "ok": ni_info["v_ok"]},
-            {"name": "near-inclusion-movement", "value": ni_info["movement"],
-             "bound": ni_info["movement_bound"], "ok": ni_info["movement_ok"]},
-        ]
-
-    # 10. re-embed a corner restriction ----------------------------------------
-    basis = psi_work.basis if q_iso is None else q_iso @ psi_work.basis @ q_iso.conj().T
-    psi = ApproxMap.linear(shape, phi.dim, basis, {"kind": "recovered"})
-
-    final_distance = _sup_dist(psi.batch(ball), phi_ball)
-    del phi_ball
+    final_distance = _sup_dist(psi.batch(run.ball), run.phi_ball)
+    run.phi_ball = run.last = None
     out_defect = estimate_defect(psi, min(config.probes, 64))
 
     l_used = 25.0 if budget is None else budget.final_bound / math.sqrt(eps_in)
-    ratio_sqrt = final_distance / math.sqrt(eps_in)
-    ratio_linear = final_distance / eps_in
     movement_sum = sum(s.movement for s in stages if s.in_triangle)
-
+    unit = run.unit_info
     assertions = [
-        {"name": "final-distance-le-L-sqrt-eps", "value": final_distance,
-         "bound": l_used * math.sqrt(eps_in),
-         "ok": final_distance <= l_used * math.sqrt(eps_in)},
-        {"name": "triangle-inequality", "value": final_distance,
-         "bound": movement_sum + 1e-8,
-         "ok": final_distance <= movement_sum + 1e-8},
-        {"name": "output-is-exact", "value": out_defect.epsilon,
-         "bound": 1e-8, "ok": out_defect.epsilon <= 1e-8},
-        {"name": "unitary-commutator-transport", "value": comm_u,
-         "bound": comm_bound, "ok": comm_u <= comm_bound},
-        {"name": "ball-commutator-transport", "value": comm_a,
-         "bound": comm_a_bound, "ok": comm_a <= comm_a_bound},
-        {"name": "unitarizer-deviation", "value": unit_info["t_deviation"],
-         "bound": unit_info["t_deviation_bound"], "ok": unit_info["t_deviation_ok"]},
-        *ni_assertions,
+        _check("final-distance-le-L-sqrt-eps", final_distance, l_used * math.sqrt(eps_in)),
+        _check("triangle-inequality", final_distance, movement_sum + 1e-8),
+        _check("output-is-exact", out_defect.epsilon, 1e-8),
+        *run.transport,
+        _check("unitarizer-deviation", unit["t_deviation"], unit["t_deviation_bound"]),
+        *run.ni_checks,
     ]
     report = PipelineReport(
-        stages=stages,
-        input_defect=report_in.to_dict(),
-        final_distance=final_distance,
-        budget=budget,
-        l_used=l_used,
-        ratio_sqrt=ratio_sqrt,
-        ratio_linear=ratio_linear,
-        assertions=assertions,
-        seed=seed,
-        config=config.to_dict(),
-    )
+        stages=stages, input_defect=run.report_in.to_dict(), final_distance=final_distance,
+        budget=budget, l_used=l_used, ratio_sqrt=final_distance / math.sqrt(eps_in),
+        ratio_linear=final_distance / eps_in, assertions=assertions, seed=config.seed,
+        config=config.to_dict())
     psi.meta["report_ok"] = report.ok()
     psi.meta["output_defect"] = out_defect.to_dict()
     return psi, report

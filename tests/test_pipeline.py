@@ -89,6 +89,19 @@ def test_config_parse_and_unknown_key():
         parse_config("path = sideways\n")
 
 
+@pytest.mark.parametrize("key, value", [("group_probes", 0), ("path", "Stone"),
+                                        ("max_levels", -1)])
+def test_code_built_configs_are_checked_like_parsed_ones(key, value):
+    # a config built in code or by replace gets parse_config's check and
+    # message, so no run starts from a value the parser would refuse
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"{key} = {value}\n")
+    for build in (lambda: PipelineConfig(**{key: value}), lambda: FAST.replace(**{key: value})):
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == str(parsed.value)
+
+
 # -- pipeline -----------------------------------------------------------------
 
 def test_exact_fixed_point():
