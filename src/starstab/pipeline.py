@@ -352,7 +352,7 @@ def _correct_blocks(run):
     shape, d = run.phi.domain, run.phi3.dim
     basis = np.zeros((shape.linear_dim, d, d), dtype=complex)
     residual, mults = 0.0, [0] * len(shape.blocks)
-    isoms = run.blocks.isometries()
+    isoms = run.blocks.isometries
     components = {"units": _unit_components, "stone": _stone_components}[path](run, isoms)
     for v_k, (phi_k, eps5_k, values) in zip(isoms, components):
         # no admissibility gate: the block's K eps5 distance assertion is

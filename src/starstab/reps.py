@@ -98,23 +98,19 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
 class BlockDecomposition:
     """Orthogonal projections onto the isotypic components of a unitary
     representation, one per block of the domain that it carries, in block
-    order.  ``multiplicities`` has one entry per block of the domain, 0 for
-    a block with no component."""
+    order, with the eigenvector columns that span each.  ``multiplicities``
+    has one entry per block of the domain, 0 for a block with no component."""
 
     dim: int
     projections: tuple[np.ndarray, ...]
+    isometries: tuple[np.ndarray, ...]    # orthonormal column bases V_k, p_k = V_k V_k*
     block_dims: tuple[int, ...]
     multiplicities: tuple[int, ...]
     residual: float           # max commutation residual over the probe values
 
     def __post_init__(self):
-        for p in self.projections:
-            p.setflags(write=False)
-
-    def isometries(self):
-        """Orthonormal column bases V_k with p_k = V_k V_k*."""
-        return [la.orthonormal_range(p, d)
-                for p, d in zip(self.projections, self.block_dims)]
+        for a in self.projections + self.isometries:
+            a.setflags(write=False)
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +156,7 @@ def decompose(pi: ApproxMap, probe_values: np.ndarray, tol: float) -> BlockDecom
         raise SingularMapError(
             f"eigenvalue {x:.3g} is not within 1/4 of a block label 1..{len(blocks)}"
             + (": a vector that no block unit carries" if abs(x) <= 0.25 else ""))
-    projections, dims, mults = [], [], []
+    projections, isometries, dims, mults = [], [], [], []
     for b, n in enumerate(blocks, 1):
         cols = v[:, nearest == b]
         d = cols.shape[1]
@@ -169,12 +165,14 @@ def decompose(pi: ApproxMap, probe_values: np.ndarray, tol: float) -> BlockDecom
         mults.append(d // n)
         if d:
             projections.append(la.herm(cols @ cols.conj().T))
+            isometries.append(cols)
             dims.append(d)
     p = np.stack(projections)[:, None]
     resid = la.op_norm(p @ probe_values - probe_values @ p)
     if resid > tol:
         raise SingularMapError(f"block commutation residual {resid:.3g} exceeds {tol:.3g}")
-    return BlockDecomposition(pi.dim, tuple(projections), tuple(dims), tuple(mults), resid)
+    return BlockDecomposition(pi.dim, tuple(projections), tuple(isometries), tuple(dims),
+                              tuple(mults), resid)
 
 
 def compress(values: np.ndarray, isometry: np.ndarray, snap_tol: float = 1e-6) -> np.ndarray:

@@ -171,7 +171,7 @@ def test_decompose_block_order_and_json():
 def test_compress_block():
     pi = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
     dec = decompose(pi, at_unitaries(pi, 15), 1e-10)
-    v = dec.isometries()[0]
+    v = dec.isometries[0]
     vals = compress(pi.batch(random_unitaries(SHAPE2, 3, 16)), v)
     assert vals.shape == (3, 4, 4)
     assert la.op_norm(la.adj(vals) @ vals - np.eye(4)) < 1e-12
