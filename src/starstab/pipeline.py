@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -111,9 +111,9 @@ def compute_budget(eps: float, K: float) -> PipelineBudget:
 class StageRecord:
     name: str
     seconds: float
-    movement: float = 0.0
-    in_triangle: bool = True     # whether the movement enters the telescoping sum
-    info: dict = field(default_factory=dict)
+    movement: float
+    in_triangle: bool            # whether the movement enters the telescoping sum
+    info: dict
 
     def to_dict(self, include_timing=True) -> dict:
         d = {"name": self.name, "movement": self.movement,
@@ -216,11 +216,13 @@ class _Run:
         self.pairs = unitary_pairs(phi.domain, config.group_probes,
                                    _derive_seed(config.seed, "pairs"))
         self.group_seed = _derive_seed(config.seed, "group")
+        self.q_iso = None            # the corner isometry, when the corner stage restricts
 
 
-def _advance(run: _Run, values: np.ndarray, q=None) -> float:
-    """The movement from the ball values in ``run.last`` to ``values``, which replace them."""
-    moved = _sup_dist(values, run.last, q)
+def _advance(run: _Run, values: np.ndarray) -> float:
+    """The movement from the ball values in ``run.last`` to ``values``, which
+    replace them; values on a corner are re-embedded by ``run.q_iso``."""
+    moved = _sup_dist(values, run.last, run.q_iso)
     run.last = values
     return moved
 
@@ -256,7 +258,7 @@ def _corner(run):
     # point, and phi1 matches it by bytes
     p_one = run.phi1.meta["unit_projection"]
     rank = int(round(float(np.real(np.trace(p_one)))))
-    run.q_iso, run.phi3 = None, run.phi2
+    run.phi3 = run.phi2
     if la.op_norm(p_one - np.eye(run.phi.dim)) > 1e-9:
         q = run.q_iso = la.orthonormal_range(p_one, rank)
         run.phi3 = run.phi2.compose_output(partial(la.compress, q), rank, corner_rank=rank)
@@ -364,7 +366,7 @@ def _correct_blocks(run):
         basis += v_k @ psi_k.basis @ v_k.conj().T
     run.psi_blocks = ApproxMap.linear(shape, d, basis, {"kind": "blockwise"})
     run.corr_residual = residual
-    return True, _advance(run, run.psi_blocks.batch(run.ball), run.q_iso), {
+    return True, _advance(run, run.psi_blocks.batch(run.ball)), {
         "path": path, "relation_residual": residual, "multiplicities": mults}
 
 
@@ -374,14 +376,13 @@ def _near_inclusion(run):
     if run.target is None:
         return True, 0.0, {"skipped": True}
     if run.target.dim != run.phi3.dim:
-        raise PreconditionError(
-            f"target dimension mismatch ({run.target.dim} vs {run.phi3.dim})")
+        raise PreconditionError(f"target dimension mismatch ({run.target.dim} vs {run.phi3.dim})")
     _, run.psi_work, ni = near_inclusion_fix(
         run.psi_blocks, run.target, probes=tuple(s[:48] for s in run.ball),
         admissible=max(1e-2, 4.0 * run.eps_in, 4.0 * run.corr_residual))
     run.ni_checks = [_check("near-inclusion-v", ni["v_deviation"], ni["v_bound"]),
                      _check("near-inclusion-movement", ni["movement"], ni["movement_bound"])]
-    return True, _advance(run, run.psi_work.batch(run.ball), run.q_iso), {
+    return True, _advance(run, run.psi_work.batch(run.ball)), {
         k: ni[k] for k in ("eps6", "v_deviation", "v_bound", "v_ok", "movement",
                            "movement_bound", "movement_ok")}
 
