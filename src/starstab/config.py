@@ -5,6 +5,7 @@ Unknown keys are errors so that typos never silently fall back to defaults.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,9 @@ MINIMUMS = {"probes": 1, "group_probes": 1, "mc_width": 2,
 @dataclass
 class PipelineConfig:
     """Run settings; every construction, parsed, replaced or built in code,
-    is checked against ``MINIMUMS`` and the two routes."""
+    is checked against ``MINIMUMS`` and the two routes, and each count and
+    the seed must be an integer (a numpy integer is taken as an int; a
+    bool is refused)."""
 
     probes: int = 200              # unit-ball probes for defects and distances
     group_probes: int = 8          # unitary probe pairs for group-map stages
@@ -34,6 +37,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.path not in ("units", "stone"):
             raise ConfigError("path must be 'units' or 'stone'")
+        for key in (*MINIMUMS, "seed"):
+            value = getattr(self, key)
+            # bool is an Integral; numpy integers become ints, so reports serialize
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            setattr(self, key, int(value))
         for key, least in MINIMUMS.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")

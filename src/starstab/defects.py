@@ -20,8 +20,8 @@ from . import _linalg as la
 from .algebra import (AlgebraElement, AlgebraShape, identity, stack_coeffs,
                       stack_elements, stack_norms, stack_row)
 from .errors import EvaluationError, PreconditionError
-from .probes import (constant, defect_stacks, defect_triples, distinct_rows,
-                     forked_spheres, sphere_probes)
+from .probes import (constant, defect_stacks, defect_triples, forked_spheres,
+                     sphere_probes)
 
 
 @dataclass(eq=False)
@@ -172,40 +172,49 @@ class DefectReport:
 
 
 def _defect_values(m: ApproxMap, x, y, lams: np.ndarray, index):
-    """Yield m's values at each of the six ``probes.defect_stacks`` of the
-    triples, in order, given each stack's ``probes.distinct_rows`` in
-    ``index``.  Each distinct row is evaluated once and its value scattered
-    back to every row that holds its point; a value depends on its point
-    alone, so this equals evaluating every row.  A stack is built when its
-    value is asked for and dropped once it is evaluated."""
-    for stack, (rows, inverse) in zip(defect_stacks(x, y, lams), index):
-        yield m.batch(tuple(s[rows] for s in stack))[inverse]
+    """Yield m's values at the distinct rows of each of the six
+    ``probes.defect_stacks`` of the triples, in order, given each stack's
+    ``probes.distinct_rows`` in ``index``: each distinct point is evaluated
+    once, as a (D, N, N) stack in the order of its first row.  A stack is
+    built when its value is asked for and dropped once it is evaluated."""
+    for stack, (rows, _) in zip(defect_stacks(x, y, lams), index):
+        yield m.batch(tuple(s[rows] for s in stack))
 
 
-def _defect_suprema(values, lams: np.ndarray) -> list[DefectReport]:
+def _defect_suprema(values, lams: np.ndarray, index) -> list[DefectReport]:
     """The five suprema over the triples for each of several maps.
 
     ``values`` yields, for each of the six stacks of ``_defect_values`` in
-    order, a list with every map's (K, N, N) values there.  It is read one
-    stack at a time, and only the values at x and y are held across stacks.
+    order, a list with every map's values at that stack's distinct rows;
+    ``index`` is the triples' ``probes.defect_triples`` index.  It is read
+    one stack at a time, and only the values at x and y are held across
+    stacks.  A row's defect matrix depends on its point alone, so each
+    supremum reads one row per distinct point it depends on:
+
+    - additivity and multiplicativity read every row (x_k, y_k), the
+      distinct values scattered back to each;
+    - homogeneity reads the distinct (x_k, lambda_k) rows;
+    - the adjoint defect reads the distinct x rows;
+    - the norm excess reads the distinct x and the distinct y values.
+
+    Every matrix left out is a bit-identical copy of one that is read, and
+    ``op_norm`` of a stack is the max of its per-matrix norms, so each
+    supremum equals the one over every row, bit for bit.
     """
-    lam = lams[:, None, None]
+    (x_rows, x_of), (_, y_of), (_, sum_of), (_, scaled_of), (_, prod_of), \
+        (_, adj_of), (scal_rows, _) = index
+    lam = lams[scal_rows, None, None]
+    x_at, scaled_at, adj_at = x_of[scal_rows], scaled_of[scal_rows], adj_of[x_rows]
     values = iter(values)
-    fx, fy = next(values), next(values)
-    add = [la.op_norm(s - a - b) for s, a, b in zip(next(values), fx, fy)]
-    scal = [la.op_norm(s - lam * a) for s, a in zip(next(values), fx)]
-    mult = [la.op_norm(s - a @ b) for s, a, b in zip(next(values), fx, fy)]
-    adj = [la.op_norm(s - la.adj(a)) for s, a in zip(next(values), fx)]
-    excess = [max(la.op_norm(a), la.op_norm(b)) - 1.0 for a, b in zip(fx, fy)]
+    dx, dy = next(values), next(values)
+    fx, fy = [a[x_of] for a in dx], [b[y_of] for b in dy]
+    add = [la.op_norm(s[sum_of] - a - b) for s, a, b in zip(next(values), fx, fy)]
+    scal = [la.op_norm(s[scaled_at] - lam * a[x_at]) for s, a in zip(next(values), dx)]
+    mult = [la.op_norm(s[prod_of] - a @ b) for s, a, b in zip(next(values), fx, fy)]
+    adj = [la.op_norm(s[adj_at] - la.adj(a)) for s, a in zip(next(values), dx)]
+    excess = [max(la.op_norm(a), la.op_norm(b)) - 1.0 for a, b in zip(dx, dy)]
     return [DefectReport(*sups, max(e, 0.0), len(lams))
             for *sups, e in zip(add, scal, mult, adj, excess)]
-
-
-def _defects_on_pairs(m: ApproxMap, x, y, lams: np.ndarray) -> DefectReport:
-    """The five suprema over the triples (x_k, y_k, lambda_k) given as per-block
-    stacks x and y and a (K,) array of scalars."""
-    index = tuple(distinct_rows(s) for s in defect_stacks(x, y, lams))
-    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)), lams)[0]
 
 
 def estimate_defect(m: ApproxMap, samples: int, det_cap: int = 12) -> DefectReport:
@@ -216,7 +225,8 @@ def estimate_defect(m: ApproxMap, samples: int, det_cap: int = 12) -> DefectRepo
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     x, y, lams, index = defect_triples(m.domain, samples, det_cap)
-    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)), lams)[0]
+    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)),
+                           lams, index)[0]
 
 
 def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
@@ -224,9 +234,9 @@ def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
     """``estimate_defect`` of each compression x -> v* m(x) v, one report per
     isometry v of ``isometries``, with m evaluated once per probe stack.
 
-    The value stack at each probe stack is compressed to every v before the
-    next stack is evaluated.  Each report equals, bit for bit, the
-    ``estimate_defect`` of ``m.compose_output(partial(la.compress, v), d)``
+    The values at each probe stack's distinct rows are compressed to every v
+    before the next stack is evaluated.  Each report equals, bit for bit,
+    the ``estimate_defect`` of ``m.compose_output(partial(la.compress, v), d)``
     when m has no basis tensor (``compose_output`` compresses a basis tensor
     itself, which rounds differently).
     """
@@ -234,7 +244,7 @@ def estimate_compressed_defects(m: ApproxMap, isometries, samples: int,
         raise PreconditionError("samples must be >= 1")
     x, y, lams, index = defect_triples(m.domain, samples, det_cap)
     return _defect_suprema(([la.compress(v, f) for v in isometries]
-                            for f in _defect_values(m, x, y, lams, index)), lams)
+                            for f in _defect_values(m, x, y, lams, index)), lams, index)
 
 
 def map_norm(m: ApproxMap, probes) -> float:

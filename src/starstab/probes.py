@@ -10,9 +10,9 @@ random rows are one ``HaarSampler`` set, drawn from one generator.  The
 sets whose seed is a constant of the code repeat within and across runs, so
 they are built once per process and kept, read-only, in one LRU cache of at
 most ``CACHE_CAP`` entries (``constant`` and ``defect_triples``; the
-defect set keeps the index of the distinct rows of its six stacks with
-it).  Sets
-seeded per run are built fresh on every call.
+defect set keeps the index of the distinct rows of its six stacks and of
+its (x, lambda) rows with it).  Sets seeded per run are built fresh on
+every call.
 """
 from __future__ import annotations
 
@@ -134,19 +134,29 @@ def defect_stacks(x, y, lams: np.ndarray):
     yield tuple(adj(a) for a in x)
 
 
+def defect_index(x, y, lams: np.ndarray):
+    """The ``distinct_rows`` of each of the six ``defect_stacks`` of the
+    triples, in order, and last those of the (x, lambda) rows."""
+    return (*(distinct_rows(s) for s in defect_stacks(x, y, lams)),
+            distinct_rows((*x, lams[:, None])))
+
+
 def _defect_triples(shape: AlgebraShape, samples: int, det_cap: int):
     x, y, lam = _random_triples(shape, samples)
     dx, dy, dlam = deterministic_pairs(shape, det_cap)
     x, y, lam = _concat(x, dx), _concat(y, dy), np.concatenate([lam, dlam])
-    return x, y, lam, tuple(distinct_rows(s) for s in defect_stacks(x, y, lam))
+    return x, y, lam, defect_index(x, y, lam)
 
 
 def defect_triples(shape: AlgebraShape, samples: int, det_cap: int = 12):
     """``estimate_defect``'s probe triples (x, y, lambda): the first
     ``samples`` random unit-ball triples, then the deterministic pairs;
-    then the ``distinct_rows`` of each of their six ``defect_stacks``.  Each
-    whole set is one cache entry, so the distinct rows are found once per
-    set."""
+    then their ``defect_index``.  The map is evaluated at each stack's
+    distinct rows.  The homogeneity supremum reads the distinct
+    (x, lambda) rows, the adjoint defect the distinct x rows, the norm
+    excess the distinct x and y rows, and additivity and multiplicativity
+    every row.  Each whole set is one cache entry, so the distinct rows are
+    found once per set."""
     return constant(_defect_triples, shape, samples, det_cap)
 
 

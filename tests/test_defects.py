@@ -6,14 +6,15 @@ import pytest
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               identity, stack_elements, stack_rows)
-from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
-                              estimate_defect, induction_window, is_eps_nonzero,
+from starstab.defects import (ApproxMap, DefectReport, _defect_suprema,
+                              _defect_values, estimate_defect, induction_window, is_eps_nonzero,
                               isometry_diagnostic, map_norm, normalize,
                               s_iterate)
 from starstab.errors import GapError, PreconditionError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               perturb_additive)
-from starstab.probes import DET_PAIR_CAP, deterministic_pairs, sphere_probes
+from starstab.probes import (DET_PAIR_CAP, defect_index, defect_triples,
+                             deterministic_pairs, sphere_probes)
 
 SHAPE2 = AlgebraShape([2])
 
@@ -24,6 +25,15 @@ def embedding(mult=2, shape=SHAPE2, pad=0, seed=None):
     n = pad + sum(m * nb for m, nb in zip(mults, shape.blocks))
     w = haar_conjugator(n, seed) if seed is not None else None
     return exact_homomorphism(EmbeddingSpec(shape, mults, pad, w))
+
+
+def defects_on_pairs(m, x, y, lams):
+    """The five suprema over the triples (x_k, y_k, lambda_k), given as
+    per-block stacks x and y and a (K,) array of scalars, by the suprema
+    that estimate_defect takes over its own triples."""
+    index = defect_index(x, y, lams)
+    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)),
+                           lams, index)[0]
 
 
 def test_single_point_call_is_a_one_row_batch():
@@ -77,10 +87,36 @@ def test_defect_monotone_in_probe_set():
         triples.append((s.contraction(), s.contraction(), s.disc_scalar()))
     xs, ys, lams = zip(*triples)
     x, y, lam = stack_elements(xs), stack_elements(ys), np.array(lams)
-    small = _defects_on_pairs(phi, tuple(s[:20] for s in x), tuple(s[:20] for s in y), lam[:20])
-    big = _defects_on_pairs(phi, x, y, lam)
+    small = defects_on_pairs(phi, tuple(s[:20] for s in x), tuple(s[:20] for s in y), lam[:20])
+    big = defects_on_pairs(phi, x, y, lam)
     for f in ("add_defect", "scalar_defect", "mult_defect", "adj_defect", "norm_excess"):
         assert getattr(big, f) >= getattr(small, f)
+
+
+def test_norm_excess_decomposes_each_distinct_point_once(monkeypatch):
+    # the exact map's repeated deterministic probes all have norm 1, so
+    # their copies would all tie at the maximum and reach the SVD
+    psi = embedding(seed=4)
+    _, _, _, index = defect_triples(SHAPE2, 24, 12)
+    distinct = len(index[0][0]) + len(index[1][0])
+    assert distinct < len(index[0][1]) + len(index[1][1])
+    per_call = []
+    svd, op_norm = np.linalg.svd, la.op_norm
+
+    def counted_svd(a, *args, **kwargs):
+        per_call[-1] += a[..., 0, 0].size
+        return svd(a, *args, **kwargs)
+
+    def counted_op_norm(x):
+        per_call.append(0)
+        return op_norm(x)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(la, "op_norm", counted_op_norm)
+    report = estimate_defect(psi, 24)
+    # one norm per supremum, the excess's two (at x, then at y) last
+    assert len(per_call) == 6 and report.epsilon <= 1e-12
+    assert sum(per_call[-2:]) <= distinct
 
 
 def test_convex_blend_defect():

@@ -102,6 +102,22 @@ def test_code_built_configs_are_checked_like_parsed_ones(key, value):
         assert str(built.value) == str(parsed.value)
 
 
+@pytest.mark.parametrize("key, value", [("probes", "200"), ("probes", 2.5), ("probes", True),
+                                        ("mc_width", 64.0), ("seed", 1.5), ("seed", None)])
+def test_config_counts_and_seed_must_be_integers(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        PipelineConfig(**{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        FAST.replace(**{key: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = PipelineConfig(probes=np.int64(96), seed=np.uint32(7))
+    assert cfg.probes == 96 and cfg.seed == 7
+    assert type(cfg.probes) is int and type(cfg.seed) is int
+    assert cfg == PipelineConfig(probes=96, seed=7)
+
+
 # -- pipeline -----------------------------------------------------------------
 
 def test_exact_fixed_point():

@@ -17,7 +17,7 @@ from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
 from starstab.averaging import (AveragedGroupMap, GroupMeasurement, _batch_means,
                                 _spread, average_once, measure_group_map)
 from starstab.config import PipelineConfig
-from starstab.defects import (ApproxMap, DefectReport, _defects_on_pairs,
+from starstab.defects import (ApproxMap, DefectReport, _defect_suprema, _defect_values,
                               estimate_compressed_defects, estimate_defect, normalize)
 from starstab.errors import EvaluationError
 from starstab.experiments import _nearest_point, kk_experiment, sweep_instances
@@ -25,7 +25,7 @@ from starstab.factory import (EmbeddingSpec, InclusionSpec, _quantized_keys,
                               discretize, exact_homomorphism, haar_conjugator,
                               lattice_quantize, near_identity_unitary, perturb_additive)
 from starstab.pipeline import run_pipeline
-from starstab.probes import (ball_probes, defect_triples, deterministic_elements,
+from starstab.probes import (ball_probes, defect_index, defect_triples, deterministic_elements,
                              deterministic_pairs, deterministic_stack, forked_spheres,
                              random_unitaries, sphere_probes, unitary_pairs)
 from starstab.reps import unitarize
@@ -211,6 +211,15 @@ def test_opaque_evaluator_error_names_the_first_failing_row():
         ApproxMap(SHAPE, 4, fn).batch(stack_elements(xs))
     assert err.value.offending.key() == xs[5].key()
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def defects_on_pairs(m, x, y, lams):
+    """The five suprema over the triples (x_k, y_k, lambda_k), given as
+    per-block stacks x and y and a (K,) array of scalars, by the suprema
+    that estimate_defect takes over its own triples."""
+    index = defect_index(x, y, lams)
+    return _defect_suprema(([f] for f in _defect_values(m, x, y, lams, index)),
+                           lams, index)[0]
 
 
 def reference_defects(m, triples):
@@ -415,7 +424,7 @@ def test_estimate_defect_is_bit_identical_to_the_per_call_reference(shape):
             triples = stacked(ref_defect_triples(shape, samples, det_cap))
             for m, ref_m in zip(maps(), maps()):
                 got = estimate_defect(m, samples, det_cap=det_cap)
-                assert got.to_dict() == _defects_on_pairs(ref_m, *triples).to_dict()
+                assert got.to_dict() == defects_on_pairs(ref_m, *triples).to_dict()
 
 
 @pytest.mark.parametrize("shape, mults", [(SHAPE, (2, 1)), (AlgebraShape([2]), (2,))])
@@ -426,10 +435,10 @@ def test_stacked_defects_match_the_per_pair_loop(shape, mults):
     def opaque():   # a fresh per-element map, nonlinear and not multiplicative
         return ApproxMap(shape, psi.dim, lambda x: psi(x) + 1e-3 * psi(x) @ psi(x) @ psi(x))
 
-    assert _defects_on_pairs(opaque(), *stacked(triples)) == reference_defects(opaque(), triples)
+    assert defects_on_pairs(opaque(), *stacked(triples)) == reference_defects(opaque(), triples)
     assert estimate_defect(opaque(), 24, det_cap=8) == reference_defects(opaque(), triples)
     for m in (psi, perturb_additive(psi, 1e-3, seed=3)):
-        assert _defects_on_pairs(m, *stacked(triples)) == reference_defects(m, triples)
+        assert defects_on_pairs(m, *stacked(triples)) == reference_defects(m, triples)
 
 
 def row_bytes(stack):
@@ -469,12 +478,13 @@ def test_defect_estimates_evaluate_each_distinct_probe_once(shape, mults, monkey
     q, _ = np.linalg.qr(HaarSampler(AlgebraShape([4]), 6).unitary().blocks[0])
     isometries = [q[:, :1], q[:, 1:]]
 
+    # one index per stack and one of the (x, lambda) rows, once per set
     got = estimate_defect(m, 24, det_cap=8)
-    assert seen == expected and len(indexed) == 6
+    assert seen == expected and len(indexed) == 7
     seen.clear()
     compressed = estimate_compressed_defects(m, isometries, 24, det_cap=8)
-    assert seen == expected and len(indexed) == 6      # no index is computed again
-    assert estimate_defect(m, 24, det_cap=8) == got and len(indexed) == 6
+    assert seen == expected and len(indexed) == 7      # no index is computed again
+    assert estimate_defect(m, 24, det_cap=8) == got and len(indexed) == 7
 
     assert got == reference_defects(rho, triples)
     for v, report in zip(isometries, compressed):

@@ -12,7 +12,7 @@ from starstab.factory import (EmbeddingSpec, exact_homomorphism,
                               near_identity_unitary, perturb_additive,
                               perturb_conjugate)
 from starstab.probes import ball_probes
-from starstab.synthesis import (TraceExpectation, intertwiner,
+from starstab.synthesis import (RESIDUAL_STACK_CAP, TraceExpectation, intertwiner,
                                 matrix_unit_correction, near_inclusion_fix,
                                 relation_residual)
 
@@ -248,6 +248,27 @@ def test_relation_residual_matches_pairwise_loop(blocks, mults, seed):
     assert relation_residual(shape, system.basis) == \
         pairwise_relation_residual(shape, system.basis)
     assert system.relation_residual() == relation_residual(shape, system.basis)
+
+
+@pytest.mark.parametrize("blocks, mults, chunks", [((8,), (1,), 16), ((1, 2), (2, 1), 1)])
+def test_chunked_relation_residual_equals_the_pairwise_loop(blocks, mults, chunks,
+                                                            monkeypatch):
+    shape = AlgebraShape(blocks)
+    basis = embedding(shape=shape, mults=mults, seed=44).basis
+    noise = HaarSampler(AlgebraShape([len(basis[0])]), 45).contractions(len(basis))[0]
+    perturbed = basis + 1e-3 * noise
+    sizes = []
+    op_norm = la.op_norm
+    monkeypatch.setattr(la, "op_norm",          # record each stack's matrix count
+                        lambda x: sizes.append(x[..., 0, 0].size) or op_norm(x))
+    got = relation_residual(shape, perturbed)
+    # the adjoint stack, then the ring residuals in chunks of whole left factors
+    ring = sizes[1:]
+    assert len(ring) == chunks and sum(ring) == len(basis) ** 2
+    assert max(ring) <= RESIDUAL_STACK_CAP
+    monkeypatch.undo()
+    assert got == pairwise_relation_residual(shape, perturbed) > 1e-4
+    assert relation_residual(shape, basis) == pairwise_relation_residual(shape, basis)
 
 
 def test_relation_residual_sees_a_missing_unit():
