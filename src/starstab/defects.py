@@ -187,8 +187,8 @@ def _defect_suprema(values, lams: np.ndarray, index) -> list[DefectReport]:
     ``values`` yields, for each of the six stacks of ``_defect_values`` in
     order, a list with every map's values at that stack's distinct rows;
     ``index`` is the triples' ``probes.defect_triples`` index.  It is read
-    one stack at a time, and only the values at x and y are held across
-    stacks.  A row's defect matrix depends on its point alone, so each
+    one stack at a time; the distinct values at x and y and their copies
+    scattered to every row are held across stacks.  A row's defect matrix depends on its point alone, so each
     supremum reads one row per distinct point it depends on:
 
     - additivity and multiplicativity read every row (x_k, y_k), the

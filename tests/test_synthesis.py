@@ -240,35 +240,26 @@ def pairwise_relation_residual(shape, basis):
 
 @pytest.mark.parametrize("blocks,mults,seed", [((1, 2), (2, 1), 40), ((3,), (2,), 41),
                                                ((8,), (1,), 42)])
-def test_relation_residual_matches_pairwise_loop(blocks, mults, seed):
+def test_relation_residual_matches_pairwise_loop(blocks, mults, seed, monkeypatch):
     shape = AlgebraShape(blocks)
     phi = perturb_additive(embedding(shape=shape, mults=mults, seed=seed), 1e-4,
                            seed=seed + 100)
     system, _, _ = matrix_unit_correction(phi)
-    assert relation_residual(shape, system.basis) == \
-        pairwise_relation_residual(shape, system.basis)
-    assert system.relation_residual() == relation_residual(shape, system.basis)
-
-
-@pytest.mark.parametrize("blocks, mults, chunks", [((8,), (1,), 16), ((1, 2), (2, 1), 1)])
-def test_chunked_relation_residual_equals_the_pairwise_loop(blocks, mults, chunks,
-                                                            monkeypatch):
-    shape = AlgebraShape(blocks)
-    basis = embedding(shape=shape, mults=mults, seed=44).basis
-    noise = HaarSampler(AlgebraShape([len(basis[0])]), 45).contractions(len(basis))[0]
+    basis = system.basis
+    noise = HaarSampler(AlgebraShape([basis.shape[1]]), seed + 200).contractions(len(basis))[0]
     perturbed = basis + 1e-3 * noise
-    sizes = []
-    op_norm = la.op_norm
+    sizes, op_norm = [], la.op_norm
     monkeypatch.setattr(la, "op_norm",          # record each stack's matrix count
                         lambda x: sizes.append(x[..., 0, 0].size) or op_norm(x))
     got = relation_residual(shape, perturbed)
-    # the adjoint stack, then the ring residuals in chunks of whole left factors
-    ring = sizes[1:]
-    assert len(ring) == chunks and sum(ring) == len(basis) ** 2
-    assert max(ring) <= RESIDUAL_STACK_CAP
     monkeypatch.undo()
+    # the adjoint stack, then the ring residuals in the fewest stacks the cap allows
+    ring = sizes[1:]
+    assert sum(ring) == len(basis) ** 2 and max(ring) <= RESIDUAL_STACK_CAP
+    assert len(ring) == -(-len(basis) ** 2 // RESIDUAL_STACK_CAP)
     assert got == pairwise_relation_residual(shape, perturbed) > 1e-4
     assert relation_residual(shape, basis) == pairwise_relation_residual(shape, basis)
+    assert system.relation_residual() == relation_residual(shape, basis)
 
 
 def test_relation_residual_sees_a_missing_unit():
