@@ -129,13 +129,6 @@ class AlgebraElement:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        return all(la.op_norm(a.conj().T @ a - np.eye(n)) <= tol
-                   for n, a in zip(self.shape.blocks, self.blocks))
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return all(la.is_hermitian(a, tol) for a in self.blocks)
 
@@ -355,11 +348,3 @@ def four_unitaries(a: AlgebraElement):
         out.append((u, phase * pn / 2.0))
         out.append((u.adjoint(), phase * pn / 2.0))
     return out
-
-
-def reconstruct(pairs, shape: AlgebraShape) -> AlgebraElement:
-    """Sum lambda_j u_j back into an element (inverse of four_unitaries)."""
-    acc = zeros(shape)
-    for u, lam in pairs:
-        acc = acc + lam * u
-    return acc

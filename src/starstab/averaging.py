@@ -38,9 +38,6 @@ class IterationSchedule:
     def levels(self):
         return list(zip(self.kappas, self.deltas))
 
-    def movement_budget(self) -> float:
-        return sum(k * d for k, d in zip(self.kappas, self.deltas))
-
 
 def schedule(eps1: float, n_max: int) -> IterationSchedule:
     """Compute the sequences up to level n_max and check the contraction

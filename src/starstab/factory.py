@@ -2,17 +2,17 @@
 
 An embedding sends each block with a chosen multiplicity into M_N, padded
 with a zero corner and conjugated by a fixed unitary.  Perturbations come
-in two flavors: additive (a hash-seeded pseudorandom field, genuinely
-nonlinear) and conjugation by a near-identity invertible (multiplicative
-but not *-preserving).  Discretization quantizes inputs to an entry
-lattice, giving the finite-range step-function structure the stabilization
-pipeline expects.
+in two flavors: additive (a pseudorandom field drawn from a counter hash
+of the quantized input and the seed, genuinely nonlinear) and conjugation
+by a near-identity invertible (multiplicative but not *-preserving).
+Discretization quantizes inputs to an entry lattice, giving the
+finite-range step-function structure the stabilization pipeline expects.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,20 +122,42 @@ def exact_homomorphism(spec: EmbeddingSpec) -> ApproxMap:
     return out
 
 
-def _hash_normals(seed: int, payloads, count: int) -> np.ndarray:
-    """Deterministic standard normals from one hash stream per payload
-    (Box-Muller), as a (len(payloads), count) array."""
-    prefix = seed.to_bytes(8, "little")
-    raw = b"".join(hashlib.shake_256(prefix + p).digest(16 * count) for p in payloads)
-    u = np.frombuffer(raw, dtype="<u8").reshape(-1, 2 * count).astype(np.float64) * 2.0 ** -64
-    u1 = np.maximum(u[:, :count], 2.0 ** -64)
-    u2 = u[:, count:]
+# SplitMix64's counter increment, 2**64 over the golden ratio
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array (wrapping mod 2**64)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _hash_normals(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
+    """Deterministic standard normals (Box-Muller), as a (K, count) array;
+    row k depends on row k of the (K, L) int64 ``keys`` and on the seed
+    mod 2**64 alone.
+
+    Each lane is mixed with its position and the lanes are xor-reduced
+    into one 64-bit row key, which is mixed with the seed and expanded as
+    a SplitMix64 counter stream.  The arithmetic is integer and elementwise
+    on arrays, so the values are bit-exact on every machine."""
+    lanes = keys.view(np.uint64) + np.arange(1, keys.shape[1] + 1, dtype=np.uint64) * _GOLDEN
+    h = np.bitwise_xor.reduce(_mix64(lanes), axis=1)
+    h = _mix64(h ^ np.array(seed & (2**64 - 1), dtype=np.uint64))
+    bits = _mix64(h[:, None] + np.arange(1, 2 * count + 1, dtype=np.uint64) * _GOLDEN)
+    bits >>= np.uint64(11)
+    u1 = (bits[:, :count] + np.uint64(1)).astype(np.float64) * 2.0 ** -53   # in (0, 1]
+    u2 = bits[:, count:].astype(np.float64) * 2.0 ** -53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def _quantized_keys(stack) -> np.ndarray:
-    """(K, 2 linear_dim) int64 rows, the entries on a 1e-9 grid; the bytes
-    of row k hash element k."""
+    """(K, 2 linear_dim) int64 rows, the entries on a 1e-9 grid; row k
+    keys element k."""
     v = stack_coeffs(stack).view(np.float64)
     return np.rint(v / 1e-9).astype(np.int64)
 
@@ -143,20 +165,25 @@ def _quantized_keys(stack) -> np.ndarray:
 def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
     """psi + eta * g where g is a pseudorandom field with ||g(x)|| <= 1.
 
-    g depends on its input only through a hash of the quantized entries, so
-    the perturbed map is a genuine (deterministic) function while being
-    nonlinear in its argument.  Normalization is by the Frobenius norm,
-    which dominates the operator norm, so the unit bound holds.
+    g(x) is drawn from a counter hash of the entries of x quantized to a
+    1e-9 grid and of the seed, taken mod 2**64, so the perturbed map is a
+    genuine (deterministic) function while being nonlinear in its argument.
+    Its entries are standard normals normalized to Frobenius norm 1, which
+    dominates the operator norm, so the unit bound holds.
     """
     if not 0.0 <= eta < 1.0:
         raise PreconditionError("eta must be in [0, 1)")
+    # as in PipelineConfig: a numpy integer is taken as an int, a bool is refused
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
     n = psi.dim
 
     def stack_fn(stack) -> np.ndarray:
         base = psi.batch(stack)
         if eta == 0.0:
             return base
-        z = _hash_normals(seed, [row.tobytes() for row in _quantized_keys(stack)], 2 * n * n)
+        z = _hash_normals(seed, _quantized_keys(stack), 2 * n * n)
         z /= np.sqrt((z * z).sum(axis=1))[:, None]
         g = z[:, :n * n] + 1j * z[:, n * n:]
         return base + eta * g.reshape(-1, n, n)

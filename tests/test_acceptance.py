@@ -10,7 +10,7 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraShape, HaarSampler, _derive_seed, four_unitaries,
-                              reconstruct, stack_rows)
+                              stack_rows)
 from starstab.averaging import NUMERIC_FLOOR, average_once, schedule
 from starstab.config import PipelineConfig
 from starstab.defects import ApproxMap, induction_window, isometry_diagnostic
@@ -24,6 +24,8 @@ from starstab.pipeline import compute_budget, run_pipeline
 from starstab.probes import ball_probes, random_unitaries, unitary_pairs
 from starstab.reps import decompose
 from starstab.synthesis import intertwiner
+
+from _helpers import is_unitary, movement_budget, reconstruct
 
 
 @contextmanager
@@ -58,7 +60,7 @@ def test_acceptance_1_schedule_claims():
                 if n < 20:
                     assert sched.kappas[n + 1] - sched.kappas[n] < 2.0 ** -n
                 assert sched.deltas[n] <= 2.0 ** (5 * (1 - 2.0 ** n)) * eps1
-            assert sched.movement_budget() < 8.0 * eps1
+            assert movement_budget(sched) < 8.0 * eps1
 
 
 def test_acceptance_2_averaging_contraction():
@@ -168,7 +170,7 @@ def test_acceptance_7_four_unitaries():
             assert len(pairs) <= 4
             assert (reconstruct(pairs, shape) - a).norm() < 1e-12
             for u, lam in pairs:
-                assert u.is_unitary(1e-12)
+                assert is_unitary(u, 1e-12)
                 assert abs(lam) <= a.norm() + 1e-12
 
 

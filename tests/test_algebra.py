@@ -4,8 +4,10 @@ import pytest
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               coeff_vector, four_unitaries, identity,
-                              involution_exp, matrix_units, reconstruct, zeros)
+                              involution_exp, matrix_units, zeros)
 from starstab.errors import PreconditionError
+
+from _helpers import is_unitary, is_zero, reconstruct
 
 SHAPES = [AlgebraShape([1]), AlgebraShape([2]), AlgebraShape([2, 3]), AlgebraShape([1, 2])]
 
@@ -28,7 +30,7 @@ def test_element_validation_and_ops():
         AlgebraElement(s, [np.zeros((3, 3))])
     x = AlgebraElement(s, [np.array([[0.0, 1.0], [0.0, 0.0]])])
     assert (x + x.adjoint()).is_hermitian()
-    assert (x * x).is_zero(1e-15)
+    assert is_zero(x * x, 1e-15)
     assert (2.0 * x).norm() == pytest.approx(2.0)
 
 
@@ -61,7 +63,7 @@ def test_haar_unitary_properties():
     shape = AlgebraShape([2, 3])
     s = HaarSampler(shape, 42)
     u = s.unitary()
-    assert u.is_unitary(1e-12)
+    assert is_unitary(u, 1e-12)
     # determinism: same (seed, counter) -> identical matrices
     s2 = HaarSampler(shape, 42)
     u2 = s2.unitary()
@@ -128,7 +130,7 @@ def test_four_unitaries_identity_and_zero():
     pairs = four_unitaries(identity(shape))
     assert len(pairs) == 2
     for u, lam in pairs:
-        assert u.is_unitary(1e-12)
+        assert is_unitary(u, 1e-12)
         assert lam == pytest.approx(0.5)
     assert (reconstruct(pairs, shape) - identity(shape)).norm() < 1e-12
     assert four_unitaries(zeros(shape)) == []
@@ -142,7 +144,7 @@ def test_four_unitaries_random_m3():
     assert len(pairs) <= 4
     assert (reconstruct(pairs, shape) - a).norm() < 1e-12
     for u, lam in pairs:
-        assert u.is_unitary(1e-12)
+        assert is_unitary(u, 1e-12)
         assert abs(lam) <= a.norm() + 1e-12
 
 

@@ -19,6 +19,8 @@ from starstab.probes import unitary_pairs
 from starstab.pipeline import run_pipeline
 from starstab.reps import decompose, unitarize
 
+from _helpers import movement_budget
+
 SHAPE2 = AlgebraShape([2])
 
 
@@ -46,7 +48,7 @@ def test_schedule_claims_hold():
             assert d <= 2.0 ** (5 * (1 - 2.0 ** n)) * eps1
             if n + 1 < len(sched.kappas):
                 assert sched.kappas[n + 1] - k < 2.0 ** -n
-        assert sched.movement_budget() < 8.0 * eps1
+        assert movement_budget(sched) < 8.0 * eps1
         # the recurrences hold exactly
         for n in range(len(sched.deltas) - 1):
             k, d = sched.kappas[n], sched.deltas[n]

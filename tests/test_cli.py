@@ -72,6 +72,13 @@ def test_recover_command(fast_cfg, tmp_path, capsys):
     assert len(lines) == 3  # header + row + trailing newline
 
 
+def test_recover_takes_a_negative_seed(fast_cfg):
+    # seeds are taken mod 2**64, as the config accepts any integer
+    code = main(["recover", "--shape", "2", "--mult", "2", "--eta", "1e-3",
+                 "--config", fast_cfg, "--seed", "-1"])
+    assert code == 0
+
+
 def test_recover_abort_exit_code(fast_cfg, capsys):
     # measured defect 0.097, above the admissible 0.05
     code = main(["recover", "--shape", "2", "--mult", "2", "--eta", "0.05",

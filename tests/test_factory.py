@@ -3,10 +3,11 @@ import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
-                              stack_elements, stack_rows)
+                              matrix_units, stack_elements, stack_rows)
 from starstab.defects import estimate_defect
 from starstab.errors import PreconditionError
-from starstab.factory import (EmbeddingSpec, InclusionSpec, discretize,
+from starstab.factory import (EmbeddingSpec, InclusionSpec, _hash_normals,
+                              _quantized_keys, discretize,
                               exact_homomorphism, haar_conjugator,
                               lattice_quantize, mesh_constant, near_identity,
                               near_identity_unitary, perturb_additive,
@@ -78,6 +79,46 @@ def test_perturb_additive_defect_window():
     x = HaarSampler(SHAPE2, 3).contraction()
     phi2 = perturb_additive(psi, eta, seed=2)
     assert np.array_equal(phi(x), phi2(x))
+
+
+def field_rows(phi, psi, stack):
+    return (phi.batch(stack) - psi.batch(stack)) / phi.meta["eta"]
+
+
+def test_every_key_lane_reaches_the_field():
+    # moving one quantized coefficient of a fixed point by one grid step
+    # moves its row of the field, for each real and imaginary lane
+    shape = AlgebraShape([1, 2])
+    psi = exact_homomorphism(EmbeddingSpec(shape, (2, 1), 0))
+    phi = perturb_additive(psi, 1e-2, seed=4)
+    x = HaarSampler(shape, 21).contraction()
+    stack = stack_elements([x] + [x + step * e for _, _, _, e in matrix_units(shape)
+                                  for step in (1e-9, 1e-9j)])
+    keys = _quantized_keys(stack)
+    lanes = 2 * shape.linear_dim
+    assert np.array_equal(keys[1:] - keys[0], np.eye(lanes, dtype=np.int64))
+    rows = field_rows(phi, psi, stack)
+    for j in range(1, lanes + 1):
+        assert np.linalg.norm(rows[j] - rows[0]) > 0.1
+
+
+def test_field_normals_are_standard():
+    keys = np.arange(4096 * 6, dtype=np.int64).reshape(4096, 6) - 12000
+    z = _hash_normals(5, keys, 8).ravel()
+    assert abs(z.mean()) <= 4.0 / np.sqrt(z.size)
+    assert 0.95 <= z.var() <= 1.05
+
+
+def test_field_seeds_are_integers_mod_2_64():
+    psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (2,), 0))
+    stack = ball_probes(SHAPE2, 16, 8)
+    rows = {seed: field_rows(perturb_additive(psi, 1e-2, seed=seed), psi, stack)
+            for seed in (-1, 2**64 - 1, 1, 2)}
+    assert rows[-1].tobytes() == rows[2**64 - 1].tobytes()
+    assert all(np.linalg.norm(a - b) > 0.1 for a, b in zip(rows[1], rows[2]))
+    for bad in (1.5, True, "1"):
+        with pytest.raises(PreconditionError):
+            perturb_additive(psi, 1e-2, seed=bad)
 
 
 def test_perturb_additive_is_nonlinear():
