@@ -8,10 +8,9 @@ from .averaging import (AveragedGroupMap, IterationSchedule, average_once,
 from .config import PipelineConfig, load_config, parse_config
 from .defects import (ApproxMap, DefectReport, estimate_defect, induction_window,
                       is_eps_nonzero, isometry_diagnostic, normalize, s_iterate)
-from .errors import (BranchCutError, ConfigError, ContractionError,
-                     EvaluationError, GapError, MultiplicityMismatch,
-                     PreconditionError, SingularMapError, SnapError,
-                     StabilityError, StageAbort)
+from .errors import (ConfigError, ContractionError, EvaluationError, GapError,
+                     MultiplicityMismatch, PreconditionError, SingularMapError,
+                     SnapError, StabilityError, StageAbort)
 from .experiments import (KKEstimate, KKReport, kk_experiment, run_sweep,
                           sweep_csv, tower_experiment)
 from .factory import (EmbeddingSpec, InclusionSpec, discretize,

@@ -1,21 +1,16 @@
 """Dense complex matrix helpers.
 
-Matrix functions (sqrt, log, sign) act through eigendecompositions and are
+Matrix functions (sqrt, sign) act through eigendecompositions and are
 only defined for (numerically) normal input; non-normal matrices are
 rejected rather than silently mangled.
-
-Everything here is numpy except the principal logarithm's Schur factor,
-which takes ``scipy.linalg.schur``.  ``principal_log_unitary`` imports
-scipy on its first call, so importing starstab loads numpy alone.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchCutError, GapError, SingularMapError, SnapError
+from .errors import GapError, SingularMapError, SnapError
 
 COND_MAX = 1e8
-BRANCH_GUARD = 1e-6     # closest an eigenvalue may come to -1 in a principal log
 # op_norm skips a matrix only when an upper bound on its sigma_1 undercuts
 # the best sigma_1 found by this relative margin, far above the ~n eps
 # rounding of any bound; below the floor, squared entries can underflow and
@@ -196,20 +191,6 @@ def spectral_round_projection(h: np.ndarray,
     p = cols @ cols.conj().T
     p = herm(p)
     return p, op_norm(p - h)
-
-
-def principal_log_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian h with u = exp(i h), eigenvalue angles in (-pi, pi).
-
-    Aborts if an eigenvalue sits within ``BRANCH_GUARD`` of -1.
-    """
-    import scipy.linalg     # the only scipy use; kept off the import path
-    t, z = scipy.linalg.schur(u, output="complex")
-    ev = np.diag(t)
-    if np.min(np.abs(ev + 1.0)) < BRANCH_GUARD:
-        raise BranchCutError("eigenvalue too close to -1 for a principal logarithm")
-    theta = np.angle(ev)
-    return herm((z * theta) @ z.conj().T)
 
 
 def herm_sign_snap(h: np.ndarray, snap_tol: float = 1e-3) -> tuple[np.ndarray, float]:

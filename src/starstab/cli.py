@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -116,8 +115,7 @@ def cmd_recover(args) -> int:
     eps = rep.input_defect["epsilon"]
     label = args.shape.label()
     row = SweepRow(f"recover-{label}-eta{args.eta:g}", label, phi.dim,
-                   args.eta, eps, rep.final_distance, rep.ratio_sqrt,
-                   rep.ratio_linear, dt)
+                   args.eta, eps, rep.final_distance, dt)
     if args.out:
         _write_rows(args.out, [row])
     _emit(args, rep.to_dict(), [
@@ -154,10 +152,7 @@ def cmd_kk(args) -> int:
     rep = kk_experiment(spec, args.eta, cfg, delta=args.delta)
     if args.out:
         row = SweepRow(f"kk-{shape.label()}-eta{args.eta:g}", shape.label(), n,
-                       args.eta, rep.phi_defect["epsilon"],
-                       rep.recovered_distance,
-                       rep.recovered_distance / math.sqrt(max(args.eta, 1e-15)),
-                       rep.recovered_distance / max(args.eta, 1e-15), 0.0)
+                       args.eta, rep.phi_defect["epsilon"], rep.recovered_distance, 0.0)
         _write_rows(args.out, [row])
     _emit(args, rep.to_dict(), [
         f"distance bracket: [{rep.estimate.lower:.3e}, {rep.estimate.upper:.3e}]",
@@ -181,9 +176,7 @@ def cmd_tower(args) -> int:
     if args.out:
         ambient = shape.blockdiag_dim   # every floor lands in the top algebra
         rows = [SweepRow(f"tower-{i:02d}-{s.shape}", s.shape, ambient,
-                         args.eta, s.report.input_defect["epsilon"], s.distance,
-                         s.ratio if s.ratio is not None else 0.0,
-                         s.ratio if s.ratio is not None else 0.0, 0.0)
+                         args.eta, s.report.input_defect["epsilon"], s.distance, 0.0)
                 for i, s in enumerate(rep.stages)]
         _write_rows(args.out, rows)
     _emit(args, rep.to_dict(), [

@@ -17,10 +17,6 @@ class GapError(StabilityError):
         self.eigenvalues = eigenvalues
 
 
-class BranchCutError(StabilityError):
-    """A principal logarithm hit the branch cut near -1."""
-
-
 class SnapError(StabilityError):
     """A matrix was too far from the target manifold to be snapped onto it."""
 

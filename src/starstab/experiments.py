@@ -250,15 +250,24 @@ def tower_experiment(inclusions: list[InclusionSpec], eta: float,
 
 @dataclass
 class SweepRow:
+    """One CSV row; the two ratios divide ``final_distance`` by sqrt(eta)
+    and eta, with eta floored at 1e-15 so that eta = 0 rows stay finite."""
+
     experiment_id: str
     shape: str
     dim: int
     eta: float
     eps_measured: float
     final_distance: float
-    ratio_sqrt: float
-    ratio_linear: float
     seconds: float
+
+    @property
+    def ratio_sqrt(self) -> float:
+        return self.final_distance / math.sqrt(max(self.eta, 1e-15))
+
+    @property
+    def ratio_linear(self) -> float:
+        return self.final_distance / max(self.eta, 1e-15)
 
     def csv_values(self):
         return [self.experiment_id, self.shape, self.dim, repr(self.eta),
@@ -313,12 +322,8 @@ def run_sweep(etas, repeats: int, config: PipelineConfig | None = None,
         psi, rep = run_pipeline(phi, config)
         dt = time.perf_counter() - t0
         eps = rep.input_defect["epsilon"]
-        rows.append(SweepRow(
-            exp_id, phi.domain.label(), phi.dim, eta, eps,
-            rep.final_distance,
-            rep.final_distance / math.sqrt(max(eta, 1e-15)),
-            rep.final_distance / max(eta, 1e-15),
-            dt))
+        rows.append(SweepRow(exp_id, phi.domain.label(), phi.dim, eta, eps,
+                             rep.final_distance, dt))
         details[exp_id] = {"report": rep, "psi": psi, "psi0": psi0}
     rows.sort(key=lambda r: r.experiment_id)
     return rows, details

@@ -258,6 +258,8 @@ def _corner(run):
     # point, and phi1 matches it by bytes
     p_one = run.phi1.meta["unit_projection"]
     rank = int(round(float(np.real(np.trace(p_one)))))
+    if rank == 0:
+        raise PreconditionError("phi(1) rounds to the zero projection: nothing to restrict to")
     run.phi3 = run.phi2
     if la.op_norm(p_one - np.eye(run.phi.dim)) > 1e-9:
         q = run.q_iso = la.orthonormal_range(p_one, rank)

@@ -24,7 +24,7 @@ from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError, SnapError
 from .probes import random_unitaries
 
-STONE_ANGLES = (0.5, np.pi / 7.0, 1.0 / 3.0, 1.0)     # the log's r0, then check angles
+STONE_ANGLES = (0.5, np.pi / 7.0, 1.0 / 3.0, 1.0)     # the generator's r0, then check angles
 
 
 @dataclass(frozen=True)
@@ -194,17 +194,24 @@ def stone_points(a: AlgebraElement) -> list[AlgebraElement]:
 
 def stone_generator(values: np.ndarray, verify_tol: float = 1e-6,
                     snap_tol: float = 1e-3) -> np.ndarray:
-    """Image of a self-adjoint unitary a under the one-parameter-group
-    logarithm of the representation, from its values at ``stone_points(a)``.
+    """Image rho(a) of a self-adjoint unitary a under the generator of the
+    one-parameter group r -> pi(exp(i r a)), from pi's values at
+    ``stone_points(a)``.
 
-    Takes the principal logarithm of pi(exp(i r0 a)) at the first angle
-    r0 = 1/2 (safely off the branch cut for spectrum in {-1, +1}),
-    rescales, and snaps via the Hermitian sign function.  Verifies
-    pi(exp(i r a)) = exp(i r rho(a)) at the other angles.
+    rho(a) is the sign of the Hermitian sine part (U - U*) / (2i sin r0) of
+    U = pi(exp(i r0 a)), r0 = 1/2.  U is unitary (pi and ``compress`` snap),
+    so U = sum_k exp(i theta_k) P_k with theta_k in (-pi, pi], and the sine
+    part sum_k (sin theta_k / sin r0) P_k has the eigenprojections of the
+    principal logarithm log(U) / r0 = sum_k (theta_k / r0) P_k, with
+    sign(sin theta_k) = sign(theta_k) for theta_k in (-pi, pi): both snap to
+    sum_k sign(theta_k) P_k.  The snap check reads |sin theta / sin r0 -+ 1|
+    for |theta / r0 -+ 1|, about 9% looser near +-r0; an eigenvalue near -1
+    has sin theta near 0 and fails the sign-gap check with SnapError.
+    Verifies pi(exp(i r a)) = exp(i r rho(a)) at the other angles.
     """
     r0, *verify_at = STONE_ANGLES
-    h = la.principal_log_unitary(values[0]) / r0
-    rho, _ = la.herm_sign_snap(h, snap_tol)
+    u = values[0]
+    rho, _ = la.herm_sign_snap((u - la.adj(u)) / (2j * np.sin(r0)), snap_tol)
     for r, lhs in zip(verify_at, values[1:]):
         rhs = np.cos(r) * np.eye(len(rho)) + 1j * np.sin(r) * rho
         if la.op_norm(lhs - rhs) > verify_tol:

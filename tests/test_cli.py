@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -86,6 +88,11 @@ def test_recover_abort_exit_code(fast_cfg, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "abort in stage 'admissibility'" in err
+    # multiplicity 0: phi(1) rounds to the zero projection
+    code = main(["recover", "--shape", "2", "--mult", "0", "--pad", "2", "--eta", "1e-3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "abort in stage 'corner'" in err
 
 
 def test_recover_exits_1_when_an_assertion_fails(fast_cfg, monkeypatch):
@@ -131,11 +138,18 @@ def test_kk_command(fast_cfg, capsys):
     assert rep["estimate"]["upper"] <= 2e-3 + 1e-6
 
 
-def test_tower_command(fast_cfg, capsys):
+def test_tower_command(fast_cfg, tmp_path, capsys):
+    out_csv = tmp_path / "tower.csv"
     code = main(["tower", "--start", "2", "--steps", "2",
-                 "--eta", "1e-3", "--config", fast_cfg])
+                 "--eta", "1e-3", "--config", fast_cfg, "--out", str(out_csv)])
     assert code == 0
     assert "floor 0" in capsys.readouterr().out
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert rows
+    for row in rows:        # both ratios divide the distance by powers of eta
+        dist = float(row["final_distance"])
+        assert float(row["ratio_sqrt"]) == pytest.approx(dist / math.sqrt(1e-3))
+        assert float(row["ratio_linear"]) == pytest.approx(dist / 1e-3)
 
 
 @pytest.mark.parametrize("argv", [

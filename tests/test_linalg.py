@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starstab._linalg as la
-from starstab.errors import BranchCutError, GapError, SingularMapError, SnapError
+from starstab.errors import GapError, SingularMapError, SnapError
 
 
 def rng(seed=0):
@@ -69,12 +69,7 @@ def test_spectral_round_projection():
         la.spectral_round_projection(np.diag([0.6, 0.1]))
 
 
-def test_principal_log_and_sign():
-    u = rand_unitary(3, seed=11)
-    h = la.principal_log_unitary(u)
-    assert la.op_norm(la.herm_fun(h, lambda w: np.exp(1j * w)) - u) < 1e-10
-    with pytest.raises(BranchCutError):
-        la.principal_log_unitary(np.diag([-1.0 + 0.0j, 1.0]))
+def test_herm_sign_snap():
     s, dist = la.herm_sign_snap(np.diag([1.0001, -0.9999]))
     assert np.allclose(s, np.diag([1.0, -1.0]))
     assert dist == pytest.approx(1e-4, rel=1e-6)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import starstab._linalg as la
 from starstab.algebra import AlgebraShape
 from starstab.config import MINIMUMS, PipelineConfig, parse_config
-from starstab.errors import ConfigError
+from starstab.errors import ConfigError, StageAbort
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, haar_conjugator,
                               perturb_additive)
 from starstab.pipeline import run_pipeline
@@ -23,9 +23,8 @@ from starstab.synthesis import TraceExpectation, relation_residual
 @st.composite
 def embeddings(draw):
     blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    mults = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks))
-                 .filter(any))
-    pad = draw(st.integers(0, 2))
+    mults = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
+    pad = draw(st.integers(0 if any(mults) else 1, 2))      # dimension at least 1
     n = pad + sum(m * nb for m, nb in zip(mults, blocks))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     w = haar_conjugator(n, seed) if draw(st.booleans()) else None
@@ -73,6 +72,19 @@ def test_decompose_splits_every_isotypic_block(case):
 # the benchmark's recovery configuration (acceptance-4's FAST with probes = 96)
 RECOVERY = PipelineConfig(probes=96, group_probes=6, mc_width=128,
                           unitarize_width=48, max_levels=1)
+# every multiplicity 0: phi(1) = 0, and the corner stage has nothing to restrict to
+ZERO_UNIT = (EmbeddingSpec(AlgebraShape((2,)), (0,), 2, None), 0)
+
+
+def aborts_at_corner(phi, spec, config):
+    """Whether every multiplicity of ``spec`` is 0, after checking that
+    run_pipeline then aborts in the corner stage."""
+    if any(spec.multiplicities):
+        return False
+    with pytest.raises(StageAbort) as err:
+        run_pipeline(phi, config)
+    assert err.value.stage == "corner"
+    return True
 
 
 @pytest.mark.parametrize("path", ["units", "stone"])
@@ -81,9 +93,13 @@ RECOVERY = PipelineConfig(probes=96, group_probes=6, mc_width=128,
 # a past regression input: the corner basis puts the one-dimensional block
 # between the two coordinates of the 2 x 2 block
 @example((EmbeddingSpec(AlgebraShape((2, 1)), (1, 1), 1, None), 0))
+@example(ZERO_UNIT)
 def test_exact_input_is_a_fixed_point(path, case):
     spec, seed = case
-    _, report = run_pipeline(exact_homomorphism(spec), RECOVERY.replace(seed=seed, path=path))
+    config = RECOVERY.replace(seed=seed, path=path)
+    if aborts_at_corner(exact_homomorphism(spec), spec, config):
+        return
+    _, report = run_pipeline(exact_homomorphism(spec), config)
     assert report.final_distance < 1e-8
     assert report.ok()
 
@@ -91,11 +107,15 @@ def test_exact_input_is_a_fixed_point(path, case):
 @pytest.mark.parametrize("path", ["units", "stone"])
 @settings(max_examples=8, deadline=None)
 @given(embeddings(), st.sampled_from([1e-3, 1e-2]))
+@example(ZERO_UNIT, 1e-3)
 def test_small_additive_perturbation_is_recovered(path, case, eta):
     # the sweep's bound: a recovered map within 50 eta that is exact
     spec, seed = case
     phi = perturb_additive(exact_homomorphism(spec), eta, seed)
-    psi, report = run_pipeline(phi, RECOVERY.replace(seed=seed, path=path))
+    config = RECOVERY.replace(seed=seed, path=path)
+    if aborts_at_corner(phi, spec, config):
+        return
+    psi, report = run_pipeline(phi, config)
     assert report.ok()
     assert report.final_distance <= 50 * eta
     assert psi.meta["output_defect"]["epsilon"] <= 1e-8

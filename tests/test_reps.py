@@ -7,7 +7,7 @@ import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               _derive_seed, identity, stack_elements, stack_rows, zeros)
 from starstab.defects import ApproxMap
-from starstab.errors import PreconditionError, SingularMapError
+from starstab.errors import PreconditionError, SingularMapError, SnapError
 from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_conjugate)
 from starstab.probes import random_unitaries, unitary_pairs
@@ -202,6 +202,10 @@ def test_stone_generator_validates_input():
         stone_points(x)
     with pytest.raises(PreconditionError):
         stone_points(identity(SHAPE2) - 2.0 * x)    # x is not a projection either
+    values = at_stone_points(fundamental(), identity(SHAPE2) - 2.0 * zeros(SHAPE2))
+    values[0] = np.diag([-1.0, np.exp(0.5j)])     # sine part diag(0, 1): no sign gap
+    with pytest.raises(SnapError):
+        stone_generator(values)
 
 
 def lift(pi, p):
