@@ -122,7 +122,7 @@ def cmd_recover(args) -> int:
         f"shape {label} N={phi.dim} eta={args.eta:g} ({args.kind})",
         f"measured defect: {eps:.3e}",
         f"final distance:  {rep.final_distance:.3e} "
-        f"(ratio/sqrt(eps) = {rep.ratio_sqrt:.3f})",
+        f"(distance/sqrt(eps) = {rep.distance_over_sqrt_eps:.3f})",
         *(f"[{'PASS' if a['ok'] else 'FAIL'}] {a['name']}: "
           f"{a['value']:.3e} <= {a['bound']:.3e}" for a in rep.assertions),
     ])

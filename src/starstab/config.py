@@ -13,8 +13,9 @@ from .errors import ConfigError
 
 
 # the smallest value each count's consumer accepts; a 3-sigma error needs
-# two draws per averaging level and per Gram average (one gives a spread of
-# 0, so every Monte-Carlo bound drops it)
+# two draws per averaging level (one gives a spread of 0, so every
+# Monte-Carlo bound drops it); unitarize_width has no reader and keeps its
+# entry only until the benchmark's configs stop passing it
 MINIMUMS = {"probes": 1, "group_probes": 1, "mc_width": 2,
             "unitarize_width": 2, "max_levels": 0}
 
@@ -29,7 +30,7 @@ class PipelineConfig:
     probes: int = 200              # unit-ball probes for defects and distances
     group_probes: int = 8          # unitary probe pairs for group-map stages
     mc_width: int = 256            # Haar samples per averaging level
-    unitarize_width: int = 64      # Haar samples for the Gram average
+    unitarize_width: int = 64      # unread: the Gram average is over a fixed 1-design
     max_levels: int = 3            # averaging level cap
     path: str = "units"            # per-block route: "units" or "stone"
     seed: int = 0

@@ -130,8 +130,8 @@ class PipelineReport:
     final_distance: float
     budget: PipelineBudget | None
     l_used: float
-    ratio_sqrt: float
-    ratio_linear: float
+    distance_over_sqrt_eps: float
+    distance_over_eps: float
     assertions: list
     seed: int
     config: dict
@@ -149,8 +149,8 @@ class PipelineReport:
             "final_distance": self.final_distance,
             "budget": None if self.budget is None else self.budget.to_dict(),
             "L": self.l_used,
-            "ratio_sqrt": self.ratio_sqrt,
-            "ratio_linear": self.ratio_linear,
+            "distance_over_sqrt_eps": self.distance_over_sqrt_eps,
+            "distance_over_eps": self.distance_over_eps,
             "assertions": self.assertions,
             "seed": self.seed,
             "config": self.config,
@@ -293,9 +293,8 @@ def _unitarize(run):
     post, d = run.post, run.phi3.dim
     snap_tol = min(0.5, max(1e-3, 10.0 * (post.delta + post.mc)))
     run.unitarizer, run.pi, info = unitarize(
-        run.stab.final, run.config.unitarize_width, post.values[:, :2].reshape(-1, d, d),
-        eps2=run.eps2_meas, snap_tol=snap_tol,
-        seed=_derive_seed(run.group_seed, "unitarize", run.config.seed))
+        run.stab.final, post.values[:, :2].reshape(-1, d, d), eps2=run.eps2_meas,
+        snap_tol=snap_tol, seed=_derive_seed(run.group_seed, "unitarize", run.config.seed))
     run.unit_info = info
     return False, info["movement"], info
 
@@ -304,14 +303,14 @@ def _decompose(run):
     # the commutation residual is measured at the pair unitaries, whose pi
     # values unitarize already took
     post, unit = run.post, run.unit_info
-    run.dec_tol = max(1e-8, 8.0 * (post.delta + post.mc) + 4.0 * unit["mc"])
+    run.dec_tol = max(1e-8, 8.0 * (post.delta + post.mc))
     blocks = run.blocks = decompose(run.pi, run.unitarizer.values, run.dec_tol)
     # commutator transport diagnostics: m0 holds phi3 at the unitary probes,
     # run.last at the ball probes
     d, p = run.phi3.dim, np.stack(blocks.projections)[:, None]
     comm_u, comm_a = (la.op_norm(f @ p - p @ f)
                       for f in (run.m0.values[:, :2].reshape(-1, d, d), run.last[:24]))
-    eps42 = unit["movement"] + unit["mc"] + run.eps2_meas     # eps4 + eps2, measured
+    eps42 = unit["movement"] + run.eps2_meas     # eps4 + eps2, measured
     run.transport = [
         _check("unitary-commutator-transport", comm_u,
                2.0 * eps42 + 2.0 * blocks.residual + post.mc + 1e-9),
@@ -448,8 +447,9 @@ def run_pipeline(phi: ApproxMap, config: PipelineConfig | None = None,
     ]
     report = PipelineReport(
         stages=stages, input_defect=run.report_in.to_dict(), final_distance=final_distance,
-        budget=budget, l_used=l_used, ratio_sqrt=final_distance / math.sqrt(eps_in),
-        ratio_linear=final_distance / eps_in, assertions=assertions, seed=config.seed,
+        budget=budget, l_used=l_used,
+        distance_over_sqrt_eps=final_distance / math.sqrt(eps_in),
+        distance_over_eps=final_distance / eps_in, assertions=assertions, seed=config.seed,
         config=config.to_dict())
     psi.meta["report_ok"] = report.ok()
     psi.meta["output_defect"] = out_defect.to_dict()

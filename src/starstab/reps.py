@@ -1,28 +1,32 @@
 """From near-multiplicative maps on the unitary group to honest unitary
 representations, and from those to per-block *-homomorphism data.
 
-Unitarization conjugates by the square root of an averaged Gram matrix and
-polar-snaps the result, so downstream spectral calculus always sees exactly
-unitary input.  The representation is then split into isotypic components,
-one per block of the domain: the images of the central symmetries 1 - 2 z_b
-(z_b the unit of block b) give the component projections with one
-eigendecomposition.  This is the unique part of the irreducible
-decomposition; the finer split of a component of multiplicity m into m
-irreducible copies is not unique, and per-block correction does not need it.
+Unitarization (Dixmier's, for bounded representations) conjugates by the
+square root of the Gram matrix tau(g)* tau(g) averaged over a finite unitary
+1-design of the domain, which gives the Haar mean exactly for a map linear
+in g, and polar-snaps the result, so downstream spectral calculus always
+sees exactly unitary input.  Its bounds are certified by the Gram deviation
+measured at the design points, with no Monte-Carlo term.  The
+representation is then split into isotypic components, one per block of the
+domain: the images of the central symmetries 1 - 2 z_b (z_b the unit of
+block b) give the component projections with one eigendecomposition.  This
+is the unique part of the irreducible decomposition; the finer split of a
+component of multiplicity m into m irreducible copies is not unique, and
+per-block correction does not need it.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import AlgebraElement, identity, involution_exp
-from .averaging import BATCHES, _batch_means, _spread
+from .algebra import AlgebraElement, AlgebraShape, identity, involution_exp
 from .defects import ApproxMap
 from .errors import PreconditionError, SingularMapError, SnapError
-from .probes import random_unitaries
+from .probes import constant, random_unitaries
 
 STONE_ANGLES = (0.5, np.pi / 7.0, 1.0 / 3.0, 1.0)     # the generator's r0, then check angles
 
@@ -33,7 +37,6 @@ class Unitarizer:
 
     t: np.ndarray
     deviation: float          # ||T - 1||
-    mc: float
     # pi at the caller's probe unitaries, (K, N, N), read-only, for later stages
     values: np.ndarray = field(compare=False, repr=False)
 
@@ -43,31 +46,65 @@ class Unitarizer:
         self.values.setflags(write=False)
 
 
-def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
-              eps2: float | None = None, snap_tol: float = 1e-3, seed: int = 0):
-    """Average tau(u)* tau(u) over ``width`` Haar draws, conjugate by the
-    square root and snap to unitaries; ``seed`` seeds the draws.
+def unitary_design(shape: AlgebraShape) -> tuple[np.ndarray, ...]:
+    """A unitary 1-design of U(A) = prod_b U(n_b), as a per-block stack:
+    the mean of conj(g_b)_ij (g_c)_kl over its points is the Haar value
+    delta_bc delta_ik delta_jl / n_b for every pair of blocks b, c.
+
+    It has B L points, B the number of blocks and L = lcm(n_b^2); block b
+    of point (s, k), s in Z_B and k in Z_L, is exp(2 pi i b s / B)
+    X^(j // n_b) Z^(j % n_b) with j = k mod n_b^2, X the cyclic shift and Z
+    the clock of C^{n_b}.  The phases average the cross-block terms to 0;
+    within a block, each of the n_b^2 clock-shift products (an orthogonal
+    basis of M_{n_b}, Knill's nice error basis) is taken equally often."""
+    blocks = shape.blocks
+    count = len(blocks)
+    period = math.lcm(*(n * n for n in blocks))
+    s, k = np.divmod(np.arange(count * period), period)
+    out = []
+    for b, n in enumerate(blocks):
+        # X^a Z^c at a n + c: the shift X^a with column m scaled by w^(c m)
+        shifts = np.stack([np.roll(np.eye(n), a, axis=0) for a in range(n)])
+        clocks = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+        basis = (shifts[:, None] * clocks[None, :, None, :]).reshape(n * n, n, n)
+        phase = np.exp(2j * np.pi * b * s / count)
+        out.append(phase[:, None, None] * basis[k % (n * n)])
+    return tuple(out)
+
+
+def unitarize(tau: ApproxMap, tau_us: np.ndarray, eps2: float | None = None,
+              snap_tol: float = 1e-3, seed: int = 0):
+    """Average tau(g)* tau(g) over a unitary 1-design of tau's domain,
+    conjugate by the square root and snap to unitaries.
+
+    The design is ``unitary_design``'s, right-translated by one Haar
+    unitary u0 drawn from ``seed``: a translate of a 1-design is one, and
+    u0 keeps the design points off every stack that other stages evaluate.
+    For a map linear in u, such as a similarity S rho(u) S^{-1} of a
+    representation, tau(g)* tau(g) is linear in conj(g) (x) g, so the
+    design mean is the Haar integral, and its square root conjugates tau to
+    an exactly unitary map.
 
     Returns (Unitarizer, pi, info), pi a map on tau's domain; the
-    Unitarizer carries pi's values at the probe unitaries.  Requires the
-    measured Gram deviation sup ||tau(u)* tau(u) - 1|| to be < 1/2 over
-    probe unitaries u, whose values ``tau_us`` the caller gives as a
-    (K, N, N) stack, and ``width`` >= 2 draws (one draw is one batch, with
-    no Monte-Carlo spread).
+    Unitarizer carries pi's values at the probe unitaries, whose values
+    ``tau_us`` the caller gives as a (K, N, N) stack.  The bounds are
+    certified, whether or not tau is linear: let e be the largest Gram
+    deviation ||tau(g)* tau(g) - 1|| over the probes and the design points,
+    which must be < 1/2.  The mean M of matrices within e of 1 is within e
+    of 1 (so M >= 1/2 is invertible), and ||sqrt(M) - 1|| <= ||M - 1|| for
+    M > 0, so ||T - 1|| <= e.  With ||T^{-1}|| <= 1 / (1 - e),
+    ||T^{-1} - 1|| <= e / (1 - e) and ||tau(u)|| <= 1 + eps2 at the probes,
+    T tau(u) T^{-1} moves tau(u) by at most 2 (1 + eps2) e / (1 - e), and
+    the snap by at most ``snap_tol``.
     """
-    if width < 2:
-        raise PreconditionError(f"Gram average needs width >= 2 draws, got {width}")
-    eps3 = la.op_norm(la.adj(tau_us) @ tau_us - np.eye(tau.dim))
-    if not eps3 < 0.5:
-        raise PreconditionError(
-            f"Gram deviation {eps3:.3g} >= 1/2: too far from unitary to unitarize")
-    draws = tau.batch(random_unitaries(tau.domain, width, seed))
+    u0 = random_unitaries(tau.domain, 1, seed)
+    draws = tau.batch(tuple(g @ u[0] for g, u in zip(constant(unitary_design, tau.domain), u0)))
     grams = la.adj(draws) @ draws
+    gram_dev = la.op_norm(np.concatenate([la.adj(tau_us) @ tau_us, grams]) - np.eye(tau.dim))
+    if not gram_dev < 0.5:
+        raise PreconditionError(
+            f"Gram deviation {gram_dev:.3g} >= 1/2: too far from unitary to unitarize")
     mean = la.herm(grams.mean(axis=0))
-    mc = _spread(_batch_means(grams, BATCHES))
-    w = np.linalg.eigvalsh(mean)
-    if w[0] <= 0.0:
-        raise SingularMapError("averaged Gram matrix is not positive definite")
     t = la.herm_fun(mean, np.sqrt)
     t_inv = la.herm_fun(mean, lambda x: 1.0 / np.sqrt(x))
     deviation = la.op_norm(t - np.eye(tau.dim))
@@ -78,10 +115,10 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
         eps2 = max(la.op_norm(tau_us) - 1.0, 0.0)
     pi_us, max_snap = la.snap_unitary(t @ tau_us @ t_inv, snap_tol)
     move = la.op_norm(pi_us - tau_us)
-    dev_bound = eps3 + mc + 1e-12
-    move_bound = 2.0 * (1.0 + eps2) * eps3 / (1.0 - eps3) + mc + snap_tol + 1e-12
+    dev_bound = gram_dev + 1e-12
+    move_bound = 2.0 * (1.0 + eps2) * gram_dev / (1.0 - gram_dev) + snap_tol + 1e-12
     info = {
-        "gram_deviation": eps3,
+        "gram_deviation": gram_dev,
         "t_deviation": deviation,
         "t_deviation_bound": dev_bound,
         "t_deviation_ok": deviation <= dev_bound,
@@ -89,9 +126,8 @@ def unitarize(tau: ApproxMap, width: int, tau_us: np.ndarray,
         "movement_bound": move_bound,
         "movement_ok": move <= move_bound,
         "max_snap": max_snap,
-        "mc": mc,
     }
-    return Unitarizer(t, deviation, mc, pi_us), pi, info
+    return Unitarizer(t, deviation, pi_us), pi, info
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,9 @@ def test_measurement_builds_one_stack_per_point(monkeypatch):
 
 def test_handed_forward_values_are_not_evaluated_again():
     # two averaging passes and a unitarization evaluate the level-0 map at
-    # no point twice: each measurement hands its values to the next
+    # no point twice: each measurement hands its values to the next, and
+    # the Gram average reads the 4 points of M_2's 1-design, translated
+    # by one Haar unitary
     rho = perturb_additive(embedding8(), 2e-4, seed=43)
     rows = []
     stack_fn = rho.stack_fn
@@ -247,9 +249,9 @@ def test_handed_forward_values_are_not_evaluated_again():
                     probe_pairs=pairs, initial=m0, seed=44)
     assert [p.level for p in res.levels] == [1, 2]
     post = res.levels[-1].after
-    unitarize(res.final, 8, post.values[:, :2].reshape(-1, 8, 8),
+    unitarize(res.final, post.values[:, :2].reshape(-1, 8, 8),
               seed=_derive_seed(44, "unitarize", 0))
-    assert len(rows) == 3 * 3 * (1 + 24 + 24 * 24) + 24 * (1 + 24) + 8 * 24 * 24
+    assert len(rows) == 3 * 3 * (1 + 24 + 24 * 24) + 24 * (1 + 24) + 4 * 24 * 24
     assert len(set(rows)) == len(rows)
 
 
@@ -286,7 +288,7 @@ def failing_group_map(result):
 GROUP_MAP_CALLERS = {
     "measure_group_map": lambda rho: measure_group_map(rho, unitary_pairs(SHAPE2, 2, 3)),
     "decompose": lambda rho: decompose(rho, np.broadcast_to(np.eye(4), (8, 4, 4)), 1e-8),
-    "unitarize": lambda rho: unitarize(rho, 8, np.broadcast_to(np.eye(4), (8, 4, 4))),
+    "unitarize": lambda rho: unitarize(rho, np.broadcast_to(np.eye(4), (8, 4, 4))),
 }
 
 

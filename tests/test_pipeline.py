@@ -266,7 +266,26 @@ def test_budget_attached_only_in_regime():
     phi = perturb_additive(psi0, 1e-2, seed=19)
     _, rep = run_pipeline(phi, FAST)
     assert rep.budget is None      # measured defect is far above 2^-12
-    assert rep.ratio_linear > 0.0
+    # the report's ratios divide by the measured eps, not by eta
+    eps = rep.input_defect["epsilon"]
+    assert rep.distance_over_eps == rep.final_distance / eps > 0.0
+    assert rep.distance_over_sqrt_eps == rep.final_distance / math.sqrt(eps)
+    d = rep.to_dict()
+    assert (d["distance_over_eps"], d["distance_over_sqrt_eps"]) \
+        == (rep.distance_over_eps, rep.distance_over_sqrt_eps)
+    assert "ratio_sqrt" not in d and "ratio_linear" not in d
+
+
+@pytest.mark.parametrize("path", ["units", "stone"])
+def test_similarity_inputs_recover_on_the_sweep_grid(path):
+    # the acceptance-4 grid conjugated by S = 1 + eta h instead of perturbed
+    # additively: on these inputs the Gram average does the real work
+    config = FAST.replace(path=path)
+    for exp_id, _, psi0, eta in sweep_instances((1e-3, 1e-2), 1, config):
+        phi = perturb_conjugate(psi0, near_identity(psi0.dim, eta, seed=config.seed))
+        _, rep = run_pipeline(phi, config)
+        assert rep.ok(), exp_id
+        assert rep.final_distance <= 50.0 * eta, exp_id
 
 
 def test_targetless_runs_skip_near_inclusion():

@@ -12,7 +12,7 @@ from starstab.factory import (EmbeddingSpec, exact_homomorphism, near_identity,
                               perturb_conjugate)
 from starstab.probes import random_unitaries, unitary_pairs
 from starstab.reps import (compress, decompose, lift_projection, stone_generator,
-                           stone_points, unitarize)
+                           stone_points, unitarize, unitary_design)
 
 SHAPE2 = AlgebraShape([2])
 
@@ -40,7 +40,7 @@ def at_stone_points(pi, a):
 
 def test_unitarize_fixed_point():
     pi0 = group_map(lambda u: np.kron(u.blocks[0], np.eye(2)), 4)
-    unzr, pi, info = unitarize(pi0, 128, at_probes(pi0), seed=unitarize_seed())
+    unzr, pi, info = unitarize(pi0, at_probes(pi0), seed=unitarize_seed())
     assert unzr.deviation < 1e-12
     us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 6, 2))
     assert max(la.op_norm(pi(u) - pi0(u)) for u in us) < 1e-12
@@ -49,7 +49,7 @@ def test_unitarize_fixed_point():
 def test_unitarize_recovers_conjugated_rep():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (4,), 0))
     tau = perturb_conjugate(psi, near_identity(8, 0.01, seed=3))
-    unzr, pi, info = unitarize(tau, 512, at_probes(tau, 4), seed=unitarize_seed(4))
+    unzr, pi, info = unitarize(tau, at_probes(tau, 4), seed=unitarize_seed(4))
     us = stack_rows(SHAPE2, random_unitaries(SHAPE2, 8, 5))
     for u in us:
         val = pi(u)
@@ -64,7 +64,7 @@ def test_unitarizer_carries_pi_at_the_probes():
     tau = perturb_conjugate(exact_homomorphism(EmbeddingSpec(SHAPE2, (2,), 0)),
                             near_identity(4, 0.01, seed=3))
     us = random_unitaries(SHAPE2, 8, 4)
-    unzr, pi, _ = unitarize(tau, 64, tau.batch(us), snap_tol=0.05, seed=unitarize_seed(4))
+    unzr, pi, _ = unitarize(tau, tau.batch(us), snap_tol=0.05, seed=unitarize_seed(4))
     assert np.array_equal(unzr.values, pi.batch(us))
     assert not unzr.values.flags.writeable
 
@@ -78,7 +78,7 @@ def test_unitarize_near_hypothesis_boundary():
         return s @ psi(u) @ np.linalg.inv(s)
 
     tau = group_map(fn, 4)
-    unzr, pi, info = unitarize(tau, 256, at_probes(tau, 6), snap_tol=0.5,
+    unzr, pi, info = unitarize(tau, at_probes(tau, 6), snap_tol=0.5,
                                seed=unitarize_seed(6))
     assert info["gram_deviation"] < 0.5
     u = HaarSampler(SHAPE2, 7).unitary()
@@ -89,19 +89,55 @@ def test_unitarize_near_hypothesis_boundary():
 def test_unitarize_rejects_far_from_unitary():
     tau = group_map(lambda u: 2.0 * u.blocks[0], 2)
     with pytest.raises(PreconditionError):
-        unitarize(tau, 32, at_probes(tau), seed=unitarize_seed())
+        unitarize(tau, at_probes(tau), seed=unitarize_seed())
 
 
 def test_unitarize_multiplicativity_transport():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (3,), 0))
     tau = perturb_conjugate(psi, near_identity(6, 5e-3, seed=8))
-    unzr, pi, info = unitarize(tau, 256, at_probes(tau, 9), seed=unitarize_seed(9))
+    unzr, pi, info = unitarize(tau, at_probes(tau, 9), seed=unitarize_seed(9))
     t_dev = unzr.deviation
     # input is exactly multiplicative; the defect of pi comes from the
     # conjugation transport plus the polar-snap residue it absorbed
     for u, v in zip(*(stack_rows(SHAPE2, s) for s in unitary_pairs(SHAPE2, 6, 10))):
         lhs = la.op_norm(pi(u * v) - pi(u) @ pi(v))
         assert lhs <= 1e-10 * (1 + 4 * t_dev) + 3 * info["max_snap"] + 1e-8
+
+
+# B L points: B blocks and L = lcm(n_b^2)
+DESIGN_SIZES = {(1,): 1, (2,): 4, (3,): 9, (4,): 16, (8,): 64, (1, 2): 8, (2, 2): 8,
+                (2, 3): 72, (1, 2, 3): 108}
+
+
+@pytest.mark.parametrize("blocks", sorted(DESIGN_SIZES))
+def test_unitary_design_gives_the_haar_second_moment(blocks):
+    # the mean of conj(g_b)_ij (g_c)_kl over the design is the Haar value
+    # delta_bc delta_ik delta_jl / n_b, the partial transpose of swap / n_b
+    design = unitary_design(AlgebraShape(list(blocks)))
+    size = DESIGN_SIZES[blocks]
+    assert all(g.shape == (size, n, n) for g, n in zip(design, blocks))
+    for g in design:
+        assert la.op_norm(la.adj(g) @ g - np.eye(g.shape[-1])) <= 1e-14
+    for b, g_b in enumerate(design):
+        for c, g_c in enumerate(design):
+            mean = np.einsum("pij,pkl->ijkl", g_b.conj(), g_c) / size
+            n = blocks[b]
+            haar = np.einsum("ik,jl->ijkl", np.eye(n), np.eye(n)) / n if b == c else 0.0
+            assert np.abs(mean - haar).max() <= 1e-12
+
+
+@pytest.mark.parametrize("blocks, mults", [((2,), (3,)), ((3,), (2,)), ((1, 2), (1, 1)),
+                                           ((2, 2), (1, 1)), ((1, 2, 3), (1, 1, 1)),
+                                           ((8,), (1,))])
+def test_unitarize_undoes_an_exact_similarity(blocks, mults):
+    # on S psi(u) S^{-1} the design mean is the Haar integral, so T tau T^{-1}
+    # is unitary before the snap, which moves it by rounding only
+    shape = AlgebraShape(list(blocks))
+    psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0))
+    tau = perturb_conjugate(psi, near_identity(psi.dim, 1e-2, seed=3))
+    _, pi, info = unitarize(tau, at_probes(tau, 4), seed=unitarize_seed(4))
+    assert info["max_snap"] <= 1e-12
+    assert info["t_deviation_ok"] and info["movement_ok"]
 
 
 def at_unitaries(pi, seed):
@@ -236,13 +272,7 @@ def test_unitarizer_records_deviation():
     t = np.eye(3) * 1.01
     values = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
     with pytest.raises(PreconditionError):
-        Unitarizer(t, 0.5, 0.0, values)
-    unzr = Unitarizer(t, la.op_norm(t - np.eye(3)), 0.0, values)
+        Unitarizer(t, 0.5, values)
+    unzr = Unitarizer(t, la.op_norm(t - np.eye(3)), values)
     assert not unzr.values.flags.writeable
 
-
-def test_unitarize_needs_two_draws():
-    # one draw is one batch, whose Monte-Carlo spread would read 0
-    tau = fundamental()
-    with pytest.raises(PreconditionError, match="width >= 2"):
-        unitarize(tau, 1, at_probes(tau), seed=unitarize_seed())

@@ -125,7 +125,7 @@ def _group_maps():
         EmbeddingSpec(AlgebraShape([2]), (2,), 0, haar_conjugator(4, 9))), 1e-3, seed=10)
     pairs = unitary_pairs(rho.domain, 4, 11)
     averaged, _ = average_once(rho, 16, probe_pairs=pairs, seed=12)
-    _, pi, _ = unitarize(averaged, 8, averaged.batch(pairs[0]), seed=13)
+    _, pi, _ = unitarize(averaged, averaged.batch(pairs[0]), seed=13)
     return averaged, pi
 
 
