@@ -295,7 +295,7 @@ def stack_coeffs(stack) -> np.ndarray:
     """(K, linear_dim) coefficient rows of a per-block stack; row k equals
     ``coeff_vector`` of element k."""
     k = stack[0].shape[0]
-    return np.concatenate([s.reshape(k, -1) for s in stack], axis=1)
+    return np.concatenate([s.reshape(k, s.shape[-1] ** 2) for s in stack], axis=1)
 
 
 def stack_norms(stack) -> np.ndarray:

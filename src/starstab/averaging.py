@@ -83,9 +83,13 @@ class AveragedGroupMap(ApproxMap):
         self.samples = samples
         self.inverses = inverses
         self.level = level
-        super().__init__(parent.domain, parent.dim, None,
-                         stack_fn=lambda stack: np.stack([t.mean(axis=0)
-                                                          for t in self._terms(stack)]))
+        super().__init__(parent.domain, parent.dim, None, stack_fn=self._values)
+
+    def _values(self, stack) -> np.ndarray:
+        out = np.empty((len(stack[0]), self.dim, self.dim), dtype=complex)
+        for k, t in enumerate(self._terms(stack)):
+            out[k] = t.mean(axis=0)
+        return out
 
     def _terms(self, stack):
         """rho(x_j)^{-1} rho(x_j u) for all samples x_j, one point u of a

@@ -78,7 +78,9 @@ class ApproxMap:
         elif self.stack_fn is not None:
             out = self.stack_fn(stack)
         else:
-            out = np.stack([self._call_row(stack, k) for k in range(stack[0].shape[0])])
+            out = np.empty((stack[0].shape[0], self.dim, self.dim), dtype=complex)
+            for k in range(len(out)):
+                out[k] = self._call_row(stack, k)
         if not np.isfinite(out).all():
             k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
             raise EvaluationError(f"map value at stack row {k} is not finite",
@@ -275,7 +277,7 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64) -> ApproxMa
         # the unit is matched by its canonical bytes, so -0.0 entries miss
         is_one = np.ones(len(stack[0]), dtype=bool)
         for s, bits in zip(stack, one_bits):
-            rows = np.ascontiguousarray(s).view(np.int64).reshape(len(s), -1)
+            rows = np.ascontiguousarray(s).view(np.int64).reshape(len(s), bits.size)
             is_one &= (rows == bits).all(axis=1)
         out = np.empty((len(is_one), m.dim, m.dim), dtype=complex)
         out[is_one] = p

@@ -2,14 +2,16 @@
 
 An embedding sends each block with a chosen multiplicity into M_N, padded
 with a zero corner and conjugated by a fixed unitary.  Perturbations come
-in two flavors: additive (a pseudorandom field drawn from a counter hash
-of the quantized input and the seed, genuinely nonlinear) and conjugation
-by a near-identity invertible (multiplicative but not *-preserving).
+in two flavors: additive (a pseudorandom field of complex normals, one
+SplitMix64 counter word per entry, keyed by the quantized input and the
+seed; genuinely nonlinear) and conjugation by a near-identity invertible
+(multiplicative but not *-preserving).
 Discretization quantizes inputs to an entry lattice, giving the
 finite-range step-function structure the stabilization pipeline expects.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -136,23 +138,47 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+@functools.cache
+def _phases() -> np.ndarray:
+    """The 4096 roots of unity e^{2 pi i k / 4096}, read-only; built on
+    first use, so a run that draws no field does not pay for it."""
+    table = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    table.setflags(write=False)
+    return table
+
+
 def _hash_normals(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
-    """Deterministic standard normals (Box-Muller), as a (K, count) array;
-    row k depends on row k of the (K, L) int64 ``keys`` and on the seed
-    mod 2**64 alone.
+    """Deterministic standard normals as a (K, count) float view of
+    count/2 complex normals r e^{i theta} (count even); row k depends on
+    row k of the (K, L) int64 ``keys`` and on the seed mod 2**64 alone.
 
     Each lane is mixed with its position and the lanes are xor-reduced
     into one 64-bit row key, which is mixed with the seed and expanded as
-    a SplitMix64 counter stream.  The arithmetic is integer and elementwise
-    on arrays, so the values are bit-exact on every machine."""
+    a SplitMix64 counter stream, one word per complex entry.  The word's
+    top 52 bits give u in (0, 1] and the modulus r = sqrt(-2 ln u) (Box-
+    Muller); its low 12 bits pick theta from the 4096 angles 2 pi k / 4096,
+    so the phase is uniform on that grid rather than on the circle.  The
+    grid keeps the moments that matter: E|z|^2 = E[-2 ln u] = 2 (to the
+    2^-52 resolution of u), and the real and imaginary parts are
+    uncorrelated with variance 1.  The counter words are exact integer
+    arithmetic, the same on every machine; ``np.log`` and the phase table
+    (``np.exp``) come from the platform's libm, so the values may differ
+    in their last bits between platforms."""
     lanes = keys.view(np.uint64) + np.arange(1, keys.shape[1] + 1, dtype=np.uint64) * _GOLDEN
     h = np.bitwise_xor.reduce(_mix64(lanes), axis=1)
     h = _mix64(h ^ np.array(seed & (2**64 - 1), dtype=np.uint64))
-    bits = _mix64(h[:, None] + np.arange(1, 2 * count + 1, dtype=np.uint64) * _GOLDEN)
-    bits >>= np.uint64(11)
-    u1 = (bits[:, :count] + np.uint64(1)).astype(np.float64) * 2.0 ** -53   # in (0, 1]
-    u2 = bits[:, count:].astype(np.float64) * 2.0 ** -53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    bits = _mix64(h[:, None] + np.arange(1, count // 2 + 1, dtype=np.uint64) * _GOLDEN)
+    k = (bits & np.uint64(4095)).view(np.int64)
+    bits >>= np.uint64(12)
+    bits += np.uint64(1)
+    r = bits.astype(np.float64)
+    r *= 2.0 ** -52                                          # u, in (0, 1]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    z = _phases().take(k)
+    z *= r
+    return z.view(np.float64)
 
 
 def _quantized_keys(stack) -> np.ndarray:
@@ -168,8 +194,10 @@ def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
     g(x) is drawn from a counter hash of the entries of x quantized to a
     1e-9 grid and of the seed, taken mod 2**64, so the perturbed map is a
     genuine (deterministic) function while being nonlinear in its argument.
-    Its entries are standard normals normalized to Frobenius norm 1, which
-    dominates the operator norm, so the unit bound holds.
+    Each entry of g(x) comes from one counter word as r e^{i theta}, with
+    a Box-Muller modulus and theta one of the 4096 angles 2 pi k / 4096
+    (``_hash_normals``); the entries are normalized to Frobenius norm 1,
+    which dominates the operator norm, so the unit bound holds.
     """
     if not 0.0 <= eta < 1.0:
         raise PreconditionError("eta must be in [0, 1)")
@@ -184,9 +212,8 @@ def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
         if eta == 0.0:
             return base
         z = _hash_normals(seed, _quantized_keys(stack), 2 * n * n)
-        z /= np.sqrt((z * z).sum(axis=1))[:, None]
-        g = z[:, :n * n] + 1j * z[:, n * n:]
-        return base + eta * g.reshape(-1, n, n)
+        z *= (eta / np.sqrt((z * z).sum(axis=1)))[:, None]
+        return base + z.view(complex).reshape(-1, n, n)
 
     return ApproxMap(psi.domain, n, None,
                      {**psi.meta, "kind": "additive", "eta": eta, "seed": seed},

@@ -109,6 +109,25 @@ def test_field_normals_are_standard():
     assert 0.95 <= z.var() <= 1.05
 
 
+def test_field_entries_are_complex_normals_on_4096_phases():
+    # one counter word per complex entry: the modulus from its top 52 bits,
+    # the phase from its low 12 bits, one of the 4096 roots of unity
+    keys = np.arange(4096 * 6, dtype=np.int64).reshape(4096, 6) + 777
+    z = _hash_normals(9, keys, 64).view(complex).ravel()
+    tol = 4.0 * np.sqrt(2.0) / np.sqrt(z.size)
+    assert abs(z.mean()) <= tol
+    assert abs((z * z).mean()) <= tol                    # pseudo-variance
+    assert 1.9 <= (z.real ** 2 + z.imag ** 2).mean() <= 2.1
+    phase = np.rint(np.angle(z) * (4096 / (2.0 * np.pi))).astype(np.int64) % 4096
+    assert np.unique(phase).size == 4096
+    # no phase bit follows a bit of the modulus's 52-bit u = exp(-|z|^2 / 2),
+    # which reads back from |z| to within one unit in its last place
+    u = np.rint(np.exp(-0.5 * (z.real ** 2 + z.imag ** 2)) * 2.0 ** 52).astype(np.int64) - 1
+    signs = [((b[:, None] >> np.arange(w)) & 1).astype(np.float32) * 2 - 1
+             for b, w in ((phase, 12), (u, 52))]
+    assert np.abs(signs[0].T @ signs[1]).max() <= 0.05 * z.size
+
+
 def test_field_seeds_are_integers_mod_2_64():
     psi = exact_homomorphism(EmbeddingSpec(SHAPE2, (2,), 0))
     stack = ball_probes(SHAPE2, 16, 8)

@@ -100,6 +100,22 @@ def test_opaque_evaluator_falls_back_to_calls():
     assert len(calls) == 2 * len(xs)    # once per row, once per point: nothing is cached
 
 
+def _m2_maps():
+    """One map M_2 -> M_4 of each evaluation path, by label."""
+    psi = exact_homomorphism(EmbeddingSpec(AlgebraShape([2]), (2,), 0))
+    phi = perturb_additive(psi, 1e-3, seed=7)
+    return {"linear": psi, "additive": phi, "discretized": discretize(phi, 2.0 ** -12),
+            "normalized": normalize(phi, estimate_defect(phi, 16), samples=16),
+            "opaque": ApproxMap(psi.domain, 4, psi), "averaged": _group_maps()[0]}
+
+
+@pytest.mark.parametrize("label", ["linear", "additive", "discretized", "normalized",
+                                   "opaque", "averaged"])
+def test_an_empty_stack_has_no_values(label):
+    out = _m2_maps()[label].batch((np.empty((0, 2, 2), dtype=complex),))
+    assert out.shape == (0, 4, 4) and out.dtype == complex
+
+
 def _corner_chain():
     """The pipeline's normalize -> discretize -> corner chain on a padded
     additive perturbation of C + M_2 -> M_5."""
