@@ -99,8 +99,49 @@ def _scaled_gram(stack: np.ndarray, fro: np.ndarray) -> np.ndarray:
 
 
 def op_norms(x: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack."""
+    """Largest singular value of each matrix of a stack.
+
+    Square matrices of side 1 and 2 take the closed form of
+    ``_small_norms`` and no LAPACK call; every other shape takes one
+    batched SVD.  Either way a matrix's norm depends on that matrix alone,
+    not on the stack around it."""
+    n = x.shape[-1]
+    if 1 <= n == x.shape[-2] <= 2:
+        return _small_norms(x.reshape(-1, n, n)).reshape(x.shape[:-2])[()]
     return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def _small_norms(x: np.ndarray) -> np.ndarray:
+    """sigma_1 of each matrix of a (K, n, n) stack with n = 1 or 2.
+
+    Side 1 is |a|.  Side 2 is f sqrt(lambda_max) of the Gram matrix
+    [[p, q], [q*, t]] of B = A / f, f the largest |entry| of A (1 for a
+    zero matrix, whose norm is then 0):
+    lambda_max = (p + t)/2 + hypot((p - t)/2, |q|) adds two non-negative
+    terms, so nothing cancels and the result is within a few ulps of
+    sigma_1, unitaries included.  The entries of B are at most 1 and the
+    largest is 1, so no square overflows and one that underflows is
+    negligible.  A matrix with a non-finite entry takes ``np.linalg.svd``
+    as before, so NaN raises its LinAlgError.
+    """
+    m = np.abs(x)
+    f = m.max(axis=(1, 2))
+    finite = np.isfinite(f)
+    if not finite.all():
+        out = np.empty(len(x))
+        out[~finite] = np.linalg.svd(x[~finite], compute_uv=False)[:, 0]
+        out[finite] = _small_norms(x[finite])
+        return out
+    if x.shape[-1] == 1:
+        return f
+    s = (f + (f == 0.0))[:, None, None]
+    w = m / s
+    w *= w
+    pt = 0.5 * (w[:, 0] + w[:, 1])          # (p, t) / 2: squared column norms
+    b = x / s
+    c = b[:, :, 0].conj() * b[:, :, 1]
+    q = np.abs(c[:, 0] + c[:, 1])
+    return f * np.sqrt(pt[:, 0] + pt[:, 1] + np.hypot(pt[:, 0] - pt[:, 1], q))
 
 
 def argmin_op_norms(x: np.ndarray, excluded: np.ndarray | None = None) -> np.ndarray:
@@ -113,12 +154,12 @@ def argmin_op_norms(x: np.ndarray, excluded: np.ndarray | None = None) -> np.nda
     B = A / f, f the Frobenius norm of A, in one batched ``eigvalsh``.  As
     in ``_quartic_bounds``, the entries of B are at most 1 and lambda_max
     lies in [1/r, 1], so the estimate is within a few hundred ulps of
-    sigma_1, and so is the SVD's.  A row is decided by the estimates only
-    when its smallest one undercuts every other by ``_FRO_MARGIN``; then
-    the SVD orders the candidates the same way.  Every other row (ties and
-    near-ties, a non-finite f anywhere in the row, a candidate's f below
-    ``_FRO_FLOOR``) takes the SVD of all of its C matrices, as the
-    reference does, so NaN still reaches LAPACK.
+    sigma_1, and so is ``op_norms``.  A row is decided by the estimates
+    only when its smallest one undercuts every other by ``_FRO_MARGIN``;
+    then ``op_norms`` orders the candidates the same way.  Every other row
+    (ties and near-ties, a non-finite f anywhere in the row, a candidate's
+    f below ``_FRO_FLOOR``) takes ``op_norms`` of all of its C matrices,
+    as the reference does, so NaN still reaches LAPACK.
     """
     c, k = x.shape[:2]
     excluded = np.zeros((c, k), dtype=bool) if excluded is None else excluded

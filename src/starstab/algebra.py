@@ -121,7 +121,8 @@ class AlgebraElement:
         return AlgebraElement._raw(self.shape, tuple(a.conj().T for a in self.blocks))
 
     def norm(self) -> float:
-        return max(la.op_norm(a) for a in self.blocks)
+        """The largest sigma_1 of the blocks, as ``stack_norms`` gives it."""
+        return max(float(la.op_norms(a)) for a in self.blocks)
 
     def _check(self, other):
         if other.shape != self.shape:
@@ -299,7 +300,9 @@ def stack_coeffs(stack) -> np.ndarray:
 
 
 def stack_norms(stack) -> np.ndarray:
-    """(K,) norms of the K elements of a per-block stack."""
+    """(K,) norms of the K elements of a per-block stack: the largest
+    ``op_norms`` of the blocks, so blocks of side 1 and 2 take no SVD, and
+    row k equals ``AlgebraElement.norm`` of element k bit for bit."""
     return np.max([la.op_norms(s) for s in stack], axis=0)
 
 

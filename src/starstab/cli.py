@@ -149,10 +149,12 @@ def cmd_kk(args) -> int:
     n = sum(m * nb for m, nb in zip(mults, shape.blocks))
     w = haar_conjugator(n, cfg.seed) if args.rotate else None
     spec = EmbeddingSpec(shape, mults, 0, w)
+    t0 = time.perf_counter()
     rep = kk_experiment(spec, args.eta, cfg, delta=args.delta)
+    dt = time.perf_counter() - t0
     if args.out:
         row = SweepRow(f"kk-{shape.label()}-eta{args.eta:g}", shape.label(), n,
-                       args.eta, rep.phi_defect["epsilon"], rep.recovered_distance, 0.0)
+                       args.eta, rep.phi_defect["epsilon"], rep.recovered_distance, dt)
         _write_rows(args.out, [row])
     _emit(args, rep.to_dict(), [
         f"distance bracket: [{rep.estimate.lower:.3e}, {rep.estimate.upper:.3e}]",
@@ -175,8 +177,10 @@ def cmd_tower(args) -> int:
     rep = tower_experiment(incs, args.eta, cfg)
     if args.out:
         ambient = shape.blockdiag_dim   # every floor lands in the top algebra
+        # a floor's seconds are its pipeline stages' summed wall clocks
         rows = [SweepRow(f"tower-{i:02d}-{s.shape}", s.shape, ambient,
-                         args.eta, s.report.input_defect["epsilon"], s.distance, 0.0)
+                         args.eta, s.report.input_defect["epsilon"], s.distance,
+                         sum(st.seconds for st in s.report.stages))
                 for i, s in enumerate(rep.stages)]
         _write_rows(args.out, rows)
     _emit(args, rep.to_dict(), [

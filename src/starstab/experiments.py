@@ -81,10 +81,10 @@ def _candidates(y: np.ndarray, radius: np.ndarray, conj: np.ndarray,
     norm-preserving candidates in the other copy, as a (2, K, N, N) stack:
     the conjugation witness, then the trace-expectation image rescaled to
     the radius; and the (2, K) mask of the candidates left out, the rescaled
-    image where it vanishes at a nonzero radius.  sigma_1 of each image
-    sets its scale, so it takes the SVD."""
-    p = exp.project(y)
-    nrm = la.op_norms(p)
+    image where it vanishes at a nonzero radius.  The image and its sigma_1,
+    which sets its scale, come from one set of coefficient rows; the norm
+    is read from the coefficient blocks, with no N x N SVD."""
+    p, nrm = exp.project_with_norms(y)
     scale = np.where(radius == 0.0, 0.0, radius / np.where(nrm > 1e-14, nrm, 1.0))
     cands = np.stack([conj @ y @ conj.conj().T, p * scale[:, None, None]])
     excluded = np.zeros(cands.shape[:2], dtype=bool)
@@ -108,9 +108,11 @@ def _nearest_point(psi: ApproxMap, conj: np.ndarray, exp: TraceExpectation,
     """The nearest-point map x -> nearest candidate for psi(x), on a stack.
 
     Only the pick is read, so ``la.argmin_op_norms`` makes it: the same
-    candidate as ``_nearest`` bit for bit, with one SVD per row (sigma_1 of
-    the trace-expectation image) where the candidates' distances are apart
-    by more than its margin."""
+    candidate as ``_nearest`` bit for bit, with no N x N SVD where the
+    candidates' distances are apart by more than its margin.  The input
+    norms (``stack_norms``) and the images' norms (``exp.norms``) come from
+    blocks of the domain and of the image's coefficients, which take the
+    closed form of ``la.op_norms`` at side 1 and 2."""
     y = psi.batch(stack)
     cands, excluded = _candidates(y, stack_norms(stack), conj, exp)
     return cands[la.argmin_op_norms(y - cands, excluded), np.arange(len(y))]

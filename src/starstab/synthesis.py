@@ -14,6 +14,7 @@ multiplicity vectors (including padding rank) agree.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -288,6 +289,13 @@ class TraceExpectation:
     the coefficients (1/m_b) tr(g^b_{ij}* y) in that basis.  Every method
     takes a matrix or a (K, N, N) stack, and maps each matrix of a stack
     with its own row products, so its image does not depend on the stack.
+
+    The coefficients of block b form an n_b x n_b matrix C_b, and E(y) is
+    the image of the element (C_b)_b under the embedding, a *-homomorphism
+    that is isometric on each block it carries (C_b = 0 for the others, and
+    padding adds a zero summand).  So sigma_1(E(y)) is the largest
+    sigma_1(C_b), which ``norms`` reads from blocks of side n_b in place of
+    an N x N matrix.
     """
 
     def __init__(self, spec: EmbeddingSpec):
@@ -296,27 +304,45 @@ class TraceExpectation:
         self.basis = exact_homomorphism(spec).basis
         self._flat = self.basis.reshape(len(self.basis), -1)
         self._flat_conj_t = self._flat.conj().T
-        self._weights = np.repeat([1.0 / m if m else 0.0 for m in spec.multiplicities],
-                                  [nb * nb for nb in spec.shape.blocks])
+        sizes = [nb * nb for nb in spec.shape.blocks]
+        self._weights = np.repeat([1.0 / m if m else 0.0 for m in spec.multiplicities], sizes)
         self._blockdiag = np.stack([e.as_blockdiag().ravel()
                                     for *_, e in matrix_units(spec.shape)])
+        # (first coefficient, side) of each block's coefficients
+        self._blocks = list(zip(itertools.accumulate(sizes, initial=0), spec.shape.blocks))
 
     def _coefficients(self, y: np.ndarray) -> np.ndarray:
         """(..., 1, linear_dim) coefficient rows of E(y)."""
         return (y.reshape(*y.shape[:-2], 1, -1) @ self._flat_conj_t) * self._weights
 
+    def _block_norms(self, c: np.ndarray) -> np.ndarray:
+        """sigma_1(E(y)) from the coefficient rows c of E(y): the largest
+        sigma_1 of the coefficient blocks C_b."""
+        lead = c.shape[:-2]
+        return stack_norms(tuple(c[..., 0, start:start + nb * nb].reshape(*lead, nb, nb)
+                                 for start, nb in self._blocks))
+
     def project(self, y: np.ndarray) -> np.ndarray:
         return (self._coefficients(y) @ self._flat).reshape(y.shape)
 
-    def distance(self, y: np.ndarray, radius=None) -> float:
+    def norms(self, y: np.ndarray) -> np.ndarray:
+        """sigma_1(E(y)) of each matrix of a stack, read from its
+        coefficient blocks: no N x N decomposition, and none at all for
+        blocks of side 1 and 2."""
+        return self._block_norms(self._coefficients(y))
+
+    def project_with_norms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(project(y), norms(y))`` from one set of coefficient rows."""
+        c = self._coefficients(y)
+        return (c @ self._flat).reshape(y.shape), self._block_norms(c)
+
+    def distance(self, y: np.ndarray, radius) -> float:
         """Operator-norm distance from y to the image, each projection
-        clipped to its radius (one per matrix of a stack); on a stack, the
-        largest of the distances."""
-        p = self.project(y)
-        if radius is not None:
-            nrm = la.op_norms(p)
-            scale = np.where(nrm > radius, radius / np.where(nrm > 0.0, nrm, 1.0), 1.0)
-            p = p * np.where(np.equal(radius, 0.0), 0.0, scale)[..., None, None]
+        clipped to its radius (one per matrix of a stack, at the norm that
+        ``norms`` gives); on a stack, the largest of the distances."""
+        p, nrm = self.project_with_norms(y)
+        scale = np.where(nrm > radius, radius / np.where(nrm > 0.0, nrm, 1.0), 1.0)
+        p = p * np.where(np.equal(radius, 0.0), 0.0, scale)[..., None, None]
         return la.op_norm(y - p)
 
     def pull_back(self, y: np.ndarray) -> AlgebraElement:

@@ -130,12 +130,15 @@ def test_sweep_command(fast_cfg, tmp_path, capsys):
     assert len(lines) == 1 + 4  # default grid has four shapes
 
 
-def test_kk_command(fast_cfg, capsys):
+def test_kk_command(fast_cfg, tmp_path, capsys):
+    out_csv = tmp_path / "kk.csv"
     code = main(["kk", "--shape", "2", "--mult", "2", "--eta", "1e-3",
-                 "--config", fast_cfg, "--json"])
+                 "--config", fast_cfg, "--json", "--out", str(out_csv)])
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["estimate"]["upper"] <= 2e-3 + 1e-6
+    (row,) = csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())
+    assert float(row["seconds"]) > 0.0       # the wall clock of the experiment
 
 
 def test_tower_command(fast_cfg, tmp_path, capsys):
@@ -150,6 +153,7 @@ def test_tower_command(fast_cfg, tmp_path, capsys):
         dist = float(row["final_distance"])
         assert float(row["ratio_sqrt"]) == pytest.approx(dist / math.sqrt(1e-3))
         assert float(row["ratio_linear"]) == pytest.approx(dist / 1e-3)
+        assert float(row["seconds"]) > 0.0   # the floor's summed stage times
 
 
 @pytest.mark.parametrize("argv", [

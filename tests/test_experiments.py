@@ -131,8 +131,7 @@ def three_svd_pick(psi, conj, exp, stack):
     """The nearest-point map as it picked before ``la.argmin_op_norms``: the
     SVD of both candidates' distances, then their argmin; the reference."""
     y, radius = psi.batch(stack), stack_norms(stack)
-    p = exp.project(y)
-    nrm = la.op_norms(p)
+    p, nrm = exp.project(y), exp.norms(y)
     scale = np.where(radius == 0.0, 0.0, radius / np.where(nrm > 1e-14, nrm, 1.0))
     cands = np.stack([conj @ y @ conj.conj().T, p * scale[:, None, None]])
     dist = la.op_norms(y - cands)
@@ -145,21 +144,22 @@ def contractions(count):
     return HaarSampler(shape, 3).contractions(count)
 
 
-def test_nearest_point_takes_one_svd_per_row(monkeypatch):
-    # 32 contractions whose two candidate distances are far apart: the only
-    # 6 x 6 SVDs left are sigma_1 of the trace-expectation images
+def test_nearest_point_takes_no_svd(monkeypatch):
+    # 32 contractions whose two candidate distances are far apart: the pick
+    # needs no 6 x 6 distance SVD, and the 2 x 2 input norms and sigma_1 of
+    # each trace-expectation image, read from its 2 x 2 coefficient block,
+    # take the closed form
     setting, stack = nearest_point_setting(), contractions(32)
     expected = three_svd_pick(*setting, stack)
     svd, seen = np.linalg.svd, []
 
     def counting(x, *args, **kwargs):
-        if x.shape[-2:] == (6, 6):
-            seen.append(int(np.prod(x.shape[:-2])))
+        seen.append(x.shape)
         return svd(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     got = _nearest_point(*setting, stack)
-    assert seen == [32]
+    assert seen == []
     assert got.tobytes() == expected.tobytes()
 
 

@@ -10,7 +10,10 @@ package and the workloads are imported from ``--root`` (default: this
 checkout), so the script can digest another checkout of the repository,
 such as a base commit, and two outputs compare key by key.  ``--against``
 reads such an output and prints to stderr how many digests changed
-against it and the label of each.  It exits with code 1 when a check
+against it and the label of each.  Each workload's distance / eta values
+(the checks' ratios, over both seeds) are summarized on stderr by their
+count, mean and max, so that two trees' accuracy compares from the same
+command even where digests move.  It exits with code 1 when a check
 reports a problem, whatever changed; an op that raises ends the script
 with the exception.  BLAS threads are fixed as in ``perfbench/run.py``.
 """
@@ -36,7 +39,7 @@ def main(argv=None) -> int:
         os.environ[var] = str(run.BLAS_THREADS)
     import workloads
 
-    digests, problems = {}, []
+    digests, problems, ratios = {}, [], {}
     for name, workload in workloads.WORKLOADS.items():
         for seed in (1, 2):
             for inst in workload.build(seed):
@@ -44,7 +47,12 @@ def main(argv=None) -> int:
                 outcome = inst.check(inst.prepare().call())
                 digests[key] = outcome.digest
                 problems += [f"{key}: {text}" for text in outcome.problems]
+                ratios.setdefault(name, []).extend(outcome.ratios)
     print(json.dumps(digests, indent=1, sort_keys=True))
+    for name, values in ratios.items():   # eta = 0 workloads have none
+        summary = f", mean {sum(values) / len(values):.17g}, max {max(values):.17g}" \
+            if values else ""
+        print(f"{name}: distance/eta over {len(values)} values{summary}", file=sys.stderr)
     if args.against is not None:
         base = json.loads(args.against.read_text())
         labels = base.keys() | digests.keys()
