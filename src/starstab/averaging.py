@@ -93,11 +93,13 @@ class AveragedGroupMap(ApproxMap):
 
     def _terms(self, stack):
         """rho(x_j)^{-1} rho(x_j u) for all samples x_j, one point u of a
-        per-block stack at a time: one stacked product per block and one
-        parent batch of M rows per point."""
+        per-block stack at a time: the products x_j u of a block are one
+        (M n, n) by (n, n) product, and each point is one parent batch of
+        M rows."""
         for k in range(stack[0].shape[0]):
             yield self.inverses @ self.parent.batch(
-                tuple(x @ s[k] for x, s in zip(self.samples, stack)))
+                tuple((x.reshape(-1, x.shape[-1]) @ s[k]).reshape(x.shape)
+                      for x, s in zip(self.samples, stack)))
 
     def terms(self, stack) -> np.ndarray:
         """The terms at the K points of a stack, as (K, M, N, N); a value is

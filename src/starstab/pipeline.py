@@ -180,29 +180,34 @@ def _sup_dist(f_values: np.ndarray, g_values: np.ndarray, q=None) -> float:
 
 def _stone_elements(domain: AlgebraShape):
     """The self-adjoint unitaries the stone path lifts, block by block:
-    1 - 2 e_ii for each i, then one swap per unordered pair i < j."""
+    1 - 2 e_ii for each i, then the swap of 0 and j for each j >= 1, so
+    2n - 1 of them for an n x n block.  A system of matrix units is fixed
+    by its diagonal and the partial isometries e_0j, as e_ij = e_i0 e_0j."""
     one = identity(domain)
     for b, n in enumerate(domain.blocks):
         yield from (one - 2.0 * matrix_unit(domain, b, i, i) for i in range(n))
-        yield from (matrix_unit(domain, b, i, j) + matrix_unit(domain, b, j, i)
-                    + one - matrix_unit(domain, b, i, i) - matrix_unit(domain, b, j, j)
-                    for i in range(n) for j in range(i + 1, n))
+        yield from (matrix_unit(domain, b, 0, j) + matrix_unit(domain, b, j, 0)
+                    + one - matrix_unit(domain, b, 0, 0) - matrix_unit(domain, b, j, j)
+                    for j in range(1, n))
 
 
 def _stone_block_map(values: np.ndarray, domain: AlgebraShape, verify_tol: float,
                      snap_tol: float) -> ApproxMap:
-    """Assemble a block map from lifted projections and lifted self-adjoint
-    swap unitaries, psi(e_ij) = q_i rho(swap_ij) q_j, as a basis tensor;
-    ``values[g]`` is the block at the stone points of ``_stone_elements`` g."""
+    """Assemble a block map from lifted projections q_i and lifted swaps
+    rho(s_0j), as a basis tensor: psi(e_ii) = q_i, psi(e_0j) = q_0 rho(s_0j) q_j,
+    psi(e_j0) = q_j rho(s_0j) q_0 and psi(e_ij) = psi(e_i0) psi(e_0j) for the
+    other i != j; ``values[g]`` is the block at the stone points of
+    ``_stone_elements`` g."""
     kw = dict(verify_tol=verify_tol, snap_tol=snap_tol)
     lifts = iter(values)
     units = []
     for n in domain.blocks:
         qs = [lift_projection(next(lifts), **kw) for _ in range(n)]
-        swaps = {(i, j): stone_generator(next(lifts), **kw)
-                 for i in range(n) for j in range(i + 1, n)}
-        units += [qs[i] if i == j else qs[i] @ swaps[min(i, j), max(i, j)] @ qs[j]
-                  for i in range(n) for j in range(n)]
+        swaps = [stone_generator(next(lifts), **kw) for _ in range(1, n)]
+        row = [qs[0]] + [qs[0] @ s @ q for s, q in zip(swaps, qs[1:])]      # psi(e_0j)
+        col = [qs[0]] + [q @ s @ qs[0] for s, q in zip(swaps, qs[1:])]      # psi(e_i0)
+        units += [qs[i] if i == j else row[j] if i == 0 else col[i] if j == 0
+                  else col[i] @ row[j] for i in range(n) for j in range(n)]
     return ApproxMap.linear(domain, values.shape[-1], np.stack(units), {"kind": "stone-lift"})
 
 
@@ -335,7 +340,8 @@ def _unit_components(run, isoms):
 
 def _stone_components(run, isoms):
     """The stone route's component maps, from Stone lifts of pi: pi is
-    evaluated once at every stone point, and its values are compressed to
+    evaluated once at the stone points of the 2n - 1 generators of each
+    n x n block (``_stone_elements``), and its values are compressed to
     each component."""
     shape, d, post = run.phi.domain, run.phi3.dim, run.post
     gens = list(_stone_elements(shape))

@@ -473,33 +473,39 @@ def reference_stone_basis(pi, domain, **kw):
     return np.stack(units)
 
 
-def test_stone_block_map_lifts_each_swap_once(monkeypatch):
+def test_stone_block_map_lifts_a_star_of_swaps(monkeypatch):
+    # n reflections and the n - 1 swaps (0, j), each lifted once; on an
+    # exact representation the units agree with the all-pairs reference
     import starstab.pipeline
     import starstab.reps
-    shape = AlgebraShape([3])
-    w = haar_conjugator(6, 28)
-    pi = ApproxMap(shape, 6, lambda u: w @ np.kron(u.blocks[0], np.eye(2)) @ w.conj().T)
-    kw = dict(verify_tol=1e-6, snap_tol=1e-3)
-    expect = reference_stone_basis(pi, shape, **kw)
-    gens = list(_stone_elements(shape))
-    values = pi.batch(stack_elements([x for a in gens for x in stone_points(a)]))
     lifted = []
 
     def counting(values, **kwargs):
         lifted.append(len(values))
         return stone_generator(values, **kwargs)
 
-    monkeypatch.setattr(starstab.pipeline, "stone_generator", counting)
-    monkeypatch.setattr(starstab.reps, "stone_generator", counting)
-    got = _stone_block_map(values.reshape(len(gens), -1, 6, 6), shape, **kw)
-    assert len(gens) == 6
-    assert lifted == [4] * 6        # 3 projections and 3 unordered swaps
-    assert np.array_equal(got.basis, expect)
+    kw = dict(verify_tol=1e-6, snap_tol=1e-3)
+    for n in (3, 4):
+        shape = AlgebraShape([n])
+        w = haar_conjugator(2 * n, 28)
+        pi = ApproxMap(shape, 2 * n, lambda u: w @ np.kron(u.blocks[0], np.eye(2)) @ w.conj().T)
+        expect = reference_stone_basis(pi, shape, **kw)
+        gens = list(_stone_elements(shape))
+        values = pi.batch(stack_elements([x for a in gens for x in stone_points(a)]))
+        lifted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(starstab.pipeline, "stone_generator", counting)
+            m.setattr(starstab.reps, "stone_generator", counting)
+            got = _stone_block_map(values.reshape(len(gens), -1, 2 * n, 2 * n), shape, **kw)
+        assert len(gens) == 2 * n - 1
+        assert lifted == [4] * (2 * n - 1)
+        assert np.abs(got.basis - expect).max() < 1e-12
 
 
 def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
-    # M_2 has 3 stone generators (two reflections and one swap), each read at
-    # 4 points; the one component of a multiplicity-3 map reads that stack
+    # an n x n block has 2n - 1 stone generators (n reflections and n - 1
+    # swaps), each read at 4 points; the one component of the map reads
+    # that stack
     import starstab.pipeline
     rows = []
     unitarize = starstab.pipeline.unitarize
@@ -515,12 +521,14 @@ def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
         return t, pi, info
 
     monkeypatch.setattr(starstab.pipeline, "unitarize", counting)
-    phi = perturb_additive(embedding(AlgebraShape([2]), (3,), seed=11), 1e-3, seed=12)
     config = FAST.replace(path="stone")
-    _, rep = run_pipeline(phi, config)
-    assert rep.ok()
-    assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [6]
-    assert rows == [1, 4 * 3]       # decompose's central symmetry, then the lifts
+    for n, mult, dims, gens in ((2, 3, [6], 3), (3, 2, [6], 5)):
+        phi = perturb_additive(embedding(AlgebraShape([n]), (mult,), seed=11), 1e-3, seed=12)
+        rows.clear()
+        _, rep = run_pipeline(phi, config)
+        assert rep.ok()
+        assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == dims
+        assert rows == [1, 4 * gens]    # decompose's central symmetry, then the lifts
 
 
 def stack_key(stack):
