@@ -522,13 +522,13 @@ def test_stone_path_evaluates_pi_once_per_run(monkeypatch):
 
     monkeypatch.setattr(starstab.pipeline, "unitarize", counting)
     config = FAST.replace(path="stone")
-    for n, mult, dims, gens in ((2, 3, [6], 3), (3, 2, [6], 5)):
+    for n, mult in ((2, 3), (3, 2)):
         phi = perturb_additive(embedding(AlgebraShape([n]), (mult,), seed=11), 1e-3, seed=12)
         rows.clear()
         _, rep = run_pipeline(phi, config)
         assert rep.ok()
-        assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == dims
-        assert rows == [1, 4 * gens]    # decompose's central symmetry, then the lifts
+        assert [s.info for s in rep.stages if s.name == "decompose"][0]["block_dims"] == [6]
+        assert rows == [1, 4 * (2 * n - 1)]     # decompose's central symmetry, then the lifts
 
 
 def stack_key(stack):

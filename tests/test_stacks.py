@@ -145,13 +145,6 @@ def _group_maps():
     return averaged, pi
 
 
-def _averaged_1_2():
-    """An averaged map on C + M_2 -> M_4, whose samples hold a 1 x 1 block."""
-    rho = perturb_additive(embedding(), 1e-3, seed=20)
-    averaged, _ = average_once(rho, 16, probe_pairs=unitary_pairs(SHAPE, 4, 21), seed=22)
-    return averaged
-
-
 @lru_cache(maxsize=None)
 def batch_cases():
     """label -> (map, 48 points of its domain): unit-ball probes, or Haar
@@ -169,7 +162,10 @@ def batch_cases():
     averaged, pi = _group_maps()
     unitaries = random_unitaries(AlgebraShape([2]), 48, 18)
     cases["averaged"], cases["unitarized"] = (averaged, unitaries), (pi, unitaries)
-    cases["averaged 1+2"] = _averaged_1_2(), random_unitaries(SHAPE, 48, 19)
+    # an averaged map on C + M_2 -> M_4: its samples hold a 1 x 1 block
+    rho = perturb_additive(embedding(), 1e-3, seed=20)
+    averaged, _ = average_once(rho, 16, probe_pairs=unitary_pairs(SHAPE, 4, 21), seed=22)
+    cases["averaged 1+2"] = averaged, random_unitaries(SHAPE, 48, 19)
     return cases
 
 
