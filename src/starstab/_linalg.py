@@ -50,11 +50,13 @@ def op_norm(x: np.ndarray) -> float:
     the underflow floor.  A skipped matrix's sigma_1 is below the lower
     bound, and every candidate goes through the same ``np.linalg.svd`` as
     before, so the float returned is the max of the per-matrix norms, bit
-    for bit.
+    for bit.  A one-matrix stack goes straight to the SVD.
     """
     if x.size == 0:
         return 0.0
     stack = x.reshape(-1, *x.shape[-2:])
+    if len(stack) == 1:
+        return float(np.linalg.svd(stack[0], compute_uv=False)[0])
     # a non-finite norm keeps its matrix
     with np.errstate(over="ignore", invalid="ignore"):
         fro = np.linalg.norm(stack, axis=(-2, -1))

@@ -73,42 +73,63 @@ GroupMap = ApproxMap
 
 class AveragedGroupMap(ApproxMap):
     """Level ``level`` of the averaging: one pass over a fixed sample set of
-    the parent map; the samples are held as a per-block stack with their
-    parent values' inverses alongside.  A value costs one parent row per
-    sample and is not cached: measurements carry the values they took
-    forward."""
+    the parent map; the samples are held as a per-block stack, and their
+    parent values' inverses side by side as one (N, M N) row.  A value
+    costs one parent row per sample and is not cached: measurements carry
+    the values they took forward.
+
+    The value at u is (1/M) sum_j rho(x_j)^{-1} rho(x_j u), taken as one
+    (N, M N) @ (M N, N) product of the row with the parent values stacked,
+    divided by M; its shape is fixed, so a value does not depend on the
+    points batched with it."""
 
     def __init__(self, parent: ApproxMap, samples: tuple, inverses: np.ndarray, level: int):
         self.parent = parent
         self.samples = samples
-        self.inverses = inverses
         self.level = level
+        self._row = np.ascontiguousarray(inverses.transpose(1, 0, 2).reshape(parent.dim, -1))
         super().__init__(parent.domain, parent.dim, None, stack_fn=self._values)
+
+    @property
+    def inverses(self) -> np.ndarray:
+        """The parent values' inverses, (M, N, N), as a view of the row."""
+        return self._row.reshape(self.dim, -1, self.dim).transpose(1, 0, 2)
 
     def _values(self, stack) -> np.ndarray:
         out = np.empty((len(stack[0]), self.dim, self.dim), dtype=complex)
-        for k, t in enumerate(self._terms(stack)):
-            out[k] = t.mean(axis=0)
+        for k, f in enumerate(self._parent_values(stack)):
+            out[k] = self._mean(f)
         return out
 
-    def _terms(self, stack):
-        """rho(x_j)^{-1} rho(x_j u) for all samples x_j, one point u of a
-        per-block stack at a time: the products x_j u of a block are one
-        (M n, n) by (n, n) product, and each point is one parent batch of
-        M rows."""
+    def _mean(self, f: np.ndarray) -> np.ndarray:
+        """The value from the (M, N, N) parent values at one point."""
+        return self._row @ f.reshape(-1, self.dim) / len(f)
+
+    def _parent_values(self, stack):
+        """rho(x_j u) for all samples x_j, one point u of a per-block stack at
+        a time: the products x_j u of a block are one (M n, n) by (n, n)
+        product, and each point is one parent batch of M rows."""
         for k in range(stack[0].shape[0]):
-            yield self.inverses @ self.parent.batch(
+            yield self.parent.batch(
                 tuple((x.reshape(-1, x.shape[-1]) @ s[k]).reshape(x.shape)
                       for x, s in zip(self.samples, stack)))
 
+    def values_and_terms(self, stack) -> tuple[np.ndarray, np.ndarray]:
+        """The values at the K points of a stack, (K, N, N), and their terms
+        rho(x_j)^{-1} rho(x_j u), (K, M, N, N), from one parent evaluation;
+        a value is the mean of its terms up to rounding, and equals the
+        map's value bit for bit."""
+        inverses = self.inverses
+        values = np.empty((len(stack[0]), self.dim, self.dim), dtype=complex)
+        terms = np.empty((len(values), *inverses.shape), dtype=complex)
+        for k, f in enumerate(self._parent_values(stack)):
+            values[k] = self._mean(f)
+            np.matmul(inverses, f, out=terms[k])
+        return values, terms
+
     def terms(self, stack) -> np.ndarray:
-        """The terms at the K points of a stack, as (K, M, N, N); a value is
-        the mean of its terms.  Each point's terms are written into the
-        result as they come, so no second copy of them is held."""
-        out = np.empty((len(stack[0]), len(self.inverses), self.dim, self.dim), dtype=complex)
-        for k, t in enumerate(self._terms(stack)):
-            out[k] = t
-        return out
+        """The terms at the K points of a stack, as (K, M, N, N)."""
+        return self.values_and_terms(stack)[1]
 
 
 @dataclass(frozen=True)
@@ -153,9 +174,9 @@ def measure_group_map(rho: ApproxMap, pairs,
     count = len(us[0])
     points = tuple(np.stack([u, v, u @ v], axis=1).reshape(-1, *u.shape[1:])
                    for u, v in zip(us, vs))
-    terms = rho.terms(points) if isinstance(rho, AveragedGroupMap) else None
-    f = (rho.batch(points) if terms is None else terms.mean(axis=1)).reshape(
-        count, 3, rho.dim, rho.dim)
+    f, terms = rho.values_and_terms(points) if isinstance(rho, AveragedGroupMap) \
+        else (rho.batch(points), None)
+    f = f.reshape(count, 3, rho.dim, rho.dim)
     s = np.linalg.svd(f[:, :2], compute_uv=False)[..., -1]
     kappa = float(np.max(1.0 / np.maximum(s, 1e-300)))
     delta = la.op_norm(f[:, 2] - f[:, 0] @ f[:, 1])

@@ -24,6 +24,12 @@ from .probes import (constant, defect_stacks, defect_triples, forked_spheres,
                      sphere_probes)
 
 
+# rows per zero-padded tile of a basis-tensor contraction, which makes every
+# product (TILE_ROWS, d) @ (d, N^2); on the four benchmark workloads, 32
+# measured no slower than 8, 16, 64 or 128
+TILE_ROWS = 32
+
+
 @dataclass(eq=False)
 class ApproxMap:
     """An evaluable, deterministic map from an algebra into N x N matrices.
@@ -32,7 +38,7 @@ class ApproxMap:
     its value at a point depends on that point alone, not on the other
     points of a batch.
     Linear maps may carry a precomputed basis tensor (one N x N matrix per
-    entry coordinate) which makes evaluation a single tensor contraction.  A
+    entry coordinate) which makes evaluation a tiled tensor contraction.  A
     map may instead carry ``stack_fn``, which evaluates a per-block stack of
     inputs (one (K, n_b, n_b) array per block) to a (K, N, N) array, or an
     opaque per-element ``fn``.  ``batch`` is the one evaluation path; a
@@ -63,18 +69,18 @@ class ApproxMap:
     def batch(self, stack) -> np.ndarray:
         """Values at the K elements of a per-block stack, as (K, N, N).
 
-        Linear maps contract each coefficient row with the basis tensor on
-        its own, one (1, d) @ (d, N^2) product per row, so a row's value
-        does not depend on the rows batched with it; maps with a
-        ``stack_fn`` call it, and an opaque ``fn`` is called element by
+        Linear maps contract the coefficient rows with the basis tensor in
+        zero-padded tiles of ``TILE_ROWS`` rows, one (TILE_ROWS, d) @
+        (d, N^2) product per tile: every product has the same shape, so a
+        row's value does not depend on the rows batched with it.  Maps with
+        a ``stack_fn`` call it, and an opaque ``fn`` is called element by
         element.
         Raises EvaluationError, carrying the offending element, when an image
         is not finite or when an element-by-element evaluator raises or
         returns the wrong shape (the first failing row).
         """
         if self._flat_basis is not None:
-            out = (stack_coeffs(stack)[:, None] @ self._flat_basis).reshape(
-                -1, self.dim, self.dim)
+            out = self._contract(stack_coeffs(stack))
         elif self.stack_fn is not None:
             out = self.stack_fn(stack)
         else:
@@ -86,6 +92,14 @@ class ApproxMap:
             raise EvaluationError(f"map value at stack row {k} is not finite",
                                   offending=stack_row(self.domain, stack, k))
         return out
+
+    def _contract(self, coeffs: np.ndarray) -> np.ndarray:
+        k, d = coeffs.shape
+        tiles = -(-k // TILE_ROWS)
+        if k < tiles * TILE_ROWS:
+            coeffs = np.concatenate([coeffs, np.zeros((tiles * TILE_ROWS - k, d), dtype=complex)])
+        out = coeffs.reshape(tiles, TILE_ROWS, d) @ self._flat_basis
+        return out.reshape(-1, self.dim, self.dim)[:k]
 
     def _call_row(self, stack, k: int) -> np.ndarray:
         x = stack_row(self.domain, stack, k)
@@ -190,8 +204,9 @@ def _defect_suprema(values, lams: np.ndarray, index) -> list[DefectReport]:
     order, a list with every map's values at that stack's distinct rows;
     ``index`` is the triples' ``probes.defect_triples`` index.  It is read
     one stack at a time; the distinct values at x and y and their copies
-    scattered to every row are held across stacks.  A row's defect matrix depends on its point alone, so each
-    supremum reads one row per distinct point it depends on:
+    scattered to every row are held across stacks.  A row's defect matrix
+    depends on its point alone, so each supremum reads one row per distinct
+    point it depends on:
 
     - additivity and multiplicativity read every row (x_k, y_k), the
       distinct values scattered back to each;
@@ -273,17 +288,23 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64) -> ApproxMa
     p.setflags(write=False)
     one_bits = [a.view(np.int64).ravel() for a in one.blocks]
 
+    def scaled(stack) -> np.ndarray:
+        out = m.batch(stack)
+        return out if scale == 1.0 else out / scale
+
     def stack_fn(stack) -> np.ndarray:
         # the unit is matched by its canonical bytes, so -0.0 entries miss
         is_one = np.ones(len(stack[0]), dtype=bool)
         for s, bits in zip(stack, one_bits):
             rows = np.ascontiguousarray(s).view(np.int64).reshape(len(s), bits.size)
             is_one &= (rows == bits).all(axis=1)
+        if not is_one.any():
+            return scaled(stack)
         out = np.empty((len(is_one), m.dim, m.dim), dtype=complex)
         out[is_one] = p
         rest = ~is_one
         if rest.any():
-            out[rest] = m.batch(tuple(s[rest] for s in stack)) / scale
+            out[rest] = scaled(tuple(s[rest] for s in stack))
         return out
 
     return ApproxMap(m.domain, m.dim, None,

@@ -1,9 +1,15 @@
 """Checks the tests share that the package itself never needs: element
-predicates, the inverse of ``four_unitaries`` and the schedule's movement
-series."""
+predicates, the inverse of ``four_unitaries``, the schedule's movement
+series, and a fresh interpreter to run a script in."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import starstab
 import starstab._linalg as la
 from starstab.algebra import AlgebraElement, AlgebraShape, zeros
 from starstab.averaging import IterationSchedule
@@ -29,3 +35,12 @@ def reconstruct(pairs, shape: AlgebraShape) -> AlgebraElement:
 def movement_budget(sched: IterationSchedule) -> float:
     """The movement series sum_n kappa_n delta_n of a schedule."""
     return sum(k * d for k, d in zip(sched.kappas, sched.deltas))
+
+
+def run_script(script, **env):
+    """Run ``script`` in a fresh interpreter that imports starstab from this tree."""
+    src = str(Path(starstab.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)

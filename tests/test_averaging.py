@@ -204,10 +204,17 @@ def test_quadratic_contraction_sweep():
 
 
 def test_averaged_value_is_the_mean_of_its_terms():
+    # a value is one wide product, the inverses side by side times the parent
+    # values stacked, divided by M: the mean of its terms up to rounding
     rho = perturb_additive(embedding8(), 2e-4, seed=30)
     new, _ = average_once(rho, 32, probe_pairs=unitary_pairs(SHAPE2, 2, 32), seed=31)
-    u = HaarSampler(SHAPE2, 33).unitary()
-    assert np.array_equal(new(u), new.terms(stack_elements([u]))[0].mean(axis=0))
+    for seed in range(33, 41):
+        u = HaarSampler(SHAPE2, seed).unitary()
+        parent = np.stack([rho(x * u) for x in stack_rows(SHAPE2, new.samples)])
+        wide = np.concatenate(list(new.inverses), axis=1) @ np.concatenate(list(parent)) / 32
+        assert new(u).tobytes() == wide.tobytes()
+        mean = new.terms(stack_elements([u]))[0].mean(axis=0)
+        assert la.op_norm(new(u) - mean) <= 8 * np.finfo(float).eps * la.op_norm(mean)
 
 
 def test_measurement_builds_one_stack_per_point(monkeypatch):

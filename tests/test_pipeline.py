@@ -1,16 +1,11 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import starstab
 import starstab._linalg as la
 from starstab.algebra import AlgebraShape, identity, matrix_unit, stack_elements, stack_rows
 from starstab.averaging import AveragedGroupMap
@@ -25,6 +20,8 @@ from starstab.pipeline import _stone_block_map, _stone_elements, compute_budget,
 from starstab.probes import ball_probes
 from starstab.reps import lift_projection, stone_generator, stone_points
 from starstab.synthesis import intertwiner
+
+from _helpers import run_script
 
 FAST = PipelineConfig(probes=96, group_probes=6, mc_width=128,
                       unitarize_width=48, max_levels=1, seed=1)
@@ -325,19 +322,10 @@ print(json.dumps(kk.to_dict(include_timing=False), sort_keys=True))
 """
 
 
-def _run_script(script, **env):
-    """Run ``script`` in a fresh interpreter that imports starstab from this tree."""
-    src = str(Path(starstab.__file__).resolve().parents[1])
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=600)
-
-
 def test_canonical_json_independent_of_blas_threads():
     outs = []
     for threads in ("1", "2"):
-        res = _run_script(_THREADS_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+        res = run_script(_THREADS_SCRIPT, OPENBLAS_NUM_THREADS=threads)
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert len(outs[0].splitlines()) == 3
@@ -372,7 +360,7 @@ for path in ("units", "stone"):
 
 def test_starstab_runs_without_scipy():
     # every module imports, and both per-block routes finish, with scipy blocked
-    res = _run_script(_NO_SCIPY_SCRIPT)
+    res = run_script(_NO_SCIPY_SCRIPT)
     assert res.returncode == 0, res.stderr
 
 
@@ -598,3 +586,62 @@ def test_shared_block_values_match_the_per_block_path(monkeypatch):
         assert kwargs["values"].shape == (1 + 2 + 48, 2, 2)
         own = {k: v for k, v in kwargs.items() if k != "values"}
         assert correct(phi_k, **own)[2] == info
+
+
+# -- fault injection ------------------------------------------------------------
+# Each fault is one rebinding of a module global of ``pipeline``; the run
+# still finishes, and only the assertion the fault targets fails, which shows
+# that this certificate can fire.
+
+def _fault_on_units(fault):
+    """``matrix_unit_correction`` with ``fault`` applied to each component's
+    corrected basis tensor, its block units."""
+    import starstab.pipeline
+    correct = starstab.pipeline.matrix_unit_correction
+
+    def faulty(*args, **kwargs):
+        a, psi, info = correct(*args, **kwargs)
+        return a, ApproxMap.linear(psi.domain, psi.dim, fault(psi.basis)), info
+    return "matrix_unit_correction", faulty
+
+
+def _noisy_units():
+    # 1e-6 noise on the units: the recovered map is no longer exact
+    rng = np.random.default_rng(3)
+    return _fault_on_units(lambda basis: basis + 1e-6 * (
+        rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)))
+
+
+def _rotated_units():
+    # an exact map again, but conjugated by the orthogonal Q of a QR of
+    # 1 + 3e-3 G, whose sign flips put it far from 1
+    def rotate(basis):
+        d = basis.shape[-1]
+        q, _ = np.linalg.qr(np.eye(d) + 3e-3 * np.random.default_rng(3).standard_normal((d, d)))
+        return q @ basis @ q.T
+    return _fault_on_units(rotate)
+
+
+def _no_movement():
+    # every movement taken between ball values is reported as 0
+    import starstab.pipeline
+    advance = starstab.pipeline._advance
+
+    def unmoved(run, values):
+        advance(run, values)
+        return 0.0
+    return "_advance", unmoved
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (_noisy_units, "output-is-exact"),
+    (_no_movement, "triangle-inequality"),
+    (_rotated_units, "final-distance-le-L-sqrt-eps")])
+def test_a_fault_fails_only_its_assertion(fault, failing, monkeypatch):
+    import starstab.pipeline
+    phi = perturb_additive(embedding(AlgebraShape([1, 2]), (2, 1)), 1e-3, seed=3)
+    config = FAST.replace(seed=3)
+    assert run_pipeline(phi, config)[1].ok()
+    monkeypatch.setattr(starstab.pipeline, *fault())
+    _, rep = run_pipeline(phi, config)
+    assert [a["name"] for a in rep.assertions if not a["ok"]] == [failing]

@@ -31,6 +31,8 @@ from starstab.probes import (ball_probes, defect_index, defect_triples, determin
 from starstab.reps import unitarize
 from starstab.synthesis import TraceExpectation
 
+from _helpers import run_script
+
 SHAPE = AlgebraShape([1, 2])
 
 
@@ -174,7 +176,7 @@ CASES = ["exact 1+2", "additive 1+2", "exact 3", "additive 3", "exact 2+2", "add
 
 
 @pytest.mark.parametrize("label", CASES)
-@pytest.mark.parametrize("size", [1, 2, 7, 48])
+@pytest.mark.parametrize("size", [1, 2, 7, 31, 32, 33, 48, 65])
 @settings(max_examples=5, deadline=None)
 @given(st.data())
 def test_a_value_does_not_depend_on_its_batch(label, size, data):
@@ -186,6 +188,45 @@ def test_a_value_does_not_depend_on_its_batch(label, size, data):
     out = m.batch(stack)
     for k in range(size):
         assert out[k].tobytes() == m.batch(tuple(s[k:k + 1] for s in stack))[0].tobytes()
+
+
+_BATCH_SCRIPT = """
+import hashlib
+
+import numpy as np
+
+from starstab.algebra import AlgebraShape
+from starstab.factory import EmbeddingSpec, exact_homomorphism, haar_conjugator
+from starstab.probes import ball_probes
+
+rng = np.random.default_rng(24)
+digest = hashlib.sha256()
+for blocks, mults in (((1, 2), (2, 1)), ((8,), (2,))):
+    shape = AlgebraShape(list(blocks))
+    n = sum(m * b for m, b in zip(mults, blocks))
+    psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0, haar_conjugator(n, 25)))
+    points = ball_probes(shape, 48, 26)
+    alone = [psi.batch(tuple(s[k:k + 1] for s in points))[0].tobytes() for k in range(48)]
+    for size in rng.integers(1, 100, 16):
+        rows = rng.integers(0, 48, size)
+        out = psi.batch(tuple(s[rows] for s in points))
+        assert [v.tobytes() for v in out] == [alone[r] for r in rows], (blocks, size)
+    digest.update(b"".join(alone))
+print(digest.hexdigest())
+"""
+
+
+def test_linear_rows_do_not_depend_on_batch_or_blas_threads():
+    # a basis tensor's tiled products must give each row the bytes of its
+    # point alone at any batch size and position, with one BLAS thread or
+    # two; the M_8 map's tiles, (32, 64) @ (64, 256), are large enough that
+    # OpenBLAS may split them across threads
+    outs = []
+    for threads in ("1", "2"):
+        res = run_script(_BATCH_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_stack_quantization_and_hash_keys_match_single_elements():
