@@ -17,6 +17,8 @@ COND_MAX = 1e8
 # make a Frobenius norm too small, so nothing is skipped
 _FRO_MARGIN = 1e-8
 _FRO_FLOOR = 1e-150
+# argmin_op_norms decides rows from the brackets of G^2 and of G^16
+_BRACKET_LEVELS = (1, 4)
 
 
 def herm(x: np.ndarray) -> np.ndarray:
@@ -95,8 +97,9 @@ def _quartic_bounds(stack: np.ndarray, fro: np.ndarray) -> np.ndarray:
 
 def _scaled_gram(stack: np.ndarray, fro: np.ndarray) -> np.ndarray:
     """B* B, or B B* when that is smaller, for B = A / f, each matrix A of a
-    stack with its finite, nonzero Frobenius norm f."""
-    b = stack / fro[:, None, None]
+    stack with its finite, nonzero Frobenius norm f (an array of the
+    stack's leading shape)."""
+    b = stack / fro[..., None, None]
     return b @ adj(b) if b.shape[-2] < b.shape[-1] else adj(b) @ b
 
 
@@ -152,34 +155,115 @@ def argmin_op_norms(x: np.ndarray, excluded: np.ndarray | None = None) -> np.nda
     left out: ``np.argmin(np.where(excluded, inf, op_norms(x)), axis=0)``,
     bit for bit (the first index on ties).
 
-    Each sigma_1 is estimated as f sqrt(lambda_max) of the Gram matrix of
-    B = A / f, f the Frobenius norm of A, in one batched ``eigvalsh``.  As
-    in ``_quartic_bounds``, the entries of B are at most 1 and lambda_max
+    A row with at most one live candidate picks it (or 0).  A row whose C
+    candidates are all live is decided in stages, each on the rows the
+    stages before it left open.  With f the Frobenius norm of a candidate
+    A and G the Gram matrix of B = A / f, sigma_1 = f sqrt(lambda_max(G)),
+    and ``_power_bracket`` bounds it from the traces of G^p and G^2p, at
+    p = 2 and then at p = 16 (``_BRACKET_LEVELS``: one squaring of G, then
+    three more).  A row is decided when the upper bound of the candidate
+    with the smallest one undercuts every other candidate's lower bound by
+    ``_FRO_MARGIN`` (plus the brackets' rounding allowance); the SVDs then
+    order the candidates the same way.  A row still open takes the
+    estimate f sqrt(lambda_max) from one batched ``eigvalsh`` of the Gram
+    matrices already built: the entries of B are at most 1 and lambda_max
     lies in [1/r, 1], so the estimate is within a few hundred ulps of
-    sigma_1, and so is ``op_norms``.  A row is decided by the estimates
-    only when its smallest one undercuts every other by ``_FRO_MARGIN``;
-    then ``op_norms`` orders the candidates the same way.  Every other row
-    (ties and near-ties, a non-finite f anywhere in the row, a candidate's
-    f below ``_FRO_FLOOR``) takes ``op_norms`` of all of its C matrices,
-    as the reference does, so NaN still reaches LAPACK.
+    sigma_1, and so is ``op_norms``; the row is decided when its smallest
+    estimate undercuts every other by ``_FRO_MARGIN``.  Every other row
+    (ties and near-ties, a non-finite f anywhere in the row, a live
+    candidate's f below ``_FRO_FLOOR``, some but not all of C > 2
+    candidates excluded) takes ``op_norms`` of all of its C matrices, as
+    the reference does, so NaN still reaches LAPACK.
     """
     c, k = x.shape[:2]
-    excluded = np.zeros((c, k), dtype=bool) if excluded is None else excluded
+    live = np.ones((c, k), dtype=bool) if excluded is None else ~excluded
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm sends
         fro = np.linalg.norm(x, axis=(-2, -1))          # its row to the SVD
-    sure = np.isfinite(fro).all(axis=0) & ~((fro < _FRO_FLOOR) & ~excluded).any(axis=0)
-    live = sure & ~excluded
-    est = np.full((c, k), np.inf)
-    if live.any():
-        g = _scaled_gram(x[live], fro[live])
-        est[live] = fro[live] * np.sqrt(np.linalg.eigvalsh(g)[:, -1])
-    pick = np.argmin(est, axis=0)
-    sure &= (est <= est[pick, np.arange(k)] * (1.0 + _FRO_MARGIN)).sum(axis=0) == 1
-    rest = ~sure
+    sure = np.isfinite(fro).all(axis=0) & ~((fro < _FRO_FLOOR) & live).any(axis=0)
+    count = live.sum(axis=0)
+    pick = np.argmax(live, axis=0)        # the first live candidate, or 0
+    rest = ~sure | ((count > 1) & (count < c))
+    rows = np.flatnonzero(sure & (count > 1) & (count == c))
+    if rows.size:
+        scale = fro[:, rows]
+        gram = _scaled_gram(x[:, rows], scale)
+        side = gram.shape[-1]
+        tol = 1.0 + _FRO_MARGIN + _bracket_err(side)
+        others = np.arange(c)[:, None]
+        power = gram
+        for level in range(1, _BRACKET_LEVELS[-1] + 1):
+            power = power @ power
+            if level not in _BRACKET_LEVELS:
+                continue
+            upper, lower = _power_bracket(power, 2 ** level)
+            upper *= scale
+            lower *= scale
+            first = upper.argmin(axis=0)
+            done = upper.min(axis=0) * tol < np.where(others == first, np.inf, lower).min(axis=0)
+            pick[rows[done]] = first[done]
+            keep = ~done
+            rows, gram, power, scale = rows[keep], gram[:, keep], power[:, keep], scale[:, keep]
+            if not rows.size:
+                break
+        if rows.size:
+            est = scale * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+            first = est.argmin(axis=0)
+            done = (est <= est.min(axis=0) * (1.0 + _FRO_MARGIN)).sum(axis=0) == 1
+            pick[rows[done]] = first[done]
+            rest[rows[~done]] = True
     if rest.any():
-        pick[rest] = np.argmin(np.where(excluded[:, rest], np.inf, op_norms(x[:, rest])),
-                               axis=0)
+        pick[rest] = np.argmin(np.where(live[:, rest], op_norms(x[:, rest]), np.inf), axis=0)
     return pick
+
+
+def _bracket_err(side: int) -> float:
+    """Relative rounding allowance of ``_power_bracket`` at matrix side n,
+    up to p = 16: 256 n^3 eps, 1.2e-11 at n = 6 (derived there)."""
+    return 256 * side ** 3 * np.finfo(float).eps
+
+
+def _power_bracket(power: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bounds on sqrt(lambda_max(G)) = sigma_1(B), for each
+    matrix P = G^p of a stack, as computed by s squarings of G = B* B of
+    side n with ||B||_F = 1 (p = 2^s).
+
+    With lambda_i >= 0 the eigenvalues of G, t_q = sum lambda_i^q; the
+    bounds read t_p = tr P and t_2p = ||P||_F^2.  Below, lambda_max^p >=
+    t_2p / t_p, a mean of the lambda_i^p weighted by lambda_i^p.  Above,
+    the Wolkowicz-Styan bound of P: lambda_max^p <= t_p / n +
+    sqrt((n - 1) / n (t_2p - t_p^2 / n)), never above ||P||_F.  A top
+    singular value repeated r times puts the upper bound up to r^(1/2p)
+    above sigma_1; the lower bound converges whatever the multiplicity.
+
+    Rounding: ||B||_F = 1 puts lambda_max in [1/n, 1], so the entries of
+    every power are at most 1 and lambda_max^p >= n^-p: nothing overflows,
+    and an entry that underflows is negligible.  A squaring of the
+    computed Q ~ G^q adds at most n eps ||Q||_F^2 <= n^2 eps lambda_max^2q
+    and doubles the relative error it inherits, so after s squarings P is
+    within 2^(s+1) n^2 eps lambda_max^p of G^p in norm, and t_p and t_2p
+    are within a relative 2^(s+1) n^3 eps of the power sums, a third of
+    ``_bracket_err`` for s <= 4.  The variance t_2p - t_p^2 / n is then
+    within err t_2p of its exact value, and err t_2p is added to it inside
+    the square root; so the upper bound computed is at least (1 - err)
+    times a true one, and the lower bound at most (1 + err) times a true
+    one.  ``argmin_op_norms`` widens its margin by err.
+    """
+    side = power.shape[-1]
+    err = _bracket_err(side)
+    t_p = np.einsum("...ii->...", power).real
+    t_2p = _sq_fro(power)
+    spread = np.maximum(t_2p - t_p * t_p / side, 0.0) + err * t_2p
+    upper = t_p / side + np.sqrt((side - 1) / side * spread)
+    e = 0.5 / p
+    return upper ** e, (t_2p / t_p) ** e
+
+
+def _sq_fro(x: np.ndarray) -> np.ndarray:
+    """||A||_F^2 of each matrix A of a stack (or of a matrix), summed over a
+    real view of its entries, so no conjugate or squared copy is made."""
+    v = np.ascontiguousarray(x)
+    v = v.view(v.real.dtype)
+    return np.einsum("...ij,...ij->...", v, v)
 
 
 def is_hermitian(x: np.ndarray, tol: float = 1e-10) -> bool:
@@ -187,13 +271,17 @@ def is_hermitian(x: np.ndarray, tol: float = 1e-10) -> bool:
     return op_norm(x - x.conj().T) <= tol * scale
 
 
-def herm_fun(h: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix via eigh."""
+def herm_fun(h: np.ndarray, *fns):
+    """Apply a scalar function to a Hermitian matrix via eigh: fn(h) for one
+    function, and the tuple of the fn(h) for several, all from one
+    eigendecomposition."""
     if not is_hermitian(h, 1e-9):
         raise SnapError("herm_fun: input is not Hermitian within tolerance",
                         residual=op_norm(h - h.conj().T))
     w, v = np.linalg.eigh(herm(h))
-    return (v * fn(w)) @ v.conj().T
+    vh = v.conj().T
+    out = tuple((v * fn(w)) @ vh for fn in fns)
+    return out[0] if len(out) == 1 else out
 
 
 def polar_unitary(x: np.ndarray) -> np.ndarray:
@@ -251,24 +339,76 @@ def herm_sign_snap(h: np.ndarray, snap_tol: float = 1e-3) -> tuple[np.ndarray, f
 
 
 def inv_cond(x: np.ndarray) -> np.ndarray:
-    """Inverse with condition-number monitoring; cond > 1e8 counts as singular."""
+    """Inverse with condition-number monitoring; cond > 1e8 counts as singular.
+
+    The inverse comes first, and ``_cond_certified`` clears most matrices
+    with no SVD.  Otherwise, and when LAPACK refuses to invert, the SVD
+    check runs: it raises SingularMapError for a zero sigma_min or
+    cond > ``COND_MAX``, and LAPACK's own error stands when it finds
+    nothing.  So the errors raised and the inverse returned are those of
+    checking first and inverting after.
+    """
+    try:
+        inv = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        _check_cond(x)
+        raise
+    if not _cond_certified(x, inv):
+        _check_cond(x)
+    return inv
+
+
+def _check_cond(x: np.ndarray) -> None:
     s = np.linalg.svd(x, compute_uv=False)
     if s[-1] <= 0 or s[0] / s[-1] > COND_MAX:
         raise SingularMapError(f"condition number {s[0] / max(s[-1], 1e-300):.3e} "
                                f"exceeds {COND_MAX:.1e}")
-    return np.linalg.inv(x)
 
 
 def batched_inv_cond(stack: np.ndarray) -> np.ndarray:
-    """Invert a (M, N, N) stack, rejecting any ill-conditioned member."""
-    s = np.linalg.svd(stack, compute_uv=False)
+    """Invert a (M, N, N) stack, rejecting any ill-conditioned member.
+
+    As in ``inv_cond``, the stack is inverted first; the SVD check covers
+    the members ``_cond_certified`` does not clear, or the whole stack when
+    LAPACK refuses it, and names the first member with cond > ``COND_MAX``
+    as the witness.  A cleared member's cond is below that, so the witness,
+    the error and the inverse are those of checking every member first.
+    """
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        _check_conds(stack, np.arange(len(stack)))
+        raise
+    doubt = np.flatnonzero(~_cond_certified(stack, inv))
+    if doubt.size:
+        _check_conds(stack, doubt)
+    return inv
+
+
+def _check_conds(stack: np.ndarray, idx: np.ndarray) -> None:
+    s = np.linalg.svd(stack[idx], compute_uv=False)
     conds = s[:, 0] / np.maximum(s[:, -1], 1e-300)
     bad = np.nonzero(conds > COND_MAX)[0]
     if bad.size:
         j = int(bad[0])
-        raise SingularMapError(
-            f"sample {j} is numerically singular (cond {conds[j]:.3e})", witness=j)
-    return np.linalg.inv(stack)
+        raise SingularMapError(f"sample {idx[j]} is numerically singular "
+                               f"(cond {conds[j]:.3e})", witness=int(idx[j]))
+
+
+def _cond_certified(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Whether ||A||_F ||X||_F < COND_MAX / 2 for each matrix A of a stack
+    (or a matrix) and its computed inverse X.
+
+    ||A||_F ||A^-1||_F bounds cond_2(A) from above.  ``np.linalg.inv``
+    solves A X = 1 column by column, backward stably, so A X = 1 - E with
+    ||E|| <= c n^(3/2) rho eps ||A|| ||X|| (rho the pivot growth), and
+    ||A^-1|| <= ||X|| / (1 - ||E||).  Below COND_MAX / 2 that makes ||E|| a
+    few times n^(3/2) rho 1e-8, so the factor 2 covers the inverse's
+    rounding and cond_2(A) < COND_MAX.  The squares of the norms are
+    compared, and a non-finite or overflowing one clears nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sq_fro(x) * _sq_fro(inv) < (0.5 * COND_MAX) ** 2
 
 
 def isometry_factor(y: np.ndarray) -> np.ndarray:

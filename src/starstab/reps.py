@@ -105,8 +105,7 @@ def unitarize(tau: ApproxMap, tau_us: np.ndarray, eps2: float | None = None,
         raise PreconditionError(
             f"Gram deviation {gram_dev:.3g} >= 1/2: too far from unitary to unitarize")
     mean = la.herm(grams.mean(axis=0))
-    t = la.herm_fun(mean, np.sqrt)
-    t_inv = la.herm_fun(mean, lambda x: 1.0 / np.sqrt(x))
+    t, t_inv = la.herm_fun(mean, np.sqrt, lambda x: 1.0 / np.sqrt(x))
     deviation = la.op_norm(t - np.eye(tau.dim))
     pi = ApproxMap(tau.domain, tau.dim, None,
                    stack_fn=lambda stack: la.snap_unitary(t @ tau.batch(stack) @ t_inv,

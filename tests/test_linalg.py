@@ -31,6 +31,15 @@ def test_herm_fun_square_root():
     assert la.op_norm(r @ r - p) < 1e-10
 
 
+def test_herm_fun_of_several_functions_is_each_function_alone():
+    h = la.herm(rng(3).standard_normal((4, 4)) + 1j * rng(4).standard_normal((4, 4)))
+    p = h @ h.conj().T + np.eye(4)
+    inv_sqrt = lambda w: 1.0 / np.sqrt(w)       # noqa: E731
+    root, inv_root = la.herm_fun(p, np.sqrt, inv_sqrt)
+    assert root.tobytes() == la.herm_fun(p, np.sqrt).tobytes()
+    assert inv_root.tobytes() == la.herm_fun(p, inv_sqrt).tobytes()
+
+
 def test_herm_fun_rejects_non_hermitian():
     with pytest.raises(SnapError):
         la.herm_fun(np.array([[0.0, 1.0], [0.0, 0.0]]), np.sqrt)
@@ -87,6 +96,68 @@ def test_batched_inv_cond_names_witness():
     with pytest.raises(SingularMapError) as err:
         la.batched_inv_cond(stack)
     assert err.value.witness == 1
+
+
+def _parent_batched_inv_cond(stack):
+    """``batched_inv_cond`` as it checked before inverting: the reference."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    conds = s[:, 0] / np.maximum(s[:, -1], 1e-300)
+    bad = np.nonzero(conds > la.COND_MAX)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise SingularMapError(
+            f"sample {j} is numerically singular (cond {conds[j]:.3e})", witness=j)
+    return np.linalg.inv(stack)
+
+
+def _counting_svd(monkeypatch):
+    svd, seen = np.linalg.svd, []
+
+    def counting(x, *args, **kwargs):
+        seen.append(x.shape[:-2])
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen
+
+
+def test_inversion_of_well_conditioned_input_takes_no_svd(monkeypatch):
+    stack = np.stack([rand_unitary(4, seed=30 + 2 * i) * (1.0 + i) for i in range(8)])
+    stack[3] += 0.3 * rng(40).standard_normal((4, 4))
+    seen = _counting_svd(monkeypatch)
+    assert la.batched_inv_cond(stack).tobytes() == np.linalg.inv(stack).tobytes()
+    assert la.inv_cond(stack[3]).tobytes() == np.linalg.inv(stack[3]).tobytes()
+    assert seen == []
+
+
+@pytest.mark.parametrize("singular", [1e-9, 0.0])
+def test_inversion_rejects_what_the_svd_check_rejects(monkeypatch, singular):
+    """A member of cond 1e9 and an exactly singular one (which LAPACK
+    refuses to invert) raise the SVD check's SingularMapError, with the
+    witness and message of checking every member before inverting; a
+    member of cond 1e12 after it is not the witness."""
+    stack = np.stack([rand_unitary(3, seed=50 + 2 * i) for i in range(5)])
+    stack[2] = stack[2] @ np.diag([1.0, 0.5, singular])
+    stack[4] = stack[4] @ np.diag([1.0, 1.0, 1e-12])
+    with pytest.raises(SingularMapError) as want:
+        _parent_batched_inv_cond(stack)
+    with pytest.raises(SingularMapError) as got:
+        la.batched_inv_cond(stack)
+    assert got.value.witness == want.value.witness == 2
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SingularMapError, match="exceeds"):
+        la.inv_cond(stack[2])
+
+
+def test_inversion_of_nan_raises_the_svd_error():
+    stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.svd(stack, compute_uv=False)
+    for call in (lambda: la.batched_inv_cond(stack), lambda: la.inv_cond(stack[1])):
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 def test_isometry_factor_and_range():
@@ -199,8 +270,35 @@ def candidate_stacks(draw):
     return x, excluded
 
 
+def _unitary_pairs():
+    """Scaled unitaries (every singular value repeated) against ones
+    smaller by 1e-3, 1e-6 and 1e-9 relative, and against an equal one."""
+    u = np.stack([rand_unitary(4, seed=60 + 2 * i) for i in range(8)])
+    return np.stack([2.0 * u, 2.0 * u[::-1] * np.repeat([1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1.0],
+                                                        2)[:, None, None]]), None
+
+
+def _rank_one_pairs():
+    """Rank-one candidates: sigma_1 is the Frobenius norm, and the
+    brackets are exact."""
+    r = rng(70)
+    u, v = r.standard_normal((2, 6, 5, 1)), r.standard_normal((2, 6, 1, 5))
+    x = u @ v
+    x[1, :3] = x[0, :3] * (1.0 + np.array([1e-6, 1e-9, 0.0]))[:, None, None]
+    return x, None
+
+
+def _scaled_pairs(factor):
+    x = rng(71).standard_normal((2, 5, 3, 3)) + 1j * rng(72).standard_normal((2, 5, 3, 3))
+    return factor * x, None
+
+
 @settings(max_examples=80, deadline=None)
 @given(candidate_stacks())
+@example(_unitary_pairs())
+@example(_rank_one_pairs())
+@example(_scaled_pairs(1e-160))
+@example(_scaled_pairs(1e160))
 def test_argmin_op_norms_is_the_argmin_of_the_matrix_norms(case):
     x, excluded = case
     mask = np.zeros(x.shape[:2], dtype=bool) if excluded is None else excluded
@@ -217,17 +315,25 @@ def test_argmin_op_norms_decomposes_only_near_ties(monkeypatch):
     a = rng(22).standard_normal((2, 16, 4, 4))
     a[1] *= 1.5
     svd, seen = np.linalg.svd, []
+    eigvalsh, eig_seen = np.linalg.eigvalsh, []
 
     def counting(x, *args, **kwargs):
         seen.append(x.shape[:-2])
         return svd(x, *args, **kwargs)
 
+    def counting_eig(x, *args, **kwargs):
+        eig_seen.append(x.shape[:-2])
+        return eigvalsh(x, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
     assert np.array_equal(la.argmin_op_norms(a), np.zeros(16, dtype=int))
     assert seen == []
+    assert eig_seen == []                   # the brackets decide far-apart rows
     a[1, 5] = a[0, 5] * (1.0 + 1e-9)       # a near-tie: row 5 takes both SVDs
     assert np.array_equal(la.argmin_op_norms(a), np.zeros(16, dtype=int))
     assert seen == [(2, 1)]
+    assert eig_seen == [(2, 1)]             # after the eigvalsh estimate of both
 
 
 def test_op_norm_decomposes_only_candidates(monkeypatch):
