@@ -108,7 +108,8 @@ class AveragedGroupMap(ApproxMap):
     def _parent_values(self, stack):
         """rho(x_j u) for all samples x_j, one point u of a per-block stack at
         a time: the products x_j u of a block are one (M n, n) by (n, n)
-        product, and each point is one parent batch of M rows."""
+        product, and each point is one parent batch of M rows, checked, so
+        a non-finite parent value names its level-0 input x_j u."""
         for k in range(stack[0].shape[0]):
             yield self.parent.batch(
                 tuple((x.reshape(-1, x.shape[-1]) @ s[k]).reshape(x.shape)

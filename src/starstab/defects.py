@@ -41,8 +41,21 @@ class ApproxMap:
     entry coordinate) which makes evaluation a tiled tensor contraction.  A
     map may instead carry ``stack_fn``, which evaluates a per-block stack of
     inputs (one (K, n_b, n_b) array per block) to a (K, N, N) array, or an
-    opaque per-element ``fn``.  ``batch`` is the one evaluation path; a
-    single-point call is a one-row batch.  No values are cached.
+    opaque per-element ``fn``.  ``evaluate`` is the one evaluation path, and
+    ``batch`` is ``evaluate`` with one finiteness check; a single-point call
+    is a one-row batch.  No values are cached.
+
+    A wrapper whose own step is elementwise or a fixed product reads its
+    inner map with ``evaluate``: ``compose_input``, ``compose_output``,
+    ``normalize``'s rescale and ``perturb_additive``'s read of psi.  So a
+    chain of them is checked once, by the ``batch`` of its outermost map,
+    and a non-finite value names the row of the stack the caller passed.
+    An infinite value can make such a step warn first (numpy's invalid
+    value RuntimeWarning, from inf * 0), before ``batch`` raises.
+    Three reads stay checked: ``batch`` itself, an averaged map's read of
+    its parent (the error names the level-0 input), and ``unitarize``'s
+    read before its polar snap (NaN raises EvaluationError, not
+    LinAlgError).
     """
 
     domain: AlgebraShape
@@ -67,30 +80,43 @@ class ApproxMap:
         return self.batch(tuple(a[None] for a in x.blocks))[0]
 
     def batch(self, stack) -> np.ndarray:
-        """Values at the K elements of a per-block stack, as (K, N, N).
+        """Values at the K elements of a per-block stack, as (K, N, N): the
+        values of ``evaluate``, checked to be finite.
+
+        Raises EvaluationError, carrying the offending element, when an image
+        is not finite (the first such row of ``stack``), or when ``evaluate``
+        raises it.
+        """
+        out = self.evaluate(stack)
+        if not np.isfinite(out).all():
+            k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
+            raise EvaluationError(f"map value at stack row {k} is not finite",
+                                  offending=stack_row(self.domain, stack, k))
+        return out
+
+    def evaluate(self, stack) -> np.ndarray:
+        """Values at the K elements of a per-block stack, as (K, N, N), with
+        no finiteness check.
 
         Linear maps contract the coefficient rows with the basis tensor in
         zero-padded tiles of ``TILE_ROWS`` rows, one (TILE_ROWS, d) @
         (d, N^2) product per tile: every product has the same shape, so a
         row's value does not depend on the rows batched with it.  Maps with
         a ``stack_fn`` call it, and an opaque ``fn`` is called element by
-        element.
-        Raises EvaluationError, carrying the offending element, when an image
-        is not finite or when an element-by-element evaluator raises or
-        returns the wrong shape (the first failing row).
+        element; an opaque evaluator that raises or returns the wrong shape
+        raises EvaluationError carrying the first failing row.
+
+        A wrapper whose own step is elementwise or a fixed product reads its
+        inner map here, so the ``batch`` of the outermost map checks the
+        whole chain once and names the row of the stack its caller passed.
         """
         if self._flat_basis is not None:
-            out = self._contract(stack_coeffs(stack))
-        elif self.stack_fn is not None:
-            out = self.stack_fn(stack)
-        else:
-            out = np.empty((stack[0].shape[0], self.dim, self.dim), dtype=complex)
-            for k in range(len(out)):
-                out[k] = self._call_row(stack, k)
-        if not np.isfinite(out).all():
-            k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
-            raise EvaluationError(f"map value at stack row {k} is not finite",
-                                  offending=stack_row(self.domain, stack, k))
+            return self._contract(stack_coeffs(stack))
+        if self.stack_fn is not None:
+            return self.stack_fn(stack)
+        out = np.empty((stack[0].shape[0], self.dim, self.dim), dtype=complex)
+        for k in range(len(out)):
+            out[k] = self._call_row(stack, k)
         return out
 
     def _contract(self, coeffs: np.ndarray) -> np.ndarray:
@@ -123,20 +149,22 @@ class ApproxMap:
                       domain: AlgebraShape | None = None, **meta) -> "ApproxMap":
         """x -> self(pre(x)) on ``domain`` (default: this map's), where ``pre``
         maps a per-block stack on ``domain`` row by row to one on this map's
-        domain."""
+        domain.  This map is read unchecked (``evaluate``)."""
         return ApproxMap(domain or self.domain, self.dim, None, {**self.meta, **meta},
-                         stack_fn=lambda stack: self.batch(pre(stack)))
+                         stack_fn=lambda stack: self.evaluate(pre(stack)))
 
     def compose_output(self, post: Callable[[np.ndarray], np.ndarray], dim: int,
                        **meta) -> "ApproxMap":
         """x -> post(self(x)) into dim x dim matrices, where ``post`` maps a
         (K, N, N) stack of values row by row to a (K, dim, dim) stack.  A map
         with a basis gives the basis tensor post(basis), so ``post`` must
-        then be linear.  The new map carries only ``meta``."""
+        then be linear; otherwise this map is read unchecked (``evaluate``),
+        and a non-finite value must stay non-finite through ``post``.  The
+        new map carries only ``meta``."""
         if self.basis is not None:
             return ApproxMap.linear(self.domain, dim, post(self.basis), meta)
         return ApproxMap(self.domain, dim, None, meta,
-                         stack_fn=lambda stack: post(self.batch(stack)))
+                         stack_fn=lambda stack: post(self.evaluate(stack)))
 
 
 @dataclass(frozen=True)
@@ -277,6 +305,17 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64) -> ApproxMa
     is kept as ``unit_projection``.  Refuses when that defect is not < 0.1
     or when the value at 1 has an eigenvalue inside [1/4, 3/4] (no spectral
     gap).
+
+    The new map reads ``m`` unchecked (``ApproxMap.evaluate``) and divides
+    its values by ``scale`` as NumPy's complex / real division does, bit
+    for bit.  NumPy divides a + bi by s as by s + 0i: with r = 0/s = 0 and
+    c = 1/(s + 0 r) = 1/s it forms ((a + b r) c, (b - a r) c).  When a and
+    b are nonzero and finite, a + b r = a and b - a r = b exactly, so each
+    part is that part times 1/s: the product of the float view with
+    ``1.0 / scale``, which is what the map takes.  A zero part can come out
+    of the division with the other sign (-0.0 + 0.0 = +0.0), so a stack of
+    values with any zero part is divided by ``scale`` as it stands.  A
+    non-finite part leaves its row non-finite either way.
     """
     if not defect.epsilon < 0.1:
         raise PreconditionError(
@@ -287,22 +326,33 @@ def normalize(m: ApproxMap, defect: DefectReport, samples: int = 64) -> ApproxMa
     p, moved = la.spectral_round_projection(la.herm(m.batch(stack_elements([one]))[0]))
     p.setflags(write=False)
     one_bits = [a.view(np.int64).ravel() for a in one.blocks]
+    inv = 1.0 / scale
 
     def scaled(stack) -> np.ndarray:
-        out = m.batch(stack)
-        return out if scale == 1.0 else out / scale
+        out = m.evaluate(stack)
+        if scale == 1.0:
+            return out
+        # a stack_fn may return another dtype or layout: divided as it stands
+        if out.dtype == complex and out.flags.c_contiguous:
+            parts = out.view(np.float64)
+            if parts.all():
+                return (parts * inv).view(complex)
+        return out / scale
 
     def stack_fn(stack) -> np.ndarray:
-        # the unit is matched by its canonical bytes, so -0.0 entries miss
-        is_one = np.ones(len(stack[0]), dtype=bool)
-        for s, bits in zip(stack, one_bits):
-            rows = np.ascontiguousarray(s).view(np.int64).reshape(len(s), bits.size)
-            is_one &= (rows == bits).all(axis=1)
-        if not is_one.any():
+        # the unit is matched by its canonical bytes, so -0.0 entries miss;
+        # only the rows whose first entry equals the unit's (1.0) are compared
+        rows = np.flatnonzero(stack[0][:, 0, 0] == 1.0)
+        if rows.size:
+            for s, bits in zip(stack, one_bits):
+                got = np.ascontiguousarray(s[rows]).view(np.int64).reshape(len(rows), bits.size)
+                rows = rows[(got == bits).all(axis=1)]
+        if not rows.size:
             return scaled(stack)
-        out = np.empty((len(is_one), m.dim, m.dim), dtype=complex)
-        out[is_one] = p
-        rest = ~is_one
+        out = np.empty((len(stack[0]), m.dim, m.dim), dtype=complex)
+        out[rows] = p
+        rest = np.ones(len(out), dtype=bool)
+        rest[rows] = False
         if rest.any():
             out[rest] = scaled(tuple(s[rest] for s in stack))
         return out

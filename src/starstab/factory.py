@@ -124,17 +124,23 @@ def exact_homomorphism(spec: EmbeddingSpec) -> ApproxMap:
     return out
 
 
-# SplitMix64's counter increment, 2**64 over the golden ratio
+# SplitMix64's counter increment, 2**64 over the golden ratio, and its
+# finalizer's shifts and multipliers
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_LOW12, _S12, _ONE = np.uint64(4095), np.uint64(12), np.uint64(1)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer, in place on a uint64 array (wrapping mod 2**64)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    """SplitMix64's finalizer, in place on a uint64 array (wrapping mod 2**64);
+    the three shifts share one scratch array."""
+    t = np.right_shift(z, _S30)
+    z ^= t
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
@@ -164,13 +170,14 @@ def _hash_normals(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
     arithmetic, the same on every machine; ``np.log`` and the phase table
     (``np.exp``) come from the platform's libm, so the values may differ
     in their last bits between platforms."""
+    # a new array, so the caller's keys are not written
     lanes = keys.view(np.uint64) + np.arange(1, keys.shape[1] + 1, dtype=np.uint64) * _GOLDEN
     h = np.bitwise_xor.reduce(_mix64(lanes), axis=1)
-    h = _mix64(h ^ np.array(seed & (2**64 - 1), dtype=np.uint64))
-    bits = _mix64(h[:, None] + np.arange(1, count // 2 + 1, dtype=np.uint64) * _GOLDEN)
-    k = (bits & np.uint64(4095)).view(np.int64)
-    bits >>= np.uint64(12)
-    bits += np.uint64(1)
+    h ^= np.uint64(seed & (2**64 - 1))
+    bits = _mix64(_mix64(h)[:, None] + np.arange(1, count // 2 + 1, dtype=np.uint64) * _GOLDEN)
+    k = (bits & _LOW12).view(np.int64)
+    bits >>= _S12
+    bits += _ONE
     r = bits.astype(np.float64)
     r *= 2.0 ** -52                                          # u, in (0, 1]
     np.log(r, out=r)
@@ -184,8 +191,9 @@ def _hash_normals(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
 def _quantized_keys(stack) -> np.ndarray:
     """(K, 2 linear_dim) int64 rows, the entries on a 1e-9 grid; row k
     keys element k."""
-    v = stack_coeffs(stack).view(np.float64)
-    return np.rint(v / 1e-9).astype(np.int64)
+    v = stack_coeffs(stack).view(np.float64)                 # a new array
+    v /= 1e-9
+    return np.rint(v, out=v).astype(np.int64)
 
 
 def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
@@ -197,7 +205,10 @@ def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
     Each entry of g(x) comes from one counter word as r e^{i theta}, with
     a Box-Muller modulus and theta one of the 4096 angles 2 pi k / 4096
     (``_hash_normals``); the entries are normalized to Frobenius norm 1,
-    which dominates the operator norm, so the unit bound holds.
+    which dominates the operator norm, so the unit bound holds.  psi is
+    read unchecked (``ApproxMap.evaluate``): the sum with the finite field
+    is finite exactly when psi's value is, so the new map's ``batch``
+    checks both.
     """
     if not 0.0 <= eta < 1.0:
         raise PreconditionError("eta must be in [0, 1)")
@@ -208,7 +219,7 @@ def perturb_additive(psi: ApproxMap, eta: float, seed: int = 0) -> ApproxMap:
     n = psi.dim
 
     def stack_fn(stack) -> np.ndarray:
-        base = psi.batch(stack)
+        base = psi.evaluate(stack)
         if eta == 0.0:
             return base
         z = _hash_normals(seed, _quantized_keys(stack), 2 * n * n)
@@ -272,8 +283,10 @@ def lattice_quantize(x, h: float, clip: float = 2.0):
         return AlgebraElement._raw(
             x.shape, tuple(lattice_quantize(a, h, clip) for a in x.blocks))
     k = math.floor(clip / h) * h
-    v = np.clip(np.rint(np.ascontiguousarray(x).view(np.float64) / h) * h, -k, k)
-    return v.view(complex)
+    v = np.ascontiguousarray(x).view(np.float64) / h         # a new array
+    np.rint(v, out=v)
+    v *= h
+    return np.clip(v, -k, k, out=v).view(complex)
 
 
 def mesh_constant(shape: AlgebraShape) -> float:

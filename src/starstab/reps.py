@@ -107,6 +107,8 @@ def unitarize(tau: ApproxMap, tau_us: np.ndarray, eps2: float | None = None,
     mean = la.herm(grams.mean(axis=0))
     t, t_inv = la.herm_fun(mean, np.sqrt, lambda x: 1.0 / np.sqrt(x))
     deviation = la.op_norm(t - np.eye(tau.dim))
+    # tau is read checked: a NaN must raise EvaluationError before the snap,
+    # whose SVD would raise LinAlgError
     pi = ApproxMap(tau.domain, tau.dim, None,
                    stack_fn=lambda stack: la.snap_unitary(t @ tau.batch(stack) @ t_inv,
                                                           snap_tol)[0])

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import starstab._linalg as la
+import starstab.defects as defects
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
                               identity, stack_elements, stack_rows)
 from starstab.defects import (ApproxMap, DefectReport, _defect_suprema,
                               _defect_values, estimate_defect, induction_window, is_eps_nonzero,
                               isometry_diagnostic, map_norm, normalize,
                               s_iterate)
-from starstab.errors import GapError, PreconditionError
-from starstab.factory import (EmbeddingSpec, exact_homomorphism,
-                              perturb_additive)
+from starstab.errors import EvaluationError, GapError, PreconditionError
+from starstab.factory import (EmbeddingSpec, discretize, exact_homomorphism,
+                              lattice_quantize, perturb_additive)
 from starstab.probes import (DET_PAIR_CAP, defect_index, defect_triples,
                              deterministic_pairs, sphere_probes)
 
@@ -188,6 +189,109 @@ def test_normalize_needs_small_defect():
     phi = ApproxMap.linear(SHAPE2, psi.dim, 1.5 * psi.basis)
     with pytest.raises(PreconditionError):
         normalize(phi, estimate_defect(phi, 64))
+
+
+@pytest.mark.parametrize("scale", [1.0 + 2.0 ** -52, 1.0003, 1.37])
+def test_normalize_rescale_matches_complex_division(monkeypatch, scale):
+    # the rescale must give the bits of NumPy's complex / real division,
+    # with every sign of zero in the stack that has zero parts; the map is
+    # x -> x on M_3, and normalize's scale, max(1, measured map norm), is
+    # set by fixing the measurement
+    m = ApproxMap(AlgebraShape([3]), 3, None, stack_fn=lambda stack: stack[0].copy())
+    monkeypatch.setattr(defects, "map_norm", lambda _m, _probes: scale)
+    out = normalize(m, DefectReport(0.0, 0.0, 0.0, 0.0, 0.0, 1))
+    assert out.meta["scale"] == scale
+    rng = np.random.default_rng(31)
+    nonzero = (rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))) \
+        * np.exp(rng.uniform(-30.0, 30.0, (40, 3, 3)))
+    with_zeros = nonzero.copy()
+    parts = [complex(a, b) for a in (-0.0, 0.0, -2.5, 1.5) for b in (-0.0, 0.0, -0.75, 3.0)]
+    with_zeros.reshape(-1)[:len(parts)] = parts
+    for stack in (nonzero, with_zeros):
+        got = out.batch((stack,))
+        assert np.array_equal(got.view(np.int64), (m.batch((stack,)) / scale).view(np.int64))
+
+
+def test_normalize_matches_the_unit_at_any_position_by_its_bytes():
+    shape = AlgebraShape([1, 2])
+    psi = embedding(shape=shape)
+    m = ApproxMap.linear(shape, psi.dim, 1.05 * psi.basis)
+    out = normalize(m, estimate_defect(m, 64))
+    scale, p = out.meta["scale"], out.meta["unit_projection"]
+    assert scale > 1.0
+    one = identity(shape)
+    a, b = (blk.copy() for blk in one.blocks)
+    b[0, 1] = -0.0                                       # off the diagonal of the second block
+    c = a.copy()
+    c[0, 0] = complex(1.0, -0.0)                         # passes the first-entry filter
+    signed = [AlgebraElement(shape, [a, b]), AlgebraElement(shape, [c, one.blocks[1]])]
+    others = stack_rows(shape, HaarSampler(shape, 2).contractions(6))
+    for pos in (0, 3, 6):
+        points = others[:pos] + [one] + others[pos:] + signed
+        got = out.batch(stack_elements(points))
+        rest = [k for k in range(len(points)) if k != pos]
+        assert np.array_equal(got[pos], p)
+        expect = m.batch(stack_elements([points[k] for k in rest])) / scale
+        assert np.array_equal(got[rest].view(np.int64), expect.view(np.int64))
+
+
+def _nan_at(shape, n, target):
+    """An opaque map on ``shape`` into n x n matrices, the identity embedding
+    with multiplicity n // ``shape``'s side, NaN at the element ``target``."""
+    spec = EmbeddingSpec(shape, (n // shape.blocks[0],), 0)
+
+    def fn(x):
+        if np.array_equal(x.blocks[0], target):
+            return np.full((n, n), np.nan, dtype=complex)
+        return spec.embed(x)
+
+    return ApproxMap(shape, n, fn)
+
+
+def _batch_calls(monkeypatch) -> list:
+    """The maps of the ``ApproxMap.batch`` calls made from now on."""
+    calls, batch = [], ApproxMap.batch
+
+    def counted(self, stack):
+        calls.append(self)
+        return batch(self, stack)
+
+    monkeypatch.setattr(ApproxMap, "batch", counted)
+    return calls
+
+
+def _nan_chains():
+    grid = 2.0 ** -10
+    v = np.eye(4)[:, :3]
+
+    def level0(target):
+        phi = _nan_at(SHAPE2, 4, lattice_quantize(target, grid))
+        phi1 = normalize(phi, estimate_defect(phi, 64))
+        return discretize(phi1, grid).compose_output(lambda f: la.compress(v, f), 3)
+
+    return {
+        "corner-discretize-normalize": level0,
+        "compose_input": lambda target: _nan_at(SHAPE2, 4, -target).compose_input(
+            lambda stack: tuple(-s for s in stack)),
+        "compose_output": lambda target: _nan_at(SHAPE2, 4, target).compose_output(
+            lambda f: la.compress(v, f), 3),
+        "perturb_additive": lambda target: perturb_additive(_nan_at(SHAPE2, 4, target),
+                                                            1e-3, seed=3),
+    }
+
+
+@pytest.mark.parametrize("chain", sorted(_nan_chains()))
+def test_a_chain_is_checked_once_and_names_the_callers_row(monkeypatch, chain):
+    points = stack_rows(SHAPE2, HaarSampler(SHAPE2, 17).unitaries(6))
+    m = _nan_chains()[chain](points[3].blocks[0])
+    calls = _batch_calls(monkeypatch)
+    assert np.isfinite(m.batch(stack_elements(points[:3] + points[4:]))).all()
+    assert calls == [m]
+    with pytest.raises(EvaluationError) as err:
+        m.batch(stack_elements(points))
+    assert "stack row 3" in str(err.value)
+    assert np.array_equal(err.value.offending.blocks[0], points[3].blocks[0])
+    assert err.value.__context__ is None
 
 
 def test_is_eps_nonzero():

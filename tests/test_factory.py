@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import starstab._linalg as la
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler, identity,
-                              matrix_units, stack_elements, stack_rows)
+                              matrix_units, stack_coeffs, stack_elements, stack_rows)
 from starstab.defects import estimate_defect
 from starstab.errors import PreconditionError
 from starstab.factory import (EmbeddingSpec, InclusionSpec, _hash_normals,
@@ -126,6 +128,74 @@ def test_field_entries_are_complex_normals_on_4096_phases():
     signs = [((b[:, None] >> np.arange(w)) & 1).astype(np.float32) * 2 - 1
              for b, w in ((phase, 12), (u, 52))]
     assert np.abs(signs[0].T @ signs[1]).max() <= 0.05 * z.size
+
+
+def _mix64_reference(z):
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _hash_normals_reference(seed, keys, count):
+    # the field's formula as first written, with a fresh array per step
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    lanes = keys.view(np.uint64) + np.arange(1, keys.shape[1] + 1, dtype=np.uint64) * golden
+    h = np.bitwise_xor.reduce(_mix64_reference(lanes), axis=1)
+    h = _mix64_reference(h ^ np.array(seed & (2**64 - 1), dtype=np.uint64))
+    bits = _mix64_reference(h[:, None] + np.arange(1, count // 2 + 1, dtype=np.uint64) * golden)
+    k = (bits & np.uint64(4095)).view(np.int64)
+    r = np.sqrt(-2.0 * np.log(((bits >> np.uint64(12)) + np.uint64(1)).astype(np.float64)
+                              * 2.0 ** -52))
+    return (np.exp(2j * np.pi * np.arange(4096) / 4096).take(k) * r).view(np.float64)
+
+
+@pytest.mark.parametrize("lanes", [8, 16, 128])
+def test_field_normals_match_the_reference_formula(lanes):
+    rng = np.random.default_rng(lanes)
+    keys = rng.integers(-2 ** 62, 2 ** 62, size=(128, lanes))
+    keys[0] = 0
+    keys[1] = -1
+    before = keys.copy()
+    for seed in (0, 5, -3, 2 ** 64 + 7):
+        z = _hash_normals(seed, keys, 128)
+        assert z.shape == (128, 128)
+        assert np.array_equal(z.view(np.int64),
+                              _hash_normals_reference(seed, keys, 128).view(np.int64))
+        assert np.array_equal(keys, before)          # the caller's keys are read only
+
+
+def test_quantized_keys_match_the_reference_formula():
+    shape = AlgebraShape([1, 2, 3])
+    stack = ball_probes(shape, 40, 6)
+    stack[1][3, 0, 1] = complex(-0.0, 5e-10)          # a half-step tie and a signed zero
+    stack[2][4, 2, 2] = complex(2.5e-9, -1.5e-9)
+    keys = _quantized_keys(stack)
+    ref = np.rint(stack_coeffs(stack).view(np.float64) / 1e-9).astype(np.int64)
+    assert keys.dtype == np.int64 and np.array_equal(keys, ref)
+
+
+def test_lattice_quantize_matches_the_reference_formula():
+    h, clip = 2.0 ** -10, 2.0
+    edge = math.floor(clip / h) * h
+    rng = np.random.default_rng(12)
+    x = 1.5 * (rng.standard_normal((16, 3, 3)) + 1j * rng.standard_normal((16, 3, 3)))
+    x[0] = complex(-0.0, -0.0)
+    x[1, 0] = [complex(-0.0, 0.0), complex(-1e-6, -0.0), complex(0.0, -h / 4)]
+    x[2] = edge + 1j * -edge
+    x[3] = (edge + h / 2) - 1j * (clip + h)
+    x[4] = 2.0 * clip * (1.0 - 1j)
+    x[5] = (edge - h / 2) + 1j * np.nextafter(edge + h / 2, 0.0)
+    ref = np.clip(np.rint(x.view(np.float64) / h) * h, -edge, edge).view(complex)
+    q = lattice_quantize(x, h, clip)
+    assert np.array_equal(q.view(np.int64), ref.view(np.int64))
+    assert np.signbit(q[0].view(np.float64)).all()
+    assert np.abs(q.view(np.float64)).max() == edge
+    x_before = x.copy()
+    lattice_quantize(x[:, ::2], h, clip)                 # a strided block is copied
+    assert np.array_equal(x.view(np.int64), x_before.view(np.int64))
 
 
 def test_field_seeds_are_integers_mod_2_64():

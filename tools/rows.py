@@ -7,17 +7,20 @@ Runs every instance of the four ``perfbench`` workloads once at seeds 1
 and 2, with ``perfbench/workloads.py``'s ``build`` and ``prepare`` as they
 are, and prints one JSON object
 ``{"workload/seed/label": {stage: [rows, batches]}}``.  The input map of a
-``run_pipeline`` call is the map it was given; each ``batch`` call on it
-adds its rows and one batch to the step of ``pipeline._STEPS`` that is
-running, or to ``unstaged`` outside every step (the admissibility estimate,
-and an experiment's own reads of its input).  A tower counts every floor's
-input map.  Stages that read no row are left out.  The package and the
-workloads are imported from ``--root`` (default: this checkout), so two
-checkouts, such as a base commit and its change, compare key by key.
-``--against`` reads such an output and prints to stderr each count that
-changed against it; a change is reported, not failed on.  Rows per op of
-each workload and stage are summarized on stderr.  BLAS threads are fixed
-as in ``perfbench/run.py``.
+``run_pipeline`` call is the map it was given; each read of it adds its
+rows and one batch to the step of ``pipeline._STEPS`` that is running, or
+to ``unstaged`` outside every step (the admissibility estimate, and an
+experiment's own reads of its input).  A read is a call of
+``ApproxMap.evaluate``, the entry that the checked ``batch`` and a
+wrapper's unchecked read share, so each read counts once either way; on a
+tree whose ``ApproxMap`` has no ``evaluate``, it is a ``batch`` call.  A
+tower counts every floor's input map.  Stages that read no row are left
+out.  The package and the workloads are imported from ``--root``
+(default: this checkout), so two checkouts, such as a base commit and its
+change, compare key by key.  ``--against`` reads such an output and
+prints to stderr each count that changed against it; a change is
+reported, not failed on.  Rows per op of each workload and stage are
+summarized on stderr.  BLAS threads are fixed as in ``perfbench/run.py``.
 """
 from __future__ import annotations
 
@@ -36,7 +39,8 @@ def count_rows(pipeline, approx_map, call):
     of the ``run_pipeline`` calls it makes."""
     counts = defaultdict(lambda: [0, 0])
     inputs, stage = [], [UNSTAGED]
-    init, batch, steps = pipeline._Run.__init__, approx_map.batch, dict(pipeline._STEPS)
+    entry = "evaluate" if hasattr(approx_map, "evaluate") else "batch"
+    init, read, steps = pipeline._Run.__init__, getattr(approx_map, entry), dict(pipeline._STEPS)
 
     def register(run, phi, *args, **kwargs):
         inputs.append(phi)
@@ -47,7 +51,7 @@ def count_rows(pipeline, approx_map, call):
             count = counts[stage[-1]]
             count[0] += len(stack[0])
             count[1] += 1
-        return batch(m, stack)
+        return read(m, stack)
 
     def staged(name, step):
         def run_step(run):
@@ -58,12 +62,14 @@ def count_rows(pipeline, approx_map, call):
                 stage.pop()
         return run_step
 
-    pipeline._Run.__init__, approx_map.batch = register, counted
+    pipeline._Run.__init__ = register
+    setattr(approx_map, entry, counted)
     pipeline._STEPS.update({name: staged(name, step) for name, step in steps.items()})
     try:
         call()
     finally:
-        pipeline._Run.__init__, approx_map.batch = init, batch
+        pipeline._Run.__init__ = init
+        setattr(approx_map, entry, read)
         pipeline._STEPS.update(steps)
     order = [UNSTAGED, *steps]
     return {name: counts[name] for name in order if name in counts}
