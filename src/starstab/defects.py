@@ -30,6 +30,26 @@ from .probes import (constant, defect_stacks, defect_triples, forked_spheres,
 TILE_ROWS = 32
 
 
+def _placement_source(flat: np.ndarray) -> np.ndarray | None:
+    """The source index of a placement basis, else None.
+
+    ``flat`` is a (d, N^2) basis.  It is a placement basis when every entry
+    is exactly 0 or 1 + 0j and each column (image entry) has at most one
+    nonzero entry; the index then gives each column the row it reads, or d
+    for a column that reads nothing.  A basis with more nonzero entries
+    than columns is rejected by its count alone, before any other pass.
+    """
+    d, size = flat.shape
+    if np.count_nonzero(flat) > size:
+        return None
+    rows, cols = np.nonzero(flat)
+    if not (flat[rows, cols] == 1).all() or np.bincount(cols, minlength=size).max() > 1:
+        return None
+    source = np.full(size, d, dtype=np.intp)
+    source[cols] = rows
+    return source
+
+
 @dataclass(eq=False)
 class ApproxMap:
     """An evaluable, deterministic map from an algebra into N x N matrices.
@@ -38,10 +58,14 @@ class ApproxMap:
     its value at a point depends on that point alone, not on the other
     points of a batch.
     Linear maps may carry a precomputed basis tensor (one N x N matrix per
-    entry coordinate) which makes evaluation a tiled tensor contraction.  A
-    map may instead carry ``stack_fn``, which evaluates a per-block stack of
-    inputs (one (K, n_b, n_b) array per block) to a (K, N, N) array, or an
-    opaque per-element ``fn``.  ``evaluate`` is the one evaluation path, and
+    entry coordinate) which makes evaluation a tiled tensor contraction, or,
+    for a placement basis, a gather of the coefficients (``_contract``).
+    The basis is held read-only: a writable array is copied, and one that
+    is already read-only is kept, so the basis, its flat view and the
+    placement index cannot disagree.  A map may instead carry
+    ``stack_fn``, which evaluates a per-block stack of inputs (one
+    (K, n_b, n_b) array per block) to a (K, N, N) array, or an opaque
+    per-element ``fn``.  ``evaluate`` is the one evaluation path, and
     ``batch`` is ``evaluate`` with one finiteness check; a single-point call
     is a one-row batch.  No values are cached.
 
@@ -68,13 +92,19 @@ class ApproxMap:
     def __post_init__(self):
         if self.fn is None and self.basis is None and self.stack_fn is None:
             raise PreconditionError("map needs an evaluator or a linear basis")
-        self._flat_basis = None
+        self._flat_basis = self._source = None
+        self._zero_column = False
         if self.basis is not None:
             expect = (self.domain.linear_dim, self.dim, self.dim)
             if self.basis.shape != expect:
                 raise PreconditionError(
                     f"basis tensor has shape {self.basis.shape}, expected {expect}")
+            if self.basis.flags.writeable:
+                self.basis = self.basis.copy()
+                self.basis.setflags(write=False)
             self._flat_basis = np.ascontiguousarray(self.basis.reshape(expect[0], -1))
+            self._source = _placement_source(self._flat_basis)
+            self._zero_column = self._source is not None and bool((self._source == expect[0]).any())
 
     def __call__(self, x: AlgebraElement) -> np.ndarray:
         return self.batch(tuple(a[None] for a in x.blocks))[0]
@@ -98,13 +128,12 @@ class ApproxMap:
         """Values at the K elements of a per-block stack, as (K, N, N), with
         no finiteness check.
 
-        Linear maps contract the coefficient rows with the basis tensor in
-        zero-padded tiles of ``TILE_ROWS`` rows, one (TILE_ROWS, d) @
-        (d, N^2) product per tile: every product has the same shape, so a
-        row's value does not depend on the rows batched with it.  Maps with
-        a ``stack_fn`` call it, and an opaque ``fn`` is called element by
-        element; an opaque evaluator that raises or returns the wrong shape
-        raises EvaluationError carrying the first failing row.
+        Linear maps contract the coefficient rows with the basis tensor
+        (``_contract``), so a row's value does not depend on the rows
+        batched with it.  Maps with a ``stack_fn`` call it, and an opaque
+        ``fn`` is called element by element; an opaque evaluator that raises
+        or returns the wrong shape raises EvaluationError carrying the first
+        failing row.
 
         A wrapper whose own step is elementwise or a fixed product reads its
         inner map here, so the ``batch`` of the outermost map checks the
@@ -120,7 +149,30 @@ class ApproxMap:
         return out
 
     def _contract(self, coeffs: np.ndarray) -> np.ndarray:
+        """(K, N, N) images of (K, d) coefficient rows under the basis.
+
+        A placement basis (``_placement_source``) places each coefficient in
+        the entries it feeds with one ``np.take`` through the source index,
+        which points an entry that reads nothing at an appended zero column.
+        Every other basis is contracted in zero-padded tiles of
+        ``TILE_ROWS`` rows, one (TILE_ROWS, d) @ (d, N^2) product per tile.
+        Both work row by row with shapes fixed by the basis, so a row's
+        value does not depend on its batch.
+
+        The tile product of an entry that reads one coefficient c, with
+        weight 1, is c * 1 plus zero terms, so placement gives it bit for
+        bit wherever both parts of c are finite and nonzero.  Two cases
+        differ: a zero part may come out of the product as -0.0, where
+        placement keeps c's own sign (and +0.0 for an entry that reads
+        nothing); and a non-finite c makes its row non-finite either way
+        (the product spreads NaN from inf * 0, placement keeps inf in its
+        entry), so ``batch`` raises on the same row.
+        """
         k, d = coeffs.shape
+        if self._source is not None:
+            if self._zero_column:
+                coeffs = np.concatenate([coeffs, np.zeros((k, 1), dtype=complex)], axis=1)
+            return np.take(coeffs, self._source, axis=1).reshape(k, self.dim, self.dim)
         tiles = -(-k // TILE_ROWS)
         if k < tiles * TILE_ROWS:
             coeffs = np.concatenate([coeffs, np.zeros((tiles * TILE_ROWS - k, d), dtype=complex)])
@@ -142,6 +194,9 @@ class ApproxMap:
     @classmethod
     def linear(cls, domain: AlgebraShape, dim: int, basis: np.ndarray,
                meta: dict | None = None) -> "ApproxMap":
+        """The linear map with basis tensor ``basis``, (linear_dim, dim, dim);
+        a writable array is copied, so later writes to it do not reach the
+        map."""
         return cls(domain, dim, None, meta or {},
                    np.ascontiguousarray(basis, dtype=complex))
 

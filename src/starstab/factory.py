@@ -117,7 +117,12 @@ def haar_conjugator(n: int, seed: int) -> np.ndarray:
 
 
 def exact_homomorphism(spec: EmbeddingSpec) -> ApproxMap:
-    """The embedding as an evaluable map; all defects vanish by construction."""
+    """The embedding as an evaluable map; all defects vanish by construction.
+
+    Without a conjugator the basis places each coefficient: x -> (+)_b
+    x_b (x) 1_{m_b} (+) 0 has entries 0 and 1 only, and each image entry
+    reads at most one coefficient, so the map evaluates by placement
+    (``ApproxMap._contract``) in place of a tile product."""
     basis = np.stack([spec.embed(e) for _, _, _, e in matrix_units(spec.shape)])
     out = ApproxMap.linear(spec.shape, spec.dim, basis,
                            {"kind": "exact", "spec": spec.to_dict()})

@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -6,16 +7,17 @@ import pytest
 import starstab._linalg as la
 import starstab.defects as defects
 from starstab.algebra import (AlgebraElement, AlgebraShape, HaarSampler,
-                              identity, stack_elements, stack_rows)
+                              identity, stack_coeffs, stack_elements, stack_rows)
 from starstab.defects import (ApproxMap, DefectReport, _defect_suprema,
                               _defect_values, estimate_defect, induction_window, is_eps_nonzero,
                               isometry_diagnostic, map_norm, normalize,
                               s_iterate)
 from starstab.errors import EvaluationError, GapError, PreconditionError
 from starstab.factory import (EmbeddingSpec, discretize, exact_homomorphism,
-                              lattice_quantize, perturb_additive)
+                              haar_conjugator, lattice_quantize, perturb_additive)
 from starstab.probes import (DET_PAIR_CAP, defect_index, defect_triples,
                              deterministic_pairs, sphere_probes)
+from starstab.synthesis import MatrixUnitSystem
 
 SHAPE2 = AlgebraShape([2])
 
@@ -280,18 +282,116 @@ def _nan_chains():
     }
 
 
-@pytest.mark.parametrize("chain", sorted(_nan_chains()))
+# perturb_additive of an unrotated psi, a placement basis: the linear psi has
+# a non-finite value only at a non-finite coefficient, which row 3 carries
+_NON_FINITE_COEFFICIENT = {"perturb_additive-unrotated-nan": complex(np.nan, 0.5),
+                           "perturb_additive-unrotated-inf": complex(np.inf, 0.5)}
+
+
+@pytest.mark.parametrize("chain", sorted(_nan_chains()) + sorted(_NON_FINITE_COEFFICIENT))
 def test_a_chain_is_checked_once_and_names_the_callers_row(monkeypatch, chain):
     points = stack_rows(SHAPE2, HaarSampler(SHAPE2, 17).unitaries(6))
-    m = _nan_chains()[chain](points[3].blocks[0])
+    quiet = contextlib.nullcontext()
+    if chain in _NON_FINITE_COEFFICIENT:
+        bad = points[3].blocks[0].copy()
+        bad[0, 1] = _NON_FINITE_COEFFICIENT[chain]
+        points[3] = AlgebraElement._raw(SHAPE2, (bad,))
+        psi = embedding()
+        assert psi._source is not None
+        m = perturb_additive(psi, 1e-3, seed=3)
+        quiet = np.errstate(invalid="ignore")   # the hash key of inf or NaN warns
+    else:
+        m = _nan_chains()[chain](points[3].blocks[0])
     calls = _batch_calls(monkeypatch)
     assert np.isfinite(m.batch(stack_elements(points[:3] + points[4:]))).all()
     assert calls == [m]
-    with pytest.raises(EvaluationError) as err:
+    with quiet, pytest.raises(EvaluationError) as err:
         m.batch(stack_elements(points))
+    assert calls == [m, m]
     assert "stack row 3" in str(err.value)
-    assert np.array_equal(err.value.offending.blocks[0], points[3].blocks[0])
+    assert np.array_equal(err.value.offending.blocks[0], points[3].blocks[0], equal_nan=True)
     assert err.value.__context__ is None
+
+
+def ref_tile_contract(m, coeffs):
+    """The zero-padded tile product that contracted every basis before
+    placement bases were recognised, kept as the reference."""
+    k, d = coeffs.shape
+    tiles = -(-k // defects.TILE_ROWS)
+    padded = np.concatenate([coeffs, np.zeros((tiles * defects.TILE_ROWS - k, d), dtype=complex)])
+    out = padded.reshape(tiles, defects.TILE_ROWS, d) @ m.basis.reshape(d, -1)
+    return out.reshape(-1, m.dim, m.dim)[:k]
+
+
+def signed_zero_points(shape, rows, seed):
+    """``rows`` points of ``shape`` whose coefficients have some parts
+    +0.0 and some -0.0, as a per-block stack."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for nb in shape.blocks:
+        parts = rng.standard_normal((rows, nb, nb, 2))
+        parts[rng.random(parts.shape) < 0.2] = 0.0
+        parts[rng.random(parts.shape) < 0.2] = -0.0
+        stack.append(parts.view(complex)[..., 0])
+    return tuple(stack)
+
+
+@pytest.mark.parametrize("blocks, mults, pad", [
+    ((2,), (3,), 0), ((1, 2), (2, 1), 2), ((8,), (1,), 0), ((1, 2), (0, 2), 1)])
+@pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 200])
+def test_unrotated_embeddings_place_their_coefficients(blocks, mults, pad, rows):
+    # bit for bit on every part that is finite and nonzero; a zero part
+    # may differ from the tile product in its sign only
+    shape = AlgebraShape(list(blocks))
+    m = exact_homomorphism(EmbeddingSpec(shape, mults, pad))
+    assert m._source is not None
+    stack = signed_zero_points(shape, rows, 4)
+    got = m.batch(stack).view(np.float64)
+    expect = ref_tile_contract(m, stack_coeffs(stack)).view(np.float64)
+    assert got.shape == expect.shape
+    assert np.array_equal(got, expect)
+    nonzero = expect != 0.0
+    assert np.array_equal(got[nonzero].view(np.int64), expect[nonzero].view(np.int64))
+
+
+def _tiled_bases():
+    spec = EmbeddingSpec(AlgebraShape([1, 2]), (2, 1), 1)
+    unrotated = exact_homomorphism(spec).basis
+    out = {"haar-conjugated": exact_homomorphism(
+        EmbeddingSpec(spec.shape, (2, 1), 1, haar_conjugator(spec.dim, 7))).basis}
+    for name, weight in (("weight-2", 2.0), ("weight-1j", 1j), ("weight-minus-1", -1.0)):
+        basis = unrotated.copy()
+        basis[3, 3, 2] = weight        # unit 3 feeds entry (3, 2) alone
+        out[name] = basis
+    shared = unrotated.copy()
+    shared[1, 0, 0] = 1.0          # unit 0 already feeds entry (0, 0)
+    out["two-coefficients-one-entry"] = shared
+    return spec, out
+
+
+@pytest.mark.parametrize("name", sorted(_tiled_bases()[1]))
+def test_other_bases_keep_the_tile_product(name):
+    spec, bases = _tiled_bases()
+    m = ApproxMap.linear(spec.shape, spec.dim, bases[name])
+    assert m._source is None
+    for rows in (1, 33, 200):
+        stack = signed_zero_points(spec.shape, rows, 5)
+        expect = ref_tile_contract(m, stack_coeffs(stack))
+        assert m.batch(stack).tobytes() == expect.tobytes()
+
+
+def test_a_basis_is_held_read_only():
+    psi = embedding(3)
+    arr = psi.basis.copy()
+    m = ApproxMap.linear(SHAPE2, psi.dim, arr)
+    stack = signed_zero_points(SHAPE2, 40, 6)
+    before = m.batch(stack)
+    arr[:] = 2.0
+    assert m.batch(stack).tobytes() == before.tobytes()
+    with pytest.raises(ValueError):
+        m.basis[0, 0, 0] = 5.0
+    system = MatrixUnitSystem(SHAPE2, psi.basis, (3,))
+    assert system.as_map().basis is system.basis    # already read-only: kept
 
 
 def test_is_eps_nonzero():

@@ -201,10 +201,14 @@ from starstab.probes import ball_probes
 
 rng = np.random.default_rng(24)
 digest = hashlib.sha256()
-for blocks, mults in (((1, 2), (2, 1)), ((8,), (2,))):
+# the unrotated M_8 case with padding is a placement basis, the others tile
+for blocks, mults, pad, rotated in (((1, 2), (2, 1), 0, True), ((8,), (2,), 0, True),
+                                    ((8,), (2,), 3, False)):
     shape = AlgebraShape(list(blocks))
-    n = sum(m * b for m, b in zip(mults, blocks))
-    psi = exact_homomorphism(EmbeddingSpec(shape, mults, 0, haar_conjugator(n, 25)))
+    n = pad + sum(m * b for m, b in zip(mults, blocks))
+    psi = exact_homomorphism(EmbeddingSpec(shape, mults, pad,
+                                           haar_conjugator(n, 25) if rotated else None))
+    assert (psi._source is None) == rotated
     points = ball_probes(shape, 48, 26)
     alone = [psi.batch(tuple(s[k:k + 1] for s in points))[0].tobytes() for k in range(48)]
     for size in rng.integers(1, 100, 16):
@@ -217,10 +221,11 @@ print(digest.hexdigest())
 
 
 def test_linear_rows_do_not_depend_on_batch_or_blas_threads():
-    # a basis tensor's tiled products must give each row the bytes of its
-    # point alone at any batch size and position, with one BLAS thread or
-    # two; the M_8 map's tiles, (32, 64) @ (64, 256), are large enough that
-    # OpenBLAS may split them across threads
+    # a basis tensor's tiled products, and a placement basis's gather, must
+    # give each row the bytes of its point alone at any batch size and
+    # position, with one BLAS thread or two; the M_8 map's tiles,
+    # (32, 64) @ (64, 256), are large enough that OpenBLAS may split them
+    # across threads
     outs = []
     for threads in ("1", "2"):
         res = run_script(_BATCH_SCRIPT, OPENBLAS_NUM_THREADS=threads)

@@ -2,6 +2,7 @@
 """Timing-free report digests of every benchmark instance.
 
     python3 tools/digests.py [--root CHECKOUT] [--against BASE.json]
+                             [--blas-threads N]
 
 Runs every instance of the four ``perfbench`` workloads once at seeds 1
 and 2, with ``perfbench/workloads.py``'s ``build``, ``prepare`` and
@@ -15,7 +16,9 @@ against it and the label of each.  Each workload's distance / eta values
 count, mean and max, so that two trees' accuracy compares from the same
 command even where digests move.  It exits with code 1 when a check
 reports a problem, whatever changed; an op that raises ends the script
-with the exception.  BLAS threads are fixed as in ``perfbench/run.py``.
+with the exception.  BLAS threads are fixed at ``--blas-threads`` (default:
+``perfbench/run.py``'s ``BLAS_THREADS``), so one tree's digests at 1 and
+at 2 threads compare with ``--against`` as two trees' do.
 """
 from __future__ import annotations
 
@@ -31,12 +34,17 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     p.add_argument("--against", type=Path, metavar="BASE.json",
                    help="an earlier output of this script to compare the digests with")
+    p.add_argument("--blas-threads", type=int, metavar="N",
+                   help="BLAS and OpenMP threads (default: perfbench/run.py's BLAS_THREADS)")
     args = p.parse_args(argv)
+    if args.blas_threads is not None and args.blas_threads < 1:
+        p.error("--blas-threads must be at least 1")
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import run          # perfbench's runner: its thread settings, set before numpy loads
+    threads = run.BLAS_THREADS if args.blas_threads is None else args.blas_threads
     for var in run.THREAD_VARS:
-        os.environ[var] = str(run.BLAS_THREADS)
+        os.environ[var] = str(threads)
     import workloads
 
     digests, problems, ratios = {}, [], {}

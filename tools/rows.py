@@ -20,7 +20,12 @@ out.  The package and the workloads are imported from ``--root``
 change, compare key by key.  ``--against`` reads such an output and
 prints to stderr each count that changed against it; a change is
 reported, not failed on.  Rows per op of each workload and stage are
-summarized on stderr.  BLAS threads are fixed as in ``perfbench/run.py``.
+summarized on stderr.  Beside them, each workload's basis-contraction rows
+per op (the rows of every ``ApproxMap._contract`` call, of any map) are
+split into placed (a map with a placement source index) and tiled (any
+other basis); on a tree without placement every row counts as tiled.
+These counts are not in the JSON.  BLAS threads are fixed as in
+``perfbench/run.py``.
 """
 from __future__ import annotations
 
@@ -34,13 +39,16 @@ from pathlib import Path
 UNSTAGED = "unstaged"
 
 
-def count_rows(pipeline, approx_map, call):
+def count_rows(pipeline, approx_map, call, contracted):
     """Run ``call()`` and return {stage: [rows, batches]} of the input maps
-    of the ``run_pipeline`` calls it makes."""
+    of the ``run_pipeline`` calls it makes; the rows of its basis
+    contractions are added to ``contracted["placed"]`` and
+    ``contracted["tiled"]``."""
     counts = defaultdict(lambda: [0, 0])
     inputs, stage = [], [UNSTAGED]
     entry = "evaluate" if hasattr(approx_map, "evaluate") else "batch"
     init, read, steps = pipeline._Run.__init__, getattr(approx_map, entry), dict(pipeline._STEPS)
+    contract = getattr(approx_map, "_contract", None)
 
     def register(run, phi, *args, **kwargs):
         inputs.append(phi)
@@ -53,6 +61,11 @@ def count_rows(pipeline, approx_map, call):
             count[1] += 1
         return read(m, stack)
 
+    def contraction(m, coeffs):
+        path = "tiled" if getattr(m, "_source", None) is None else "placed"
+        contracted[path] += len(coeffs)
+        return contract(m, coeffs)
+
     def staged(name, step):
         def run_step(run):
             stage.append(name)
@@ -64,12 +77,16 @@ def count_rows(pipeline, approx_map, call):
 
     pipeline._Run.__init__ = register
     setattr(approx_map, entry, counted)
+    if contract is not None:
+        approx_map._contract = contraction
     pipeline._STEPS.update({name: staged(name, step) for name, step in steps.items()})
     try:
         call()
     finally:
         pipeline._Run.__init__ = init
         setattr(approx_map, entry, read)
+        if contract is not None:
+            approx_map._contract = contract
         pipeline._STEPS.update(steps)
     order = [UNSTAGED, *steps]
     return {name: counts[name] for name in order if name in counts}
@@ -90,21 +107,26 @@ def main(argv=None) -> int:
     from starstab import pipeline
     from starstab.defects import ApproxMap
 
-    rows, per_op = {}, {}
+    rows, per_op, contracted = {}, {}, {}
     for name, workload in workloads.WORKLOADS.items():
-        ops, totals = 0, defaultdict(int)
+        ops, totals, paths = 0, defaultdict(int), {"placed": 0, "tiled": 0}
         for seed in (1, 2):
             for inst in workload.build(seed):
                 key = f"{name}/{seed}/{inst.label}"
-                rows[key] = count_rows(pipeline, ApproxMap, inst.prepare().call)
+                rows[key] = count_rows(pipeline, ApproxMap, inst.prepare().call, paths)
                 ops += 1
                 for stage, (count, _) in rows[key].items():
                     totals[stage] += count
         per_op[name] = {stage: count / ops for stage, count in totals.items()}
+        contracted[name] = {path: count / ops for path, count in paths.items()}
     print(json.dumps(rows, indent=1, sort_keys=True))
     for name, stages in per_op.items():
         text = ", ".join(f"{stage} {count:g}" for stage, count in stages.items())
         print(f"{name}: input rows per op: {text}", file=sys.stderr)
+        placed, tiled = contracted[name]["placed"], contracted[name]["tiled"]
+        share = f" ({100 * placed / (placed + tiled):.1f}% placed)" if placed + tiled else ""
+        print(f"{name}: contraction rows per op: placed {placed:g}, tiled {tiled:g}{share}",
+              file=sys.stderr)
     if args.against is not None:
         base = json.loads(args.against.read_text())
         changed = []
